@@ -201,16 +201,6 @@ def tanh(x: TensorValue) -> TensorValue:
     return _result(out, (x,), rule)
 
 
-_ACTIVATIONS = {"relu": relu, "leaky_relu": leaky_relu, "tanh": tanh}
-
-
-def activation(x: TensorValue, kind: str) -> TensorValue:
-    try:
-        return _ACTIVATIONS[kind](x)
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}, expected one of {sorted(_ACTIVATIONS)}") from None
-
-
 def concat_cols(parts: list[TensorValue]) -> TensorValue:
     if not parts:
         raise ValueError("concat_cols needs at least one part")
@@ -366,6 +356,8 @@ def mean_all(x: TensorValue) -> TensorValue:
 # ---------------------------------------------------------------------------
 # parameters and gradient checking
 
+GRADCHECK_MAX_ENTRIES = 32  # entries probed per parameter
+
 
 class ParamStore:
     """Named map of learnable tensors plus their weight-decay eligibility."""
@@ -384,12 +376,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> TensorValue:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -419,14 +405,13 @@ def grad_check(
     forward,
     store: ParamStore,
     probe: float = 1e-3,
-    max_entries: int = 32,
     rng: np.random.Generator | None = None,
 ) -> dict[str, float]:
     """Compare tape gradients against central differences.
 
     ``forward`` must be a deterministic closure rebuilding the scalar loss
     from the current parameter values (dropout off, any random sampling
-    frozen). For up to ``max_entries`` entries per parameter the relative
+    frozen). For up to ``GRADCHECK_MAX_ENTRIES`` entries per parameter the relative
     error |a - n| / max(1e-8, |a| + |n|) is computed; the per-parameter
     maximum is returned.
 
@@ -456,10 +441,10 @@ def grad_check(
     errors: dict[str, float] = {}
     for name, p in store.items():
         size = p.data.size
-        if size <= max_entries:
+        if size <= GRADCHECK_MAX_ENTRIES:
             idx = np.arange(size)
         else:
-            idx = rng.choice(size, size=max_entries, replace=False)
+            idx = rng.choice(size, size=GRADCHECK_MAX_ENTRIES, replace=False)
         ladder = [probe] + [max(probe / f, 1e-8) for f in (1e2, 1e4)]
         ladder = sorted(set(ladder), reverse=True)
         worst = 0.0

@@ -58,6 +58,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
+_FIELD_PARSERS = {"int": int, "float": float, "str": str}
+# settings that checkpoints of earlier versions record, at the one value the model still implements
+_RETIRED_CONFIG = {"homo_filter_activation": "none", "plain_fusion": False}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -72,14 +75,10 @@ def _parse_config_file(path: str) -> dict:
             if key not in _CONFIG_FIELDS:
                 raise ConfigError(f"{path}: line {i}: unknown config key {key!r}")
             ftype = _CONFIG_FIELDS[key].type
-            if ftype in ("bool", bool):
-                values[key] = raw.lower() == "true"
-            elif ftype in ("int", int):
-                values[key] = int(raw)
-            elif ftype in ("float", float):
-                values[key] = float(raw)
-            else:
-                values[key] = raw
+            try:
+                values[key] = _FIELD_PARSERS[ftype](raw)
+            except ValueError:
+                raise ConfigError(f"{path}: line {i}: {key} must be {ftype}, got {raw!r}") from None
     return values
 
 
@@ -161,9 +160,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _checkpoint_config(meta, path: str) -> TrainConfig:
+    """The saved TrainConfig; retired settings are accepted only at their one implemented value."""
+    saved = meta.get("train_config") if isinstance(meta, dict) else None
+    if not isinstance(saved, dict):
+        raise CheckpointError(f"{path}: checkpoint metadata holds no train_config")
+    saved = dict(saved)
+    for key, value in _RETIRED_CONFIG.items():
+        if key in saved and type(saved[key]) is type(value) and saved[key] == value:
+            del saved[key]
+    unknown = {key: saved[key] for key in sorted(saved.keys() - _CONFIG_FIELDS.keys())}
+    missing = sorted(_CONFIG_FIELDS.keys() - saved.keys())
+    if unknown or missing:
+        raise CheckpointError(f"{path}: train_config has unsupported settings {unknown} and lacks {missing}")
+    return TrainConfig(**saved)
+
+
 def _rebuild_model(data_path: str, checkpoint_path: str, symmetrize: bool) -> DualChannelModel:
     params, meta = load_checkpoint(checkpoint_path)
-    config = TrainConfig(**meta["train_config"])
+    config = _checkpoint_config(meta, checkpoint_path)
     graph = load_dataset(data_path, split_seed=config.seed, force_symmetrize=symmetrize)
     model = DualChannelModel(graph, config, np.random.default_rng(config.seed))
     restore_into(model.params, params)

@@ -19,7 +19,8 @@ from .graphs import GraphFormatError, MultiRelationGraph, NodeSplit, build_csr, 
 
 CHECKPOINT_MAGIC = b"DHMP"
 CHECKPOINT_VERSION = 1
-DEFAULT_SPLIT_FRACTIONS = (0.4, 0.2, 0.4)
+SPLIT_FRACTIONS = (0.4, 0.2, 0.4)  # train, val, test share of each class
+MANIFEST_KEYS = ("num_nodes", "feature_dim", "features", "labels", "splits", "symmetrize", "relation")
 
 
 class DatasetError(ValueError):
@@ -34,8 +35,8 @@ class CheckpointError(ValueError):
 # splits
 
 
-def stratified_split(labels, rng: np.random.Generator, fractions=DEFAULT_SPLIT_FRACTIONS) -> NodeSplit:
-    """Random per-class split; fractions apply within each class, remainder to test.
+def stratified_split(labels, rng: np.random.Generator) -> NodeSplit:
+    """Random per-class split by ``SPLIT_FRACTIONS`` within each class, remainder to test.
 
     Every non-empty class contributes at least one train node so that tiny
     fixtures stay trainable.
@@ -47,8 +48,8 @@ def stratified_split(labels, rng: np.random.Generator, fractions=DEFAULT_SPLIT_F
         if len(members) == 0:
             continue
         rng.shuffle(members)
-        n_train = max(1, int(np.floor(fractions[0] * len(members))))
-        n_val = int(np.floor(fractions[1] * len(members)))
+        n_train = max(1, int(np.floor(SPLIT_FRACTIONS[0] * len(members))))
+        n_val = int(np.floor(SPLIT_FRACTIONS[1] * len(members)))
         train.append(members[:n_train])
         val.append(members[n_train : n_train + n_val])
         test.append(members[n_train + n_val :])
@@ -61,6 +62,13 @@ def stratified_split(labels, rng: np.random.Generator, fractions=DEFAULT_SPLIT_F
 
 # ---------------------------------------------------------------------------
 # manifest datasets
+
+
+def _parse_int(token: str, where: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise DatasetError(f"{where}: {token!r} is not an integer") from None
 
 
 def _read_features(path: Path, num_nodes: int, feature_dim: int) -> np.ndarray:
@@ -79,7 +87,11 @@ def _read_features(path: Path, num_nodes: int, feature_dim: int) -> np.ndarray:
                 raise DatasetError(f"{path}: row {i}: {exc}") from None
     if len(rows) != num_nodes:
         raise DatasetError(f"{path}: {len(rows)} feature rows for {num_nodes} nodes")
-    return np.asarray(rows, dtype=np.float64)
+    features = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(features).all():
+        node = np.flatnonzero(~np.isfinite(features).all(axis=1))[0]
+        raise DatasetError(f"{path}: feature row of node {node} is not all finite")
+    return features
 
 
 def _read_labels(path: Path, num_nodes: int) -> np.ndarray:
@@ -89,10 +101,7 @@ def _read_labels(path: Path, num_nodes: int) -> np.ndarray:
             line = line.strip()
             if not line:
                 continue
-            try:
-                v = int(line)
-            except ValueError:
-                raise DatasetError(f"{path}: row {i}: label {line!r} is not an integer") from None
+            v = _parse_int(line, f"{path}: row {i}: label")
             if v not in (0, 1):
                 raise DatasetError(f"{path}: row {i}: label must be 0 or 1, got {v}")
             values.append(v)
@@ -129,7 +138,8 @@ def _read_splits(path: Path) -> NodeSplit:
             key = key.strip()
             if key not in ("train", "val", "test"):
                 raise DatasetError(f"{path}: unknown split section {key!r}")
-            parts[key] = np.asarray([int(v) for v in rest.split()], dtype=np.int64)
+            where = f"{path}: {key}"
+            parts[key] = np.asarray([_parse_int(v, where) for v in rest.split()], dtype=np.int64)
     missing = {"train", "val", "test"} - parts.keys()
     if missing:
         raise DatasetError(f"{path}: missing split sections {sorted(missing)}")
@@ -158,20 +168,23 @@ def load_dataset(manifest_path, split_seed: int = 0, force_symmetrize: bool = Fa
                 continue
             tokens = line.split()
             key = tokens[0]
+            where = f"{manifest_path}: line {i}"
+            if key not in MANIFEST_KEYS:
+                raise DatasetError(f"{where}: unknown key {key!r}")
+            if len(tokens) < 2:
+                raise DatasetError(f"{where}: {key} needs a value")
             if key == "num_nodes":
-                num_nodes = int(tokens[1])
+                num_nodes = _parse_int(tokens[1], f"{where}: num_nodes")
             elif key == "feature_dim":
-                feature_dim = int(tokens[1])
+                feature_dim = _parse_int(tokens[1], f"{where}: feature_dim")
             elif key == "relation":
                 if len(tokens) != 3:
-                    raise DatasetError(f"{manifest_path}: line {i}: relation needs a name and a path")
+                    raise DatasetError(f"{where}: relation needs a name and a path")
                 relation_files.append((tokens[1], base / tokens[2]))
-            elif key in ("features", "labels", "splits"):
-                paths[key] = base / tokens[1]
             elif key == "symmetrize":
                 do_symmetrize = tokens[1].lower() == "true"
             else:
-                raise DatasetError(f"{manifest_path}: line {i}: unknown key {key!r}")
+                paths[key] = base / tokens[1]
 
     if num_nodes is None or feature_dim is None:
         raise DatasetError(f"{manifest_path}: num_nodes and feature_dim are required")
@@ -356,11 +369,18 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     (header_len,) = struct.unpack("<I", blob[8:12])
     if len(blob) < 12 + header_len:
         raise CheckpointError(f"{path}: truncated header")
-    header = json.loads(blob[12 : 12 + header_len])
+    try:
+        header = json.loads(blob[12 : 12 + header_len])
+    except ValueError as exc:  # JSON syntax and UTF-8 decoding errors alike
+        raise CheckpointError(f"{path}: corrupt header: {exc}") from None
+    if not isinstance(header, dict) or not {"meta", "sections"} <= header.keys():
+        raise CheckpointError(f"{path}: header needs 'meta' and 'sections'")
     payload = blob[12 + header_len :]
 
     params: dict[str, np.ndarray] = {}
     for section in header["sections"]:
+        if not isinstance(section, dict) or not {"name", "rows", "cols", "offset"} <= section.keys():
+            raise CheckpointError(f"{path}: section {section!r} needs name, rows, cols and offset")
         rows, cols, offset = section["rows"], section["cols"], section["offset"]
         nbytes = rows * cols * 8
         if offset + nbytes > len(payload):

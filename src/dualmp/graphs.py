@@ -7,6 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+UNION_RELATION = "union"  # name of the relation that merge_relations builds
+
+
 class GraphFormatError(ValueError):
     """An edge list or graph component violates the storage contract."""
 
@@ -61,7 +64,7 @@ class NodeSplit:
             raise GraphFormatError("train split is empty")
         if seen.size and (seen.min() < 0 or seen.max() >= num_nodes):
             raise GraphFormatError("split contains node index outside 0..N-1")
-        if len(np.unique(seen)) != len(seen):
+        if np.bincount(seen, minlength=num_nodes).max() > 1:
             raise GraphFormatError("train/val/test splits overlap")
 
     def train_mask(self, num_nodes: int) -> np.ndarray:
@@ -98,6 +101,9 @@ class MultiRelationGraph:
         bad = ~np.isin(self.labels, (0, 1))
         if bad.any():
             raise GraphFormatError(f"labels must be 0 or 1, found {self.labels[bad][0]}")
+        if not np.isfinite(self.features).all():
+            node = np.flatnonzero(~np.isfinite(self.features).all(axis=1))[0]
+            raise GraphFormatError(f"features of node {node} are not all finite")
         if not self.relations:
             raise GraphFormatError("graph needs at least one relation")
         names = [rel.name for rel in self.relations]
@@ -201,10 +207,10 @@ def _subgraph_view(adj: RelationAdjacency, keep: np.ndarray, suffix: str) -> Rel
     return RelationAdjacency(name=adj.name + suffix, offsets=offsets, targets=adj.targets[keep].copy())
 
 
-def merge_relations(graph: MultiRelationGraph, name: str = "union") -> MultiRelationGraph:
-    """Collapse all relations into a single deduplicated union relation."""
+def merge_relations(graph: MultiRelationGraph) -> MultiRelationGraph:
+    """Collapse all relations into a single deduplicated relation named ``UNION_RELATION``."""
     pairs = np.concatenate([rel.edge_pairs() for rel in graph.relations])
-    union = build_csr(pairs, graph.num_nodes, name=name)
+    union = build_csr(pairs, graph.num_nodes, name=UNION_RELATION)
     return MultiRelationGraph(
         features=graph.features, labels=graph.labels, relations=[union], split=graph.split
     )

@@ -38,8 +38,6 @@ class TrainConfig:
     dropout: float = 0.1
     seed: int = 0
     ablation: str = "full"
-    homo_filter_activation: str = "none"  # the smoothing filter has no activation as written
-    plain_fusion: bool = False
 
     def validate(self) -> None:
         if self.learning_rate <= 0:
@@ -60,8 +58,6 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
-        if self.homo_filter_activation not in ("none", "relu", "leaky_relu", "tanh"):
-            raise ConfigError(f"unknown filter activation {self.homo_filter_activation!r}")
 
 
 @dataclass
@@ -158,8 +154,7 @@ class DualChannelModel:
         return self._has_smooth_channel and self._has_contrast_channel
 
     def _init_params(self, rng: np.random.Generator) -> None:
-        cfg = self.config
-        d_in, d_h = self.graph.feature_dim, cfg.hidden_dim
+        d_in, d_h = self.graph.feature_dim, self.config.hidden_dim
         for rel in self.graph.relations:
             p = self.params
             name = rel.name
@@ -178,12 +173,10 @@ class DualChannelModel:
                 p.add(f"{name}/contrast_gate_w", _kaiming_uniform(rng, d_h, d_h))
                 p.add(f"{name}/contrast_b2", np.zeros((1, d_h)), decay=False)
             if self._has_fusion:
-                width = 2 * d_h if cfg.plain_fusion else 3 * d_h
-                p.add(f"{name}/fuse_w", _kaiming_uniform(rng, width, d_h))
+                p.add(f"{name}/fuse_w", _kaiming_uniform(rng, 3 * d_h, d_h))
                 p.add(f"{name}/fuse_b", np.zeros((1, d_h)), decay=False)
-                if not cfg.plain_fusion:
-                    p.add(f"{name}/norm_gain", np.ones((1, d_h)), decay=False)
-                    p.add(f"{name}/norm_bias", np.zeros((1, d_h)), decay=False)
+                p.add(f"{name}/norm_gain", np.ones((1, d_h)), decay=False)
+                p.add(f"{name}/norm_bias", np.zeros((1, d_h)), decay=False)
         self.params.add("classifier/w", _kaiming_uniform(rng, self.graph.num_relations * d_h, 2))
         self.params.add("classifier/b", np.zeros((1, 2)), decay=False)
 
@@ -203,7 +196,6 @@ class DualChannelModel:
                 p[f"{name}/{side}_b2"],
                 cfg.residual_mix,
                 complement=complement,
-                filter_activation=cfg.homo_filter_activation,
             )
             return propagation.residual_aggregate(h, messages, subgraph)
 
@@ -215,10 +207,6 @@ class DualChannelModel:
             return run_channel("smooth", partition.homo, complement=False)
         z_smooth = run_channel("smooth", partition.homo, complement=False)
         z_contrast = run_channel("contrast", partition.hetero, complement=True)
-        if cfg.plain_fusion:
-            return propagation.frequency_fuse(
-                z_smooth, z_contrast, p[f"{name}/fuse_w"], p[f"{name}/fuse_b"], None, None, plain=True
-            )
         return propagation.frequency_fuse(
             z_smooth,
             z_contrast,

@@ -26,14 +26,12 @@ def channel_messages(
     gate_b: TensorValue,
     residual_mix: float,
     complement: bool = False,
-    filter_activation: str = "none",
 ) -> TensorValue:
     """Per-node outgoing message for one channel.
 
     The smoothing channel (``complement=False``) filters with W and, as
-    specified, applies no activation after the filter unless
-    ``filter_activation`` overrides that; the contrast channel filters with
-    I - W and always applies ReLU. The gate then computes
+    specified, applies no activation after the filter; the contrast channel
+    filters with I - W and applies ReLU. The gate then computes
     LeakyReLU(W_gate (mix * h + filtered) + b).
     """
     if complement:
@@ -44,8 +42,6 @@ def channel_messages(
     filtered = ad.add_bias(filtered, filter_b)
     if complement:
         filtered = ad.relu(filtered)
-    elif filter_activation != "none":
-        filtered = ad.activation(filtered, filter_activation)
     gated = ad.matmul(ad.add(ad.scale(h, residual_mix), filtered), gate_w)
     return ad.leaky_relu(ad.add_bias(gated, gate_b))
 
@@ -80,17 +76,8 @@ def frequency_fuse(
     fuse_b: TensorValue,
     norm_gain: TensorValue,
     norm_bias: TensorValue,
-    plain: bool = False,
 ) -> TensorValue:
-    """Combine the two channel outputs into one per-node embedding.
-
-    Default: LayerNorm(LeakyReLU(W [z+ || z- || z+ - z-] + b)). The plain
-    variant keeps only the two-block concatenation with no activation or
-    normalization, for ablation comparisons.
-    """
-    if plain:
-        blocks = ad.concat_cols([z_smooth, z_contrast])
-        return ad.add_bias(ad.matmul(blocks, fuse_w), fuse_b)
+    """LayerNorm(LeakyReLU(W [z+ || z- || z+ - z-] + b)): one per-node embedding from both channels."""
     blocks = ad.concat_cols([z_smooth, z_contrast, ad.sub(z_smooth, z_contrast)])
     pre = ad.leaky_relu(ad.add_bias(ad.matmul(blocks, fuse_w), fuse_b))
     return ad.layer_norm(pre, norm_gain, norm_bias, eps=1e-5)

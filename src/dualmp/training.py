@@ -25,21 +25,14 @@ class Adam:
     normalization parameters).
     """
 
-    def __init__(
-        self,
-        store: ParamStore,
-        learning_rate: float,
-        weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, store: ParamStore, learning_rate: float, weight_decay: float = 0.0):
         self.store = store
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in store.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in store.items()}
@@ -55,33 +48,34 @@ class Adam:
                 g = g + self.weight_decay * p.data
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.BETA1
+            m += (1 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1 - self.BETA2) * g * g
+            m_hat = m / (1 - self.BETA1**t)
+            v_hat = v / (1 - self.BETA2**t)
+            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
+
+
+def _balanced_pick(first: np.ndarray, second: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Both pools in order, the larger one subsampled without replacement to the smaller's size."""
+    k = min(len(first), len(second))
+
+    def take(pool):
+        return pool if len(pool) == k else rng.choice(pool, size=k, replace=False)
+
+    return np.concatenate([take(first), take(second)])
 
 
 def balanced_node_sample(train_idx, labels, rng: np.random.Generator) -> np.ndarray:
-    """Equal-count class sample from the train split; the minority count governs.
-
-    All minority-class nodes are taken and the majority class is subsampled
-    uniformly without replacement to match.
-    """
+    """Equal-count class sample from the train split (fraud first); the minority count governs."""
     train_idx = np.asarray(train_idx, dtype=np.int64)
     labels = np.asarray(labels)
     fraud = train_idx[labels[train_idx] == 1]
     benign = train_idx[labels[train_idx] == 0]
     if len(fraud) == 0 or len(benign) == 0:
         raise ConfigError("balanced sampling needs both classes in the train split")
-    k = min(len(fraud), len(benign))
-
-    def take(pool):
-        return pool if len(pool) == k else rng.choice(pool, size=k, replace=False)
-
-    return np.concatenate([take(fraud), take(benign)])
+    return _balanced_pick(fraud, benign, rng)
 
 
 def balanced_edge_sample(positions, sign_labels, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -94,15 +88,9 @@ def balanced_edge_sample(positions, sign_labels, rng: np.random.Generator) -> tu
     sign_labels = np.asarray(sign_labels, dtype=np.float64)
     same = np.flatnonzero(sign_labels < 0)
     diff = np.flatnonzero(sign_labels > 0)
-    k = min(len(same), len(diff))
-    if k == 0:
+    if len(same) == 0 or len(diff) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0)
-    pick = np.concatenate(
-        [
-            same if len(same) == k else rng.choice(same, size=k, replace=False),
-            diff if len(diff) == k else rng.choice(diff, size=k, replace=False),
-        ]
-    )
+    pick = _balanced_pick(same, diff, rng)
     return positions[pick], sign_labels[pick]
 
 

@@ -64,11 +64,6 @@ class TestActivations:
     def test_relu(self):
         assert ad.relu(tensor([-2.0, 3.0])).data.tolist() == [[0.0, 3.0]]
 
-    def test_kind_dispatch(self):
-        assert ad.activation(tensor(-1.0), "relu").item() == 0.0
-        with pytest.raises(ValueError, match="unknown activation"):
-            ad.activation(tensor(1.0), "softplus")
-
     def test_slope_at_zero_from_positive_side(self):
         for fn, slope in ((ad.relu, 1.0), (ad.leaky_relu, 1.0)):
             x = tensor([[0.0]], requires_grad=True)
@@ -80,8 +75,8 @@ class TestActivations:
         rng = np.random.default_rng(1)
         store = ParamStore()
         x = store.add("x", rng.normal(size=(4, 5)) + 0.1)  # keep entries off the kinks
-        for kind in ("relu", "leaky_relu", "tanh"):
-            loss = lambda: ad.sum_all(ad.activation(x, kind))
+        for fn in (ad.relu, ad.leaky_relu, ad.tanh):
+            loss = lambda: ad.sum_all(fn(x))
             assert np.allclose(tape_gradient(loss, x), fd_gradient(loss, x), atol=1e-8)
 
 

@@ -1,9 +1,12 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from dualmp.autodiff import ParamStore
 from dualmp.cli import main
+from dualmp.data import load_checkpoint, save_checkpoint
 
 
 def read_metrics(path):
@@ -153,3 +156,103 @@ class TestGradcheck:
         assert main(["gradcheck", "--ablation", "heter"]) == 0
         out = capsys.readouterr().out
         assert "[heter]" in out and "filter_w" in out
+
+
+def copy_dataset(manifest, dest):
+    shutil.copytree(manifest.parent, dest)
+    return dest / "manifest.txt"
+
+
+def rewrite(path, edit):
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+
+
+def train_args(manifest, out):
+    return ["train", "--data", str(manifest), "--out", str(out), "--epochs", "2", "--patience", "2"]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_exits_one(self, dataset, tmp_path, capsys, value):
+        manifest = copy_dataset(dataset, tmp_path / "data")
+        rewrite(manifest.parent / "features.csv",
+                lambda rows: rows[:3] + [value + rows[3][rows[3].index(","):]] + rows[4:])
+        assert main(train_args(manifest, tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "features.csv" in err and "node 3" in err
+
+    @pytest.mark.parametrize(
+        "file, edit, message",
+        [
+            ("splits.txt", lambda rows: [rows[0] + " x7"] + rows[1:], "'x7' is not an integer"),
+            ("manifest.txt", lambda rows: ["num_nodes abc"] + rows[1:], "'abc' is not an integer"),
+            ("manifest.txt", lambda rows: ["num_nodes"] + rows[1:], "num_nodes needs a value"),
+            ("config.txt", lambda rows: ["epochs abc"], "epochs must be int, got 'abc'"),
+        ],
+        ids=["splits-token", "manifest-number", "manifest-bare-key", "config-number"],
+    )
+    def test_malformed_integer_exits_one(self, dataset, tmp_path, capsys, file, edit, message):
+        manifest = copy_dataset(dataset, tmp_path / "data")
+        (manifest.parent / "config.txt").write_text("epochs 2\n")
+        rewrite(manifest.parent / file, edit)
+        args = train_args(manifest, tmp_path / "run") + ["--config", str(manifest.parent / "config.txt")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and file in err and message in err
+
+    def test_retired_config_key_is_unknown(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "overrides.txt"
+        cfg.write_text("plain_fusion false\n")
+        assert main(train_args(dataset, tmp_path / "run") + ["--config", str(cfg)]) == 1
+        assert "unknown config key 'plain_fusion'" in capsys.readouterr().err
+
+
+def resave_with_config(source, dest, edit):
+    """Copy a checkpoint, applying ``edit`` to the train_config of its metadata."""
+    params, meta = load_checkpoint(source)
+    store = ParamStore()
+    for name, value in params.items():
+        store.add(name, value)
+    edit(meta["train_config"])
+    save_checkpoint(store, meta, dest)
+    return dest
+
+
+class TestCheckpointInput:
+    def test_corrupt_header_exits_one(self, dataset, trained, tmp_path, capsys):
+        blob = bytearray((trained / "checkpoint.bin").read_bytes())
+        blob[12] = ord("#")
+        (tmp_path / "checkpoint.bin").write_bytes(bytes(blob))
+        assert main(["eval", "--data", str(dataset), "--checkpoint", str(tmp_path / "checkpoint.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "corrupt header" in err
+
+    def test_earlier_format_evaluates_identically(self, dataset, trained, tmp_path, capsys):
+        # earlier versions saved two more settings, always at these values
+        old = resave_with_config(
+            trained / "checkpoint.bin", tmp_path / "old.bin",
+            lambda cfg: cfg.update(homo_filter_activation="none", plain_fusion=False),
+        )
+        outputs = []
+        for path in (trained / "checkpoint.bin", old):
+            assert main(["eval", "--data", str(dataset), "--checkpoint", str(path),
+                         "--export-embeddings", str(tmp_path / "emb.csv")]) == 0
+            outputs.append((capsys.readouterr().out, (tmp_path / "emb.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg: cfg.update(homo_filter_activation="none", plain_fusion=True),
+            lambda cfg: cfg.update(homo_filter_activation="tanh", plain_fusion=False),
+            lambda cfg: cfg.update(plain_fusion=0),
+            lambda cfg: cfg.update(momentum=0.9),
+            lambda cfg: cfg.pop("dropout"),
+        ],
+        ids=["plain-fusion", "filter-activation", "non-bool-flag", "unknown-key", "missing-key"],
+    )
+    def test_unsupported_settings_exit_one(self, dataset, trained, tmp_path, capsys, edit):
+        path = resave_with_config(trained / "checkpoint.bin", tmp_path / "ckpt.bin", edit)
+        assert main(["eval", "--data", str(dataset), "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "train_config" in err

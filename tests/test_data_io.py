@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,23 @@ class TestCheckpoints:
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"#not json",
+            b'{"meta": {"x": "\xff"}}',  # invalid UTF-8
+            b'{"sections": []}',
+            b'{"meta": {}}',
+            b'{"meta": {}, "sections": [{"name": "w", "rows": 1, "cols": 1}]}',
+        ],
+        ids=["json", "utf8", "no-meta", "no-sections", "section-without-offset"],
+    )
+    def test_malformed_header(self, tmp_path, header):
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header + bytes(8))
+        with pytest.raises(CheckpointError, match="ckpt.bin"):
             load_checkpoint(path)
 
     def test_shape_mismatch_on_restore(self, tmp_path):

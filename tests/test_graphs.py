@@ -96,6 +96,22 @@ class TestPartition:
             partition_subgraphs(adj, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validate_rejects_non_finite_features(value):
+    import dualmp as dm
+
+    features = np.zeros((3, 2))
+    features[2, 1] = value
+    g = dm.MultiRelationGraph(
+        features=features,
+        labels=np.array([0, 1, 0]),
+        relations=[build_csr([(0, 1)], 3, "a")],
+        split=dm.NodeSplit(np.array([0, 1, 2]), np.array([], dtype=int), np.array([], dtype=int)),
+    )
+    with pytest.raises(dm.GraphFormatError, match="node 2"):
+        g.validate()
+
+
 def test_merge_relations_unions_edges():
     import dualmp as dm
 

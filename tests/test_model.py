@@ -114,7 +114,7 @@ class TestTotalLoss:
         assert gap2 == pytest.approx(2 * gap1, rel=1e-12)
 
 
-def expected_param_count(d_in, d_h, relations, ablation, plain_fusion=False):
+def expected_param_count(d_in, d_h, relations, ablation):
     """Shape arithmetic for the active parameter set of one wiring."""
     per_rel = d_in * d_h + d_h  # projection
     per_rel += d_h * d_h  # shared filter
@@ -125,10 +125,8 @@ def expected_param_count(d_in, d_h, relations, ablation, plain_fusion=False):
     if ablation not in ("heter", "sep"):
         per_rel += d_h * d_h + 2 * d_h  # contrast gate + biases
     if ablation in ("full", "rel"):
-        width = 2 * d_h if plain_fusion else 3 * d_h
-        per_rel += width * d_h + d_h
-        if not plain_fusion:
-            per_rel += 2 * d_h  # norm gain and bias
+        per_rel += 3 * d_h * d_h + d_h
+        per_rel += 2 * d_h  # norm gain and bias
     return relations * per_rel + relations * d_h * 2 + 2  # plus classifier
 
 

@@ -242,16 +242,6 @@ class TestFrequencyFuse:
         fused = frequency_fuse(za, zb, w, b, gain, bias)
         assert np.array_equal(fused.data, ad.layer_norm(pre, gain, bias, eps=1e-5).data)
 
-    def test_plain_variant_is_affine_two_block(self):
-        d = 2
-        rng = np.random.default_rng(13)
-        za, zb = tensor(rng.normal(size=(3, d))), tensor(rng.normal(size=(3, d)))
-        w = rng.normal(size=(2 * d, d))
-        b = rng.normal(size=(1, d))
-        out = frequency_fuse(za, zb, tensor(w), tensor(b), None, None, plain=True)
-        expected = np.concatenate([za.data, zb.data], axis=1) @ w + b
-        assert np.allclose(out.data, expected)
-
 
 def test_full_channel_gradients():
     rng = np.random.default_rng(14)

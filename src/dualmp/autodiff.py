@@ -1,10 +1,10 @@
 """Reverse-mode automatic differentiation over dense 2-D float64 arrays.
 
 Covers exactly the primitives the fraud model's forward pass needs: matrix
-products, biases, the three activations, column concatenation, row gather,
-coefficient-weighted segment sums, layer normalization, row softmax, dropout
-and the scalar reductions. No broadcasting beyond row-vector biases, no
-tensors of rank above 2, no GPU.
+products, products with a fixed sparse matrix, biases, the three
+activations, column concatenation, row gather, layer normalization, row
+softmax, dropout and the scalar reductions. No broadcasting beyond
+row-vector biases, no tensors of rank above 2, no GPU.
 
 Each operation links its output to its inputs and stores a backward rule;
 :func:`backward` replays that implicit tape once, in reverse topological
@@ -246,32 +246,20 @@ def take_col(x: TensorValue, col: int) -> TensorValue:
     return _result(x.data[:, col : col + 1].copy(), (x,), rule)
 
 
-def segment_weighted_sum(messages: TensorValue, segment_ids, coefficients, num_segments: int) -> TensorValue:
-    """out[s] = sum over entries e with segment_ids[e] == s of coefficients[e] * messages[e].
+def sparse_matmul(matrix, x: TensorValue) -> TensorValue:
+    """matrix @ x for a fixed scipy CSR matrix; no gradient flows into the matrix.
 
-    Segments with no entries stay zero. Coefficients are fixed weights; no
-    gradient is propagated into them. Accumulation uses ``np.add.at`` so the
-    reduction order is the entry order, which keeps runs deterministic.
+    Each output row accumulates its stored entries in storage order, and the
+    backward pass ``matrix.T @ g`` accumulates each input row in that same
+    order, which keeps runs deterministic. Rows without entries stay zero.
     """
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    coefficients = np.asarray(coefficients, dtype=np.float64).reshape(-1)
-    if len(segment_ids) != messages.shape[0] or len(coefficients) != messages.shape[0]:
-        raise ValueError(
-            f"segment ids ({len(segment_ids)}) and coefficients ({len(coefficients)}) "
-            f"must match {messages.shape[0]} message rows"
-        )
-    if segment_ids.size and (segment_ids.min() < 0 or segment_ids.max() >= num_segments):
-        raise ValueError(f"segment id out of range for {num_segments} segments")
-    if not np.isfinite(coefficients).all():
-        raise ValueError("segment coefficients must be finite")
-
-    out = np.zeros((num_segments, messages.shape[1]))
-    np.add.at(out, segment_ids, coefficients[:, None] * messages.data)
+    if matrix.shape[1] != x.shape[0]:
+        raise ValueError(f"sparse_matmul shape mismatch: {matrix.shape} @ {x.shape}")
 
     def rule(g):
-        _accumulate(messages, coefficients[:, None] * g[segment_ids])
+        _accumulate(x, matrix.T @ g)
 
-    return _result(out, (messages,), rule)
+    return _result(matrix @ x.data, (x,), rule)
 
 
 def layer_norm(x: TensorValue, gain: TensorValue, bias: TensorValue, eps: float = 1e-5) -> TensorValue:

@@ -160,6 +160,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _has_field_type(key: str, value) -> bool:
+    """Whether a saved setting has its field's type; a float field also takes an int, no field a bool."""
+    ftype = _CONFIG_FIELDS[key].type
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if ftype == "float" else _FIELD_PARSERS[ftype])
+
+
 def _checkpoint_config(meta, path: str) -> TrainConfig:
     """The saved TrainConfig; retired settings are accepted only at their one implemented value."""
     saved = meta.get("train_config") if isinstance(meta, dict) else None
@@ -173,6 +181,9 @@ def _checkpoint_config(meta, path: str) -> TrainConfig:
     missing = sorted(_CONFIG_FIELDS.keys() - saved.keys())
     if unknown or missing:
         raise CheckpointError(f"{path}: train_config has unsupported settings {unknown} and lacks {missing}")
+    mistyped = {key: value for key, value in sorted(saved.items()) if not _has_field_type(key, value)}
+    if mistyped:
+        raise CheckpointError(f"{path}: train_config values of the wrong type: {mistyped}")
     return TrainConfig(**saved)
 
 

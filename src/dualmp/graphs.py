@@ -190,21 +190,16 @@ def partition_subgraphs(adj: RelationAdjacency, edge_signs) -> EdgePartition:
     if len(signs) != adj.edge_count:
         raise ValueError(f"{len(signs)} edge signs for {adj.edge_count} edges in relation {adj.name!r}")
     hetero_mask = signs >= 0.0
+    # Masking keeps the grouped-by-source CSR order, so each view's offsets
+    # are the running count of its edges read off at the relation's offsets.
+    running = np.zeros(adj.edge_count + 1, dtype=np.int64)
+    np.cumsum(hetero_mask, out=running[1:])
+    hetero_offsets = running[adj.offsets]
     return EdgePartition(
         hetero_mask=hetero_mask,
-        homo=_subgraph_view(adj, ~hetero_mask, ":homo"),
-        hetero=_subgraph_view(adj, hetero_mask, ":hetero"),
+        homo=RelationAdjacency(adj.name + ":homo", adj.offsets - hetero_offsets, adj.targets[~hetero_mask]),
+        hetero=RelationAdjacency(adj.name + ":hetero", hetero_offsets, adj.targets[hetero_mask]),
     )
-
-
-def _subgraph_view(adj: RelationAdjacency, keep: np.ndarray, suffix: str) -> RelationAdjacency:
-    # Masking preserves the grouped-by-source CSR ordering, so offsets can be
-    # rebuilt from per-source counts without re-sorting.
-    sources = adj.edge_sources()[keep]
-    counts = np.bincount(sources, minlength=adj.num_nodes)
-    offsets = np.zeros(adj.num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return RelationAdjacency(name=adj.name + suffix, offsets=offsets, targets=adj.targets[keep].copy())
 
 
 def merge_relations(graph: MultiRelationGraph) -> MultiRelationGraph:

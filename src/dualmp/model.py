@@ -8,7 +8,8 @@ not create the parameters they cannot reach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,6 +41,11 @@ class TrainConfig:
     ablation: str = "full"
 
     def validate(self) -> None:
+        # every range test below is false for NaN, so non-finite values go first
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.weight_decay < 0:

@@ -12,6 +12,7 @@ difference.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from . import autodiff as ad
 from .autodiff import TensorValue
@@ -57,16 +58,16 @@ def residual_aggregate(h: TensorValue, node_messages: TensorValue, subgraph: Rel
     """z_u = h_u + sum over neighbors v of message_v / sqrt(1 + d_u * d_v).
 
     Messages depend only on the sending node, so they are computed once per
-    node and gathered per edge. Nodes with no neighbors in the subgraph keep
-    exactly their own embedding.
+    node and summed through the subgraph's rescaled adjacency matrix. Nodes
+    with no neighbors in the subgraph keep exactly their own embedding.
     """
     if subgraph.edge_count == 0:
         return h
-    gathered = ad.gather_rows(node_messages, subgraph.targets)
-    summed = ad.segment_weighted_sum(
-        gathered, subgraph.edge_sources(), rescale_coefficients(subgraph), subgraph.num_nodes
+    n = subgraph.num_nodes
+    adjacency = sparse.csr_array(
+        (rescale_coefficients(subgraph), subgraph.targets, subgraph.offsets), shape=(n, n)
     )
-    return ad.add(h, summed)
+    return ad.add(h, ad.sparse_matmul(adjacency, node_messages))
 
 
 def frequency_fuse(

@@ -36,12 +36,18 @@ def project_features(
 
 
 # The one scorer formula. The two public scorers both call it rather than each
-# other, so a profiler that wraps them by name times each on its own.
+# other, so a profiler that wraps them by name times each on its own. With
+# edge_w split into blocks [W_u; W_v; W_d], W [h_u || h_v || h_u - h_v] equals
+# (h (W_u + W_d))_u + (h (W_v - W_d))_v, so the products run once per node and
+# each edge only gathers and adds two scalars.
 def _score(h: TensorValue, sources, targets, edge_w: TensorValue) -> TensorValue:
-    hu = ad.gather_rows(h, sources)
-    hv = ad.gather_rows(h, targets)
-    blocks = ad.concat_cols([hu, hv, ad.sub(hu, hv)])
-    return ad.tanh(ad.matmul(blocks, edge_w))
+    d = h.shape[1]
+    if edge_w.shape[0] != 3 * d:
+        raise ValueError(f"edge weight has {edge_w.shape[0]} rows, the scorer needs 3 * {d}")
+    w_u, w_v, w_d = (ad.gather_rows(edge_w, np.arange(k * d, (k + 1) * d)) for k in range(3))
+    from_source = ad.matmul(h, ad.add(w_u, w_d))
+    from_target = ad.matmul(h, ad.sub(w_v, w_d))
+    return ad.tanh(ad.add(ad.gather_rows(from_source, sources), ad.gather_rows(from_target, targets)))
 
 
 def edge_scores(h: TensorValue, sources, targets, edge_w: TensorValue) -> TensorValue:

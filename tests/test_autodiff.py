@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import dualmp.autodiff as ad
 from dualmp.autodiff import ParamStore, TensorValue, backward, grad_check, tensor
@@ -106,25 +107,33 @@ class TestConcat:
             assert np.allclose(tape_gradient(loss, p), fd_gradient(loss, p), atol=1e-8)
 
 
+def segment_matrix(segment_ids, coefficients, num_segments):
+    """(segments x entries) matrix whose product with messages is their weighted segment sum."""
+    e = len(segment_ids)
+    return sparse.csr_array((coefficients, (segment_ids, np.arange(e))), shape=(num_segments, e))
+
+
 class TestSegmentWeightedSum:
+    # out[s] = sum of coefficients[e] * messages[e] over entries e of segment s,
+    # computed by sparse_matmul as the aggregation computes it
     def test_hand_sum(self):
         msgs = tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.segment_weighted_sum(msgs, [0, 0], [1.0, 1.0], 2)
+        out = ad.sparse_matmul(segment_matrix([0, 0], [1.0, 1.0], 2), msgs)
         assert out.data.tolist() == [[4.0, 6.0], [0.0, 0.0]]
 
     def test_zero_coefficients(self):
         msgs = tensor(np.ones((3, 2)))
-        out = ad.segment_weighted_sum(msgs, [0, 1, 1], [0.0, 0.0, 0.0], 2)
+        out = ad.sparse_matmul(segment_matrix([0, 1, 1], [0.0, 0.0, 0.0], 2), msgs)
         assert not out.data.any()
 
     def test_single_edge_rescale(self):
-        out = ad.segment_weighted_sum(tensor([[2.0, 0.0]]), [1], [1 / np.sqrt(2)], 3)
+        out = ad.sparse_matmul(segment_matrix([1], [1 / np.sqrt(2)], 3), tensor([[2.0, 0.0]]))
         assert out.data[1] == pytest.approx([np.sqrt(2), 0.0])
         assert not out.data[[0, 2]].any()
 
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError, match="segment id out of range"):
-            ad.segment_weighted_sum(tensor(np.ones((1, 2))), [5], [1.0], 2)
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="sparse_matmul shape mismatch"):
+            ad.sparse_matmul(segment_matrix([0, 1], [1.0, 1.0], 2), tensor(np.ones((3, 2))))
 
     def test_matches_dense_incidence_product(self):
         # dense oracle: out = C @ messages with C[s, e] = coeff[e] * [seg[e] == s]
@@ -135,17 +144,16 @@ class TestSegmentWeightedSum:
             seg = rng.integers(0, n, size=e)
             coeff = rng.normal(size=e)
             msgs = rng.normal(size=(e, 5))
-            sparse = ad.segment_weighted_sum(tensor(msgs), seg, coeff, n).data
+            out = ad.sparse_matmul(segment_matrix(seg, coeff, n), tensor(msgs)).data
             dense_c = np.zeros((n, e))
             dense_c[seg, np.arange(e)] = coeff
-            assert np.abs(sparse - dense_c @ msgs).max() < 1e-12
+            assert np.abs(out - dense_c @ msgs).max() < 1e-12
 
     def test_gradient_scatters_coefficients(self):
         store = ParamStore()
         msgs = store.add("m", np.random.default_rng(5).normal(size=(6, 3)))
-        seg = np.array([0, 2, 2, 1, 0, 3])
-        coeff = np.array([0.5, -1.0, 2.0, 0.0, 1.5, 3.0])
-        loss = lambda: ad.sum_all(ad.tanh(ad.segment_weighted_sum(msgs, seg, coeff, 5)))
+        matrix = segment_matrix([0, 2, 2, 1, 0, 3], [0.5, -1.0, 2.0, 0.0, 1.5, 3.0], 5)
+        loss = lambda: ad.sum_all(ad.tanh(ad.sparse_matmul(matrix, msgs)))
         assert np.allclose(tape_gradient(loss, msgs), fd_gradient(loss, msgs), atol=1e-8)
 
 
@@ -332,13 +340,14 @@ def test_composed_forward_matches_finite_differences(seed, rows, cols):
     idx = rng.integers(0, rows, size=rows + 2)
     seg = rng.integers(0, rows, size=rows + 2)
     coeff = rng.normal(size=rows + 2)
+    segments = segment_matrix(seg, coeff, rows)
 
     weights = rng.normal(size=(rows, 2 * cols))  # keeps the reduced loss non-constant
 
     def forward():
         hidden = ad.tanh(ad.add_bias(ad.matmul(x, w1), b1))
         gathered = ad.gather_rows(hidden, idx)
-        summed = ad.segment_weighted_sum(gathered, seg, coeff, rows)
+        summed = ad.sparse_matmul(segments, gathered)
         blocks = ad.concat_cols([hidden, ad.sub(hidden, summed)])
         normed = ad.layer_norm(blocks, gain, bias)
         return ad.mean_all(ad.mul_const(ad.softmax_rows(normed), weights))

@@ -200,6 +200,21 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and file in err and message in err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--lr", "nan", "learning_rate"),
+            ("--epsilon", "nan", "residual_mix"),
+            ("--lambda", "nan", "edge_loss_weight"),
+            ("--lambda", "inf", "edge_loss_weight"),
+            ("--weight-decay", "nan", "weight_decay"),
+        ],
+    )
+    def test_non_finite_hyperparameter_exits_one(self, dataset, tmp_path, capsys, flag, value, field):
+        assert main(train_args(dataset, tmp_path / "run") + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{field} must be finite" in err
+
     def test_retired_config_key_is_unknown(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "overrides.txt"
         cfg.write_text("plain_fusion false\n")
@@ -248,8 +263,9 @@ class TestCheckpointInput:
             lambda cfg: cfg.update(plain_fusion=0),
             lambda cfg: cfg.update(momentum=0.9),
             lambda cfg: cfg.pop("dropout"),
+            lambda cfg: cfg.update(learning_rate="abc"),
         ],
-        ids=["plain-fusion", "filter-activation", "non-bool-flag", "unknown-key", "missing-key"],
+        ids=["plain-fusion", "filter-activation", "non-bool-flag", "unknown-key", "missing-key", "mistyped-value"],
     )
     def test_unsupported_settings_exit_one(self, dataset, trained, tmp_path, capsys, edit):
         path = resave_with_config(trained / "checkpoint.bin", tmp_path / "ckpt.bin", edit)

@@ -155,6 +155,19 @@ def test_partition_completeness_and_degree_conservation(case):
 
 @given(edge_lists)
 @settings(max_examples=60, deadline=None)
+def test_partition_views_equal_csr_of_masked_edges(case):
+    n, edges = case
+    adj = build_csr(edges, n)
+    rng = np.random.default_rng(adj.edge_count)
+    part = partition_subgraphs(adj, rng.uniform(-1, 1, size=adj.edge_count))
+    for view, keep in ((part.homo, ~part.hetero_mask), (part.hetero, part.hetero_mask)):
+        rebuilt = build_csr(adj.edge_pairs()[keep], n)
+        assert np.array_equal(view.offsets, rebuilt.offsets)
+        assert np.array_equal(view.targets, rebuilt.targets)
+
+
+@given(edge_lists)
+@settings(max_examples=60, deadline=None)
 def test_csr_flatten_rebuild_round_trip(case):
     n, edges = case
     adj = build_csr(edges, n)

@@ -83,6 +83,36 @@ class TestEdgeScores:
         assert np.allclose(forward, -backward_)
 
 
+class TestFactoredScorer:
+    # the scorer sums per-node products instead of building [h_u || h_v || h_u - h_v]
+    def test_matches_concat_formula(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            n, d, e = int(rng.integers(2, 40)), int(rng.integers(1, 10)), int(rng.integers(1, 100))
+            h = rng.normal(size=(n, d))
+            w = rng.normal(size=(3 * d, 1))
+            src, tgt = rng.integers(0, n, size=e), rng.integers(0, n, size=e)
+            concat = np.tanh(np.concatenate([h[src], h[tgt], h[src] - h[tgt]], axis=1) @ w)
+            assert np.abs(edge_scores(tensor(h), src, tgt, tensor(w)).data - concat).max() < 1e-12
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(8)
+        store = ad.ParamStore()
+        h = store.add("h", rng.normal(size=(6, 3)))
+        edge_w = store.add("edge_w", rng.normal(size=(9, 1)))
+        src = np.array([0, 1, 1, 4, 5, 0, 2])
+        tgt = np.array([1, 0, 3, 4, 2, 5, 2])
+        weights = rng.normal(size=(len(src), 1))  # keeps the reduced loss non-constant
+        errors = ad.grad_check(
+            lambda: ad.sum_all(ad.mul_const(edge_scores(h, src, tgt, edge_w), weights)), store, probe=1e-6
+        )
+        assert max(errors.values()) < 1e-6
+
+    def test_weight_of_wrong_height(self):
+        with pytest.raises(ValueError, match="the scorer needs 3"):
+            edge_scores(tensor(np.ones((2, 3))), [0], [1], tensor(np.ones((6, 1))))
+
+
 class TestHeterophilyLoss:
     def test_perfect_scores_zero_loss(self):
         scores = tensor(np.array([[1.0], [-1.0]]))

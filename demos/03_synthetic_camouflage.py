@@ -27,7 +27,7 @@ print(f"nodes: {graph.num_nodes}, fraud: {(graph.labels == 1).sum()}")
 print(f"splits: train {len(graph.split.train)}, val {len(graph.split.val)}, test {len(graph.split.test)}")
 
 for rel in graph.relations:
-    src, tgt = rel.edge_sources(), rel.targets
+    src, tgt = rel.edge_sources, rel.targets
     same = graph.labels[src] == graph.labels[tgt]
     from_fraud = graph.labels[src] == 1
     print(f"\nrelation {rel.name}: {rel.edge_count} edges")

@@ -8,7 +8,9 @@ row-vector biases, no tensors of rank above 2, no GPU.
 
 Each operation links its output to its inputs and stores a backward rule;
 :func:`backward` replays that implicit tape once, in reverse topological
-order, accumulating gradients additively across fan-out.
+order, accumulating gradients additively across fan-out. A rule computes
+the gradient of an input only if that input needs one: constants get none
+and keep ``grad`` at None.
 """
 
 from __future__ import annotations
@@ -52,16 +54,24 @@ def tensor(data, requires_grad: bool = False) -> TensorValue:
     return TensorValue(data, requires_grad=requires_grad)
 
 
+def _needs(t: TensorValue) -> bool:
+    """Whether a gradient for ``t`` is wanted: it requires one or leads to one that does."""
+    return t.requires_grad or bool(t._parents)
+
+
 def _accumulate(t: TensorValue, g: np.ndarray) -> None:
-    if t.requires_grad or t._parents:
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+    # No gradient array is written to after it is stored: a later contribution
+    # makes a new sum. So an inner node keeps the first contribution as it
+    # came, even when other nodes hold the same array; a leaf takes a copy,
+    # so that the gradient a caller reads is its own.
+    if t.grad is None:
+        t.grad = g if t._parents else g.copy()
+    else:
+        t.grad = t.grad + g
 
 
 def _result(data, parents, rule) -> TensorValue:
-    needs = any(p.requires_grad or p._parents for p in parents)
-    if not needs:
+    if not any(_needs(p) for p in parents):
         return TensorValue(data)
     return TensorValue(data, requires_grad=False, _parents=tuple(parents), _rule=rule)
 
@@ -105,8 +115,10 @@ def matmul(a: TensorValue, b: TensorValue) -> TensorValue:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
 
     def rule(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if _needs(a):
+            _accumulate(a, g @ b.data.T)
+        if _needs(b):
+            _accumulate(b, a.data.T @ g)
 
     return _result(a.data @ b.data, (a, b), rule)
 
@@ -116,8 +128,10 @@ def add(a: TensorValue, b: TensorValue) -> TensorValue:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
 
     def rule(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        if _needs(a):
+            _accumulate(a, g)
+        if _needs(b):
+            _accumulate(b, g)
 
     return _result(a.data + b.data, (a, b), rule)
 
@@ -127,8 +141,10 @@ def sub(a: TensorValue, b: TensorValue) -> TensorValue:
         raise ValueError(f"sub shape mismatch: {a.shape} vs {b.shape}")
 
     def rule(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
+        if _needs(a):
+            _accumulate(a, g)
+        if _needs(b):
+            _accumulate(b, -g)
 
     return _result(a.data - b.data, (a, b), rule)
 
@@ -139,8 +155,10 @@ def add_bias(x: TensorValue, bias: TensorValue) -> TensorValue:
         raise ValueError(f"bias shape {bias.shape} does not fit matrix {x.shape}")
 
     def rule(g):
-        _accumulate(x, g)
-        _accumulate(bias, g.sum(axis=0, keepdims=True))
+        if _needs(x):
+            _accumulate(x, g)
+        if _needs(bias):
+            _accumulate(bias, g.sum(axis=0, keepdims=True))
 
     return _result(x.data + bias.data, (x, bias), rule)
 
@@ -213,7 +231,8 @@ def concat_cols(parts: list[TensorValue]) -> TensorValue:
 
     def rule(g):
         for p, lo, hi in zip(parts, edges[:-1], edges[1:]):
-            _accumulate(p, g[:, lo:hi])
+            if _needs(p):
+                _accumulate(p, g[:, lo:hi])
 
     return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), rule)
 
@@ -274,13 +293,16 @@ def layer_norm(x: TensorValue, gain: TensorValue, bias: TensorValue, eps: float 
     xhat = (x.data - mean) * inv_std
 
     def rule(g):
-        _accumulate(gain, (g * xhat).sum(axis=0, keepdims=True))
-        _accumulate(bias, g.sum(axis=0, keepdims=True))
-        gh = g * gain.data
-        dx = inv_std * (
-            gh - gh.mean(axis=1, keepdims=True) - xhat * (gh * xhat).mean(axis=1, keepdims=True)
-        )
-        _accumulate(x, dx)
+        if _needs(gain):
+            _accumulate(gain, (g * xhat).sum(axis=0, keepdims=True))
+        if _needs(bias):
+            _accumulate(bias, g.sum(axis=0, keepdims=True))
+        if _needs(x):
+            gh = g * gain.data
+            dx = inv_std * (
+                gh - gh.mean(axis=1, keepdims=True) - xhat * (gh * xhat).mean(axis=1, keepdims=True)
+            )
+            _accumulate(x, dx)
 
     return _result(xhat * gain.data + bias.data, (x, gain, bias), rule)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,13 +41,16 @@ class RelationAdjacency:
         """Out-degree of every node: offsets[u + 1] - offsets[u]."""
         return np.diff(self.offsets)
 
+    @cached_property
     def edge_sources(self) -> np.ndarray:
-        """Source index of every edge, aligned with ``targets``."""
-        return np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees())
+        """Source index of every edge, aligned with ``targets``; built on first use, read-only."""
+        sources = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees())
+        sources.flags.writeable = False
+        return sources
 
     def edge_pairs(self) -> np.ndarray:
         """Flatten back to an (E, 2) array of (src, dst) pairs in storage order."""
-        return np.stack([self.edge_sources(), self.targets], axis=1)
+        return np.stack([self.edge_sources, self.targets], axis=1)
 
 
 @dataclass(frozen=True)

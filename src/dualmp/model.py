@@ -68,8 +68,15 @@ class TrainConfig:
 
 @dataclass
 class ForwardResult:
-    probs: TensorValue  # (N, 2), column 1 is fraud probability
-    embeddings: TensorValue  # (N, R * hidden) fused relation embeddings
+    """What one forward pass produced.
+
+    Without a ``node_batch`` the rows of ``probs`` and ``embeddings`` are
+    all N nodes in node order; with one, they are the batch rows in batch
+    order, because the pass computes no other rows.
+    """
+
+    probs: TensorValue  # (rows, 2), column 1 is fraud probability
+    embeddings: TensorValue  # (rows, R * hidden) fused relation embeddings
     partitions: list[EdgePartition | None]
     edge_scores: list[np.ndarray | None]  # detached scores over all edges, per relation
     loss_total: TensorValue | None = None
@@ -188,14 +195,19 @@ class DualChannelModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _relation_embedding(self, rel, h, partition):
-        """Run the active channels over one relation and fuse the outputs."""
+    def _relation_embedding(self, rel, h, partition, rows=None):
+        """Run the active channels over one relation and fuse the outputs.
+
+        With ``rows`` only those rows are produced, and each channel computes
+        messages only for the neighbors the rows read.
+        """
         p, cfg = self.params, self.config
         name = rel.name
 
         def run_channel(side: str, subgraph, complement: bool):
+            batch = None if rows is None else propagation.batch_adjacency(subgraph, rows)
             messages = propagation.channel_messages(
-                h,
+                h if batch is None else ad.gather_rows(h, batch.senders),
                 p[f"{name}/filter_w"],
                 p[f"{name}/{side}_gate_w"],
                 p[f"{name}/{side}_b1"],
@@ -203,7 +215,7 @@ class DualChannelModel:
                 cfg.residual_mix,
                 complement=complement,
             )
-            return propagation.residual_aggregate(h, messages, subgraph)
+            return propagation.residual_aggregate(h, messages, subgraph, batch)
 
         if cfg.ablation == "sep":
             return run_channel("smooth", rel, complement=False)
@@ -230,14 +242,19 @@ class DualChannelModel:
         edge_batches=None,
         partitions: list[EdgePartition | None] | None = None,
     ) -> ForwardResult:
-        """One full pass: per-relation embeddings, fused classification, losses.
+        """One pass: per-relation embeddings, fused classification, losses.
 
         Edge partitions are recomputed from the current edge scores unless
         frozen ones are passed in (gradient checking does that). Losses are
         produced only when the corresponding batches are given;
         ``edge_batches`` holds per-relation (edge positions, sign labels).
+        With a ``node_batch``, the projection, edge scoring and partition
+        still cover the whole graph, but aggregation, fusion and the
+        classifier run only for the batch rows, which is all the
+        classification loss reads.
         """
         p, cfg = self.params, self.config
+        rows = None if node_batch is None else np.asarray(node_batch, dtype=np.int64)
         per_rel_z: list[TensorValue] = []
         out_partitions: list[EdgePartition | None] = []
         out_scores: list[np.ndarray | None] = []
@@ -255,7 +272,7 @@ class DualChannelModel:
             partition = None
             scores = None
             if self._has_separator:
-                sources, targets = rel.edge_sources(), rel.targets
+                sources, targets = rel.edge_sources, rel.targets
                 if partitions is not None:
                     partition = partitions[ri]
                 else:
@@ -274,7 +291,7 @@ class DualChannelModel:
                         edge_losses.append(separator.heterophily_loss(batch_scores, sign_labels))
                     else:
                         edge_losses.append(ad.tensor(0.0))
-            per_rel_z.append(self._relation_embedding(rel, h, partition))
+            per_rel_z.append(self._relation_embedding(rel, h, partition, rows))
             out_partitions.append(partition)
             out_scores.append(scores)
 
@@ -288,7 +305,8 @@ class DualChannelModel:
             edge_scores=out_scores,
             edge_losses=edge_losses,
         )
-        if node_batch is not None:
-            result.loss_cls = classification_loss(probs, self.graph.labels, node_batch)
+        if rows is not None:
+            # probs already holds just the batch rows, in batch order
+            result.loss_cls = classification_loss(probs, self.graph.labels[rows], np.arange(len(rows)))
             result.loss_total = total_loss(result.loss_cls, edge_losses, cfg.edge_loss_weight)
         return result

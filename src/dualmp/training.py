@@ -99,7 +99,7 @@ def training_edge_sets(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per relation: positions and sign labels of edges with both endpoints in train."""
     return [
-        edge_label_signs(rel.edge_sources(), rel.targets, labels, train_mask) for rel in relations
+        edge_label_signs(rel.edge_sources, rel.targets, labels, train_mask) for rel in relations
     ]
 
 

@@ -116,7 +116,7 @@ def edge_sign_accuracy(model, graph) -> float:
     held_mask[graph.split.test] = True
     correct = total = 0
     for rel, scores in zip(graph.relations, out.edge_scores):
-        src, tgt = rel.edge_sources(), rel.targets
+        src, tgt = rel.edge_sources, rel.targets
         held = held_mask[src] & held_mask[tgt]
         actual = graph.labels[src[held]] != graph.labels[tgt[held]]
         correct += int(((scores[held] >= 0) == actual).sum())

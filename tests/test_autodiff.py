@@ -304,6 +304,46 @@ class TestBackward:
             tensor(np.zeros((2, 2, 2)))
 
 
+class TestAccumulation:
+    def test_same_tensor_twice_in_one_op(self):
+        x = tensor([[1.0, -2.0]], requires_grad=True)
+        backward(ad.sum_all(ad.add(x, x)))
+        assert x.grad.tolist() == [[2.0, 2.0]]
+
+    def test_one_tensor_feeding_two_ops(self):
+        x = tensor([[0.3, -0.7]], requires_grad=True)
+        backward(ad.sum_all(ad.add(ad.scale(x, 2.0), ad.tanh(x))))
+        assert np.allclose(x.grad, 2.0 + 1.0 - np.tanh(x.data) ** 2, rtol=0, atol=1e-15)
+
+    def test_leaf_gradients_are_not_shared(self):
+        # add hands both inputs the same upstream array; each leaf must own its gradient
+        a = tensor([[1.0, 2.0]], requires_grad=True)
+        b = tensor([[3.0, 4.0]], requires_grad=True)
+        out = ad.add(a, b)
+        backward(ad.sum_all(out))
+        a.grad[0, 0] = 99.0
+        assert b.grad.tolist() == [[1.0, 1.0]]
+        assert out.grad.tolist() == [[1.0, 1.0]]
+
+    def test_constant_input_gets_no_gradient(self):
+        x = tensor(np.random.default_rng(17).normal(size=(3, 2)))
+        store = ParamStore()
+        w = store.add("w", np.ones((2, 1)))
+        store.zero_grads()
+        backward(ad.sum_all(ad.matmul(x, w)))
+        assert x.grad is None
+        assert np.allclose(w.grad, x.data.sum(axis=0).reshape(2, 1))
+
+    def test_second_backward_accumulates_without_zeroing(self):
+        store = ParamStore()
+        w = store.add("w", np.array([[0.5, -1.5]]))
+        store.zero_grads()
+        backward(ad.sum_all(ad.tanh(w)))
+        once = w.grad.copy()
+        backward(ad.sum_all(ad.tanh(w)))
+        assert np.array_equal(w.grad, 2.0 * once)
+
+
 class TestGradCheck:
     def test_linear_model_is_exact(self):
         rng = np.random.default_rng(15)

@@ -166,14 +166,14 @@ class TestSynthetic:
                              benign_homophily=1.0, seed=1)
         graph = generate_synthetic(spec)
         rel = graph.relations[0]
-        src, tgt = rel.edge_sources(), rel.targets
+        src, tgt = rel.edge_sources, rel.targets
         assert (graph.labels[src] == graph.labels[tgt]).all()
 
     def test_zero_fraud_homophily_makes_fraud_edges_cross(self):
         spec = SyntheticSpec(num_nodes=300, fraud_ratio=0.2, fraud_homophily=0.0, seed=2)
         graph = generate_synthetic(spec)
         rel = graph.relations[0]
-        src, tgt = rel.edge_sources(), rel.targets
+        src, tgt = rel.edge_sources, rel.targets
         from_fraud = graph.labels[src] == 1
         assert (graph.labels[tgt[from_fraud]] == 0).all()
 
@@ -184,7 +184,7 @@ class TestSynthetic:
         graph = generate_synthetic(spec)
         rel = graph.relations[0]
         assert rel.edge_count > 100_000
-        src, tgt = rel.edge_sources(), rel.targets
+        src, tgt = rel.edge_sources, rel.targets
         same = graph.labels[src] == graph.labels[tgt]
         for cls, want in ((1, 0.3), (0, 0.9)):
             mask = graph.labels[src] == cls

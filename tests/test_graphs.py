@@ -45,6 +45,14 @@ class TestBuildCsr:
         assert np.array_equal(adj.offsets, again.offsets)
         assert np.array_equal(adj.targets, again.targets)
 
+    def test_edge_sources_built_once_and_read_only(self):
+        adj = build_csr([(2, 0), (0, 2), (0, 1), (2, 1)], 4)
+        expected = np.repeat(np.arange(4), adj.degrees())
+        assert np.array_equal(adj.edge_sources, expected)
+        assert adj.edge_sources is adj.edge_sources
+        with pytest.raises(ValueError, match="read-only"):
+            adj.edge_sources[0] = 3
+
 
 class TestSymmetrize:
     def test_adds_reverse(self):

@@ -242,3 +242,34 @@ class TestForward:
         backward(out.loss_total)
         for name, p in model.params.items():
             assert np.abs(p.grad).max() > 0, f"{name} received no gradient"
+
+
+@pytest.mark.parametrize("ablation", ["full", "sep", "homo", "heter", "rel"])
+def test_batch_forward_equals_full_forward_at_the_batch(ablation):
+    # the batch forward computes only the rows the loss reads; with frozen
+    # partitions it must give the loss of the whole-graph forward exactly
+    from dualmp.training import balanced_node_sample
+
+    graph = generate_synthetic(
+        SyntheticSpec(num_nodes=80, fraud_ratio=0.2, num_relations=2, mean_degree=3.0, feature_dim=5, seed=4)
+    )
+    model = make_model(graph, ablation=ablation)
+    labels = model.graph.labels
+    partitions = model.forward(training=False).partitions
+    node_batch = balanced_node_sample(model.graph.split.train, labels, np.random.default_rng(5))
+
+    model.params.zero_grads()
+    full = model.forward(training=False, partitions=partitions)
+    reference = classification_loss(full.probs, labels, node_batch)
+    backward(reference)
+    reference_grads = {name: p.grad for name, p in model.params.items()}
+
+    model.params.zero_grads()
+    batch = model.forward(training=False, node_batch=node_batch, partitions=partitions)
+    backward(batch.loss_total)
+
+    assert batch.loss_total.item() == reference.item()
+    assert np.array_equal(batch.probs.data, full.probs.data[node_batch])
+    assert np.array_equal(batch.embeddings.data, full.embeddings.data[node_batch])
+    for name, p in model.params.items():
+        assert np.abs(p.grad - reference_grads[name]).max() <= 1e-12, name

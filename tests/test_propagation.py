@@ -5,6 +5,7 @@ import dualmp.autodiff as ad
 from dualmp.autodiff import tensor
 from dualmp.graphs import build_csr, partition_subgraphs
 from dualmp.propagation import (
+    batch_adjacency,
     channel_messages,
     frequency_fuse,
     rescale_coefficients,
@@ -129,7 +130,7 @@ class TestResidualAggregate:
         edges = [(0, i) for i in range(1, k + 1)] + [(i, 0) for i in range(1, k + 1)]
         adj = build_csr(edges, k + 1)
         coeff = rescale_coefficients(adj)
-        sources = adj.edge_sources()
+        sources = adj.edge_sources
         # eachedge from the center to a leaf carries 1/sqrt(1 + k*1)
         assert np.allclose(coeff[sources == 0], 1.0 / np.sqrt(1 + k))
 
@@ -150,6 +151,44 @@ class TestResidualAggregate:
         a = residual_aggregate(h, messages, adj)
         b = residual_aggregate(h, messages, adj)
         assert np.array_equal(a.data, b.data)
+
+
+class TestBatchRows:
+    """A batch's rows of the aggregate equal the same rows of the whole-graph aggregate, bit for bit."""
+
+    def batch_and_full(self, adj, rows, seed=15):
+        rng = np.random.default_rng(seed)
+        h = tensor(rng.normal(size=(adj.num_nodes, 3)))
+        messages = tensor(rng.normal(size=(adj.num_nodes, 3)))
+        batch = batch_adjacency(adj, rows)
+        sender_messages = ad.gather_rows(messages, batch.senders)
+        return residual_aggregate(h, sender_messages, adj, batch), residual_aggregate(h, messages, adj), batch
+
+    def test_unsorted_rows_with_isolated_nodes(self):
+        rng = np.random.default_rng(16)
+        adj = build_csr(rng.integers(0, 30, size=(90, 2)), 40)  # nodes 30..39 have no edges
+        rows = np.array([35, 7, 22, 0, 39, 7, 13, 31])
+        part, full, batch = self.batch_and_full(adj, rows)
+        assert np.array_equal(part.data, full.data[rows])
+        read = np.concatenate([adj.targets[adj.offsets[u]:adj.offsets[u + 1]] for u in rows])
+        assert batch.senders.tolist() == sorted(set(read.tolist()))
+
+    def test_rows_without_neighbors_keep_own_embedding(self):
+        adj = build_csr([(0, 1), (1, 0)], 4)
+        part, full, batch = self.batch_and_full(adj, [3, 2])
+        assert batch.senders.size == 0
+        assert np.array_equal(part.data, full.data[[3, 2]])
+
+    def test_empty_view(self):
+        part, full, batch = self.batch_and_full(build_csr([], 5), [4, 1, 2])
+        assert batch.matrix.shape == (3, 0)
+        assert np.array_equal(part.data, full.data[[4, 1, 2]])
+
+    def test_rows_out_of_range(self):
+        adj = build_csr([(0, 1)], 3)
+        for rows in ([3], [-1], [[0, 1]]):
+            with pytest.raises(ValueError, match="batch rows"):
+                batch_adjacency(adj, rows)
 
 
 class TestDenseOracle:

@@ -170,7 +170,7 @@ class TestFit:
     def test_training_edge_sets_stay_in_train(self, graph):
         mask = graph.split.train_mask(graph.num_nodes)
         for rel, (pos, _) in zip(graph.relations, training_edge_sets(graph.relations, graph.labels, mask)):
-            src, tgt = rel.edge_sources(), rel.targets
+            src, tgt = rel.edge_sources, rel.targets
             assert mask[src[pos]].all() and mask[tgt[pos]].all()
 
     def test_log_records_have_expected_fields(self, graph):

@@ -19,19 +19,13 @@ b1 = store.add("b1", np.zeros((1, 8)), decay=False)
 w2 = store.add("w2", rng.normal(size=(8, 2)) * 0.5)
 
 x = tensor(rng.normal(size=(16, 4)))
-y = rng.integers(0, 2, size=16).astype(float).reshape(-1, 1)
+y = rng.integers(0, 2, size=16)
 
 
 def forward():
     hidden = ad.leaky_relu(ad.add_bias(ad.matmul(x, w1), b1))
-    probs = ad.softmax_rows(ad.matmul(hidden, w2))
-    fraud = ad.take_col(probs, 1)
-    benign = ad.add_const(ad.scale(fraud, -1.0), 1.0)
-    ll = ad.add(
-        ad.mul_const(ad.log_clamped(benign), 1.0 - y),
-        ad.mul_const(ad.log_clamped(fraud), y),
-    )
-    return ad.scale(ad.sum_all(ll), -1.0)
+    # fused, numerically stable cross-entropy on the logits, summed over rows
+    return ad.cross_entropy(ad.matmul(hidden, w2), y)
 
 
 loss = forward()

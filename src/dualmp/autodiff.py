@@ -1,10 +1,20 @@
 """Reverse-mode automatic differentiation over dense 2-D float64 arrays.
 
-Covers exactly the primitives the fraud model's forward pass needs: matrix
-products, products with a fixed sparse matrix, biases, the three
-activations, column concatenation, row gather, layer normalization, row
-softmax, dropout and the scalar reductions. No broadcasting beyond
-row-vector biases, no tensors of rank above 2, no GPU.
+Covers exactly the primitives the fraud model uses, listed with their users:
+``matmul`` and ``add_bias`` every linear layer; ``add`` and ``sub`` the
+edge-scorer blocks, the residuals, the contrast filter h - hW, the fusion's
+difference block and the total loss; ``scale`` the residual mix and the
+edge-loss weight; ``add_const``, ``mul_const`` and ``mean_all`` the edge-sign
+hinge; ``relu`` the projection, the contrast filter and the hinge;
+``leaky_relu`` the channel gates and the fusion; ``tanh`` the edge scorer;
+``concat_cols`` the fusion and the relation concatenation; ``gather_rows``
+the edge-scorer blocks and endpoints and the batch rows; ``sparse_matmul``
+the degree-rescaled aggregation, over scipy CSR; ``layer_norm`` the fusion;
+``dropout`` the projection; ``cross_entropy`` the classification loss.
+``softmax`` takes a plain array and records nothing: it gives the class
+probabilities and ``cross_entropy``'s gradient. Inside ``no_tape()`` no
+operation records anything, for passes no backward reads. No broadcasting
+beyond row-vector biases, no tensors of rank above 2, no GPU.
 
 Each operation links its output to its inputs and stores a backward rule;
 :func:`backward` replays that implicit tape once, in reverse topological
@@ -15,7 +25,11 @@ and keep ``grad`` at None.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+LEAKY_SLOPE = 0.01  # negative-side slope of leaky_relu
 
 
 class TensorValue:
@@ -70,8 +84,21 @@ def _accumulate(t: TensorValue, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
+_recording = [True]  # no_tape() pushes False
+
+
+@contextmanager
+def no_tape():
+    """Record nothing inside the block, so each array is freed after its last use."""
+    _recording.append(False)
+    try:
+        yield
+    finally:
+        _recording.pop()
+
+
 def _result(data, parents, rule) -> TensorValue:
-    if not any(_needs(p) for p in parents):
+    if not _recording[-1] or not any(_needs(p) for p in parents):
         return TensorValue(data)
     return TensorValue(data, requires_grad=False, _parents=tuple(parents), _rule=rule)
 
@@ -201,13 +228,13 @@ def relu(x: TensorValue) -> TensorValue:
     return _result(np.where(mask, x.data, 0.0), (x,), rule)
 
 
-def leaky_relu(x: TensorValue, slope: float = 0.01) -> TensorValue:
+def leaky_relu(x: TensorValue) -> TensorValue:
     mask = x.data >= 0
 
     def rule(g):
-        _accumulate(x, g * np.where(mask, 1.0, slope))
+        _accumulate(x, g * np.where(mask, 1.0, LEAKY_SLOPE))
 
-    return _result(np.where(mask, x.data, slope * x.data), (x,), rule)
+    return _result(np.where(mask, x.data, LEAKY_SLOPE * x.data), (x,), rule)
 
 
 def tanh(x: TensorValue) -> TensorValue:
@@ -253,18 +280,6 @@ def gather_rows(x: TensorValue, index) -> TensorValue:
     return _result(x.data[index], (x,), rule)
 
 
-def take_col(x: TensorValue, col: int) -> TensorValue:
-    if not 0 <= col < x.shape[1]:
-        raise ValueError(f"column {col} out of range for shape {x.shape}")
-
-    def rule(g):
-        full = np.zeros_like(x.data)
-        full[:, col] = g[:, 0]
-        _accumulate(x, full)
-
-    return _result(x.data[:, col : col + 1].copy(), (x,), rule)
-
-
 def sparse_matmul(matrix, x: TensorValue) -> TensorValue:
     """matrix @ x for a fixed scipy CSR matrix; no gradient flows into the matrix.
 
@@ -307,29 +322,6 @@ def layer_norm(x: TensorValue, gain: TensorValue, bias: TensorValue, eps: float 
     return _result(xhat * gain.data + bias.data, (x, gain, bias), rule)
 
 
-def softmax_rows(x: TensorValue) -> TensorValue:
-    if x.shape[1] < 2:
-        raise ValueError("softmax_rows needs at least two columns")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def rule(g):
-        _accumulate(x, out * (g - (g * out).sum(axis=1, keepdims=True)))
-
-    return _result(out, (x,), rule)
-
-
-def log_clamped(x: TensorValue, floor: float = 1e-12) -> TensorValue:
-    """log(max(x, floor)); entries at or below the floor get zero gradient."""
-    clamped = np.maximum(x.data, floor)
-
-    def rule(g):
-        _accumulate(x, np.where(x.data > floor, g / clamped, 0.0))
-
-    return _result(np.log(clamped), (x,), rule)
-
-
 def dropout(x: TensorValue, rate: float, training: bool, rng: np.random.Generator | None = None) -> TensorValue:
     """Zero entries with probability ``rate`` and rescale survivors; identity in eval mode."""
     if not 0.0 <= rate < 1.0:
@@ -347,13 +339,6 @@ def dropout(x: TensorValue, rate: float, training: bool, rng: np.random.Generato
     return _result(x.data * factor, (x,), rule)
 
 
-def sum_all(x: TensorValue) -> TensorValue:
-    def rule(g):
-        _accumulate(x, np.full_like(x.data, g[0, 0]))
-
-    return _result(x.data.sum(), (x,), rule)
-
-
 def mean_all(x: TensorValue) -> TensorValue:
     size = x.data.size
 
@@ -361,6 +346,34 @@ def mean_all(x: TensorValue) -> TensorValue:
         _accumulate(x, np.full_like(x.data, g[0, 0] / size))
 
     return _result(x.data.mean(), (x,), rule)
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Row softmax of a plain array, shifted by each row's maximum; records no tape."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def cross_entropy(logits: TensorValue, labels) -> TensorValue:
+    """Cross-entropy summed over rows, sum_i logsumexp(logits_i) - logits_i[labels_i].
+
+    The gradient is the closed form g * (softmax - onehot), so a row whose
+    true class has a vanishing probability still gets a full-size gradient.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    rows, classes = logits.shape
+    if labels.shape != (rows,) or (rows and not 0 <= labels.min() <= labels.max() < classes):
+        raise ValueError(f"cross_entropy needs {rows} class indices in [0, {classes})")
+    picked = (np.arange(rows), labels)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    loss = (np.log(np.exp(shifted).sum(axis=1)) - shifted[picked]).sum()
+
+    def rule(g):
+        grad = softmax(logits.data)
+        grad[picked] -= 1.0
+        _accumulate(logits, g[0, 0] * grad)
+
+    return _result(loss, (logits,), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -375,19 +375,29 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
     if not isinstance(header, dict) or not {"meta", "sections"} <= header.keys():
         raise CheckpointError(f"{path}: header needs 'meta' and 'sections'")
+    if not isinstance(header["sections"], list):
+        raise CheckpointError(f"{path}: 'sections' must be a list")
     payload = blob[12 + header_len :]
 
     params: dict[str, np.ndarray] = {}
     for section in header["sections"]:
         if not isinstance(section, dict) or not {"name", "rows", "cols", "offset"} <= section.keys():
             raise CheckpointError(f"{path}: section {section!r} needs name, rows, cols and offset")
-        rows, cols, offset = section["rows"], section["cols"], section["offset"]
+        name = section["name"]
+        if not isinstance(name, str):
+            raise CheckpointError(f"{path}: section name {name!r} is not a string")
+        sizes = [section[key] for key in ("rows", "cols", "offset")]
+        # bool is an int subclass, and JSON true must not pass for 1
+        if not all(type(v) is int and v >= 0 for v in sizes):
+            raise CheckpointError(f"{path}: section {name!r} needs non-negative int rows, cols and offset")
+        rows, cols, offset = sizes
         nbytes = rows * cols * 8
         if offset + nbytes > len(payload):
-            raise CheckpointError(f"{path}: truncated payload in section {section['name']!r}")
-        params[section["name"]] = (
-            np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").reshape(rows, cols).copy()
-        )
+            raise CheckpointError(f"{path}: truncated payload in section {name!r}")
+        values = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").reshape(rows, cols).copy()
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: non-finite value in section {name!r}")
+        params[name] = values
     return params, header["meta"]
 
 

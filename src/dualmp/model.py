@@ -72,10 +72,11 @@ class ForwardResult:
 
     Without a ``node_batch`` the rows of ``probs`` and ``embeddings`` are
     all N nodes in node order; with one, they are the batch rows in batch
-    order, because the pass computes no other rows.
+    order, because the pass computes no other rows. ``probs`` is a constant,
+    the softmax of the classifier's logits; the loss reads the logits.
     """
 
-    probs: TensorValue  # (rows, 2), column 1 is fraud probability
+    probs: TensorValue  # (rows, 2) constant, column 1 is fraud probability
     embeddings: TensorValue  # (rows, R * hidden) fused relation embeddings
     partitions: list[EdgePartition | None]
     edge_scores: list[np.ndarray | None]  # detached scores over all edges, per relation
@@ -92,23 +93,21 @@ def relation_fuse(per_relation: list[TensorValue]) -> TensorValue:
 
 
 def classify(fused: TensorValue, clf_w: TensorValue, clf_b: TensorValue) -> TensorValue:
-    """Two-class probabilities: softmax of a linear head over the fused embedding."""
-    return ad.softmax_rows(ad.add_bias(ad.matmul(fused, clf_w), clf_b))
+    """Two-class logits: a linear head over the fused embedding."""
+    return ad.add_bias(ad.matmul(fused, clf_w), clf_b)
 
 
-def classification_loss(probs: TensorValue, labels, node_batch) -> TensorValue:
-    """Summed binary cross-entropy over the sampled nodes, logs clamped at 1e-12."""
-    node_batch = np.asarray(node_batch, dtype=np.int64)
-    if node_batch.size == 0:
+def classification_loss(logits: TensorValue, labels) -> TensorValue:
+    """Cross-entropy of each row of logits against its label, summed over the batch.
+
+    Summed, not averaged. On the A4 fixture (seeds 0-4) both gave the same
+    test AUC (sum 0.839, mean 0.838), and the mean would shrink this loss
+    relative to the edge hinge.
+    """
+    labels = np.asarray(labels)
+    if labels.size == 0:
         raise ValueError("classification loss needs a non-empty node batch")
-    y = np.asarray(labels, dtype=np.float64)[node_batch].reshape(-1, 1)
-    fraud = ad.take_col(ad.gather_rows(probs, node_batch), 1)
-    benign = ad.add_const(ad.scale(fraud, -1.0), 1.0)
-    ll = ad.add(
-        ad.mul_const(ad.log_clamped(benign), 1.0 - y),
-        ad.mul_const(ad.log_clamped(fraud), y),
-    )
-    return ad.scale(ad.sum_all(ll), -1.0)
+    return ad.cross_entropy(logits, labels)
 
 
 def total_loss(loss_cls: TensorValue, edge_losses: list[TensorValue], weight: float) -> TensorValue:
@@ -296,17 +295,17 @@ class DualChannelModel:
             out_scores.append(scores)
 
         fused = relation_fuse(per_rel_z)
-        probs = classify(fused, p["classifier/w"], p["classifier/b"])
+        logits = classify(fused, p["classifier/w"], p["classifier/b"])
 
         result = ForwardResult(
-            probs=probs,
+            probs=ad.tensor(ad.softmax(logits.data)),
             embeddings=fused,
             partitions=out_partitions,
             edge_scores=out_scores,
             edge_losses=edge_losses,
         )
         if rows is not None:
-            # probs already holds just the batch rows, in batch order
-            result.loss_cls = classification_loss(probs, self.graph.labels[rows], np.arange(len(rows)))
+            # the logits already hold just the batch rows, in batch order
+            result.loss_cls = classification_loss(logits, self.graph.labels[rows])
             result.loss_total = total_loss(result.loss_cls, edge_losses, cfg.edge_loss_weight)
         return result

@@ -37,14 +37,12 @@ def channel_messages(
     filters with I - W and applies ReLU. The gate then computes
     LeakyReLU(W_gate (mix * h + filtered) + b).
     """
+    filtered = ad.matmul(h, filter_w)
     if complement:
-        eye = ad.tensor(np.eye(filter_w.shape[0]))
-        filtered = ad.matmul(h, ad.sub(eye, filter_w))
+        # h (I - W) without building I
+        filtered = ad.relu(ad.add_bias(ad.sub(h, filtered), filter_b))
     else:
-        filtered = ad.matmul(h, filter_w)
-    filtered = ad.add_bias(filtered, filter_b)
-    if complement:
-        filtered = ad.relu(filtered)
+        filtered = ad.add_bias(filtered, filter_b)
     gated = ad.matmul(ad.add(ad.scale(h, residual_mix), filtered), gate_w)
     return ad.leaky_relu(ad.add_bias(gated, gate_b))
 

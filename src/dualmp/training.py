@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamStore, backward
+from .autodiff import ParamStore, backward, no_tape
 from .graphs import MultiRelationGraph, RelationAdjacency
 from .metrics import MetricsReport, accuracy, evaluate
 from .model import ConfigError, DualChannelModel, ForwardResult, TrainConfig
@@ -158,7 +158,8 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
         backward(out.loss_total)
         optimizer.step()
 
-        eval_out = model.forward(training=False)
+        with no_tape():
+            eval_out = model.forward(training=False)
         fraud_scores = eval_out.probs.data[:, 1]
         val_report = evaluate(fraud_scores, graph.labels, val_idx) if len(val_idx) else None
 
@@ -195,5 +196,6 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
 
 def evaluate_split(model: DualChannelModel, node_idx) -> MetricsReport:
     """Metrics of the current parameters over one split (evaluation forward)."""
-    out = model.forward(training=False)
+    with no_tape():
+        out = model.forward(training=False)
     return evaluate(out.probs.data[:, 1], model.graph.labels, node_idx)

@@ -50,7 +50,7 @@ class TestMatmul:
         store = ParamStore()
         a = store.add("a", rng.normal(size=(3, 4)))
         b = store.add("b", rng.normal(size=(4, 2)))
-        loss = lambda: ad.sum_all(ad.tanh(ad.matmul(a, b)))
+        loss = lambda: ad.mean_all(ad.tanh(ad.matmul(a, b)))
         for p in (a, b):
             assert np.allclose(tape_gradient(loss, p), fd_gradient(loss, p), atol=1e-8)
 
@@ -69,7 +69,7 @@ class TestActivations:
         for fn, slope in ((ad.relu, 1.0), (ad.leaky_relu, 1.0)):
             x = tensor([[0.0]], requires_grad=True)
             x.grad = np.zeros_like(x.data)
-            backward(ad.sum_all(fn(x)))
+            backward(ad.mean_all(fn(x)))
             assert x.grad[0, 0] == slope
 
     def test_gradients(self):
@@ -77,7 +77,7 @@ class TestActivations:
         store = ParamStore()
         x = store.add("x", rng.normal(size=(4, 5)) + 0.1)  # keep entries off the kinks
         for fn in (ad.relu, ad.leaky_relu, ad.tanh):
-            loss = lambda: ad.sum_all(fn(x))
+            loss = lambda: ad.mean_all(fn(x))
             assert np.allclose(tape_gradient(loss, x), fd_gradient(loss, x), atol=1e-8)
 
 
@@ -102,7 +102,7 @@ class TestConcat:
         store = ParamStore()
         a = store.add("a", np.random.default_rng(2).normal(size=(3, 2)))
         b = store.add("b", np.random.default_rng(3).normal(size=(3, 4)))
-        loss = lambda: ad.sum_all(ad.tanh(ad.concat_cols([a, b])))
+        loss = lambda: ad.mean_all(ad.tanh(ad.concat_cols([a, b])))
         for p in (a, b):
             assert np.allclose(tape_gradient(loss, p), fd_gradient(loss, p), atol=1e-8)
 
@@ -153,7 +153,7 @@ class TestSegmentWeightedSum:
         store = ParamStore()
         msgs = store.add("m", np.random.default_rng(5).normal(size=(6, 3)))
         matrix = segment_matrix([0, 2, 2, 1, 0, 3], [0.5, -1.0, 2.0, 0.0, 1.5, 3.0], 5)
-        loss = lambda: ad.sum_all(ad.tanh(ad.sparse_matmul(matrix, msgs)))
+        loss = lambda: ad.mean_all(ad.tanh(ad.sparse_matmul(matrix, msgs)))
         assert np.allclose(tape_gradient(loss, msgs), fd_gradient(loss, msgs), atol=1e-8)
 
 
@@ -187,36 +187,65 @@ class TestLayerNorm:
         x = store.add("x", rng.normal(size=(5, 6)))
         gain = store.add("gain", rng.normal(size=(1, 6)))
         bias = store.add("bias", rng.normal(size=(1, 6)))
-        loss = lambda: ad.sum_all(ad.tanh(ad.layer_norm(x, gain, bias)))
+        loss = lambda: ad.mean_all(ad.tanh(ad.layer_norm(x, gain, bias)))
         for p in (x, gain, bias):
             assert np.allclose(tape_gradient(loss, p), fd_gradient(loss, p), atol=1e-7)
 
 
 class TestSoftmax:
     def test_symmetry(self):
-        assert ad.softmax_rows(tensor([[0.0, 0.0]])).data.tolist() == [[0.5, 0.5]]
+        assert ad.softmax(np.array([[0.0, 0.0]])).tolist() == [[0.5, 0.5]]
 
     def test_stable_under_large_logits(self):
-        out = ad.softmax_rows(tensor([[1000.0, 0.0]])).data
+        out = ad.softmax(np.array([[1000.0, 0.0]]))
         assert abs(out[0, 0] - 1.0) < 1e-12 and out[0, 1] < 1e-12
 
     def test_hand_value(self):
-        out = ad.softmax_rows(tensor([[np.log(2.0), 0.0]])).data
+        out = ad.softmax(np.array([[np.log(2.0), 0.0]]))
         assert np.allclose(out, [[2 / 3, 1 / 3]])
 
     def test_rows_sum_to_one_and_shift_invariance(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(30, 5)) * 10
-        out = ad.softmax_rows(tensor(x)).data
+        out = ad.softmax(x)
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
-        shifted = ad.softmax_rows(tensor(x + 7.3)).data
+        shifted = ad.softmax(x + 7.3)
         assert np.abs(out - shifted).max() < 1e-12
+
+
+class TestCrossEntropy:
+    def test_hand_value(self):
+        # softmax([log 3, 0]) = [0.75, 0.25]
+        logits = tensor([[np.log(3.0), 0.0], [np.log(3.0), 0.0]])
+        loss = ad.cross_entropy(logits, [0, 1])
+        assert loss.item() == pytest.approx(-np.log(0.75) - np.log(0.25), rel=1e-14)
+
+    def test_closed_form_gradient(self):
+        x = tensor([[0.5, -1.0, 2.0], [0.0, 0.3, -0.2]], requires_grad=True)
+        backward(ad.cross_entropy(x, [2, 0]))
+        expected = ad.softmax(x.data) - np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        assert np.allclose(x.grad, expected, rtol=0, atol=1e-15)
+
+    def test_finite_for_huge_logits(self):
+        # row 0's true class has probability exp(-2e6), which is 0.0 in float64
+        x = tensor([[1e6, -1e6], [-1e6, 1e6]], requires_grad=True)
+        loss = ad.cross_entropy(x, [1, 1])
+        backward(loss)
+        assert loss.item() == 2e6
+        assert x.grad.tolist() == [[1.0, -1.0], [0.0, 0.0]]
 
     def test_gradients(self):
         store = ParamStore()
-        x = store.add("x", np.random.default_rng(10).normal(size=(4, 3)))
-        loss = lambda: ad.sum_all(ad.tanh(ad.softmax_rows(x)))
+        x = store.add("x", np.random.default_rng(10).normal(size=(5, 3)) * 3)
+        labels = [0, 2, 1, 1, 2]
+        loss = lambda: ad.cross_entropy(x, labels)
         assert np.allclose(tape_gradient(loss, x), fd_gradient(loss, x), atol=1e-8)
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 0], [0, 1, 3], [-1, 0, 1]],
+                             ids=["too-few", "too-many", "past-last-class", "negative"])
+    def test_bad_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="class indices"):
+            ad.cross_entropy(tensor(np.zeros((3, 3))), labels)
 
 
 class TestDropout:
@@ -243,47 +272,31 @@ class TestDropout:
         out = ad.dropout(x, 0.5, training=True, rng=mask_rng_state)
         factor = out.data / np.where(x.data == 0, 1, x.data)  # recovers mask/(1-rate)
         x.grad = np.zeros_like(x.data)
-        backward(ad.sum_all(out))
-        assert np.allclose(x.grad, factor)
+        backward(ad.mean_all(out))
+        assert np.allclose(x.grad, factor / x.data.size)
 
 
 class TestScalarOps:
-    def test_log_clamped_floor(self):
-        out = ad.log_clamped(tensor([[1.0, 0.0]]), floor=1e-12)
-        assert out.data[0, 0] == 0.0
-        assert out.data[0, 1] == pytest.approx(np.log(1e-12))
-
-    def test_log_clamped_gradient_zero_below_floor(self):
-        x = tensor([[0.5, -1.0]], requires_grad=True)
-        x.grad = np.zeros_like(x.data)
-        backward(ad.sum_all(ad.log_clamped(x)))
-        assert x.grad[0, 0] == pytest.approx(2.0)
-        assert x.grad[0, 1] == 0.0
-
-    def test_take_col(self):
-        x = tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert ad.take_col(x, 1).data.tolist() == [[2.0], [4.0]]
-
     def test_mean_all(self):
         assert ad.mean_all(tensor([[1.0, 3.0]])).item() == 2.0
 
 
 class TestBackward:
     def test_linear_gradient_structure(self):
-        # loss = sum(W @ x) with x fixed: dW[i, j] = x[j] for every row i
+        # loss = mean(W @ x) over its 2 entries with x fixed: dW[i, j] = x[j] / 2 for every row i
         x = np.array([[2.0], [3.0]])
         store = ParamStore()
         w = store.add("w", np.random.default_rng(14).normal(size=(2, 2)))
         store.zero_grads()
-        backward(ad.sum_all(ad.matmul(w, tensor(x))))
-        assert np.allclose(w.grad, np.repeat(x.T, 2, axis=0))
+        backward(ad.mean_all(ad.matmul(w, tensor(x))))
+        assert np.allclose(w.grad, np.repeat(x.T, 2, axis=0) / 2)
 
     def test_unreachable_parameter_keeps_zero(self):
         store = ParamStore()
         used = store.add("used", np.ones((1, 1)))
         unused = store.add("unused", np.ones((1, 1)))
         store.zero_grads()
-        backward(ad.sum_all(ad.scale(used, 2.0)))
+        backward(ad.mean_all(ad.scale(used, 2.0)))
         assert unused.grad == 0.0
         assert used.grad == 2.0
 
@@ -292,7 +305,7 @@ class TestBackward:
         store = ParamStore()
         h = store.add("h", np.array([[1.0]]))
         store.zero_grads()
-        backward(ad.sum_all(ad.add(ad.scale(h, 2.0), ad.scale(h, 3.0))))
+        backward(ad.mean_all(ad.add(ad.scale(h, 2.0), ad.scale(h, 3.0))))
         assert h.grad[0, 0] == 5.0
 
     def test_non_scalar_loss_rejected(self):
@@ -307,41 +320,64 @@ class TestBackward:
 class TestAccumulation:
     def test_same_tensor_twice_in_one_op(self):
         x = tensor([[1.0, -2.0]], requires_grad=True)
-        backward(ad.sum_all(ad.add(x, x)))
-        assert x.grad.tolist() == [[2.0, 2.0]]
+        backward(ad.mean_all(ad.add(x, x)))
+        assert x.grad.tolist() == [[1.0, 1.0]]
 
     def test_one_tensor_feeding_two_ops(self):
         x = tensor([[0.3, -0.7]], requires_grad=True)
-        backward(ad.sum_all(ad.add(ad.scale(x, 2.0), ad.tanh(x))))
-        assert np.allclose(x.grad, 2.0 + 1.0 - np.tanh(x.data) ** 2, rtol=0, atol=1e-15)
+        backward(ad.mean_all(ad.add(ad.scale(x, 2.0), ad.tanh(x))))
+        assert np.allclose(x.grad, (2.0 + 1.0 - np.tanh(x.data) ** 2) / 2, rtol=0, atol=1e-15)
 
     def test_leaf_gradients_are_not_shared(self):
         # add hands both inputs the same upstream array; each leaf must own its gradient
         a = tensor([[1.0, 2.0]], requires_grad=True)
         b = tensor([[3.0, 4.0]], requires_grad=True)
         out = ad.add(a, b)
-        backward(ad.sum_all(out))
+        backward(ad.mean_all(out))
         a.grad[0, 0] = 99.0
-        assert b.grad.tolist() == [[1.0, 1.0]]
-        assert out.grad.tolist() == [[1.0, 1.0]]
+        assert b.grad.tolist() == [[0.5, 0.5]]
+        assert out.grad.tolist() == [[0.5, 0.5]]
 
     def test_constant_input_gets_no_gradient(self):
         x = tensor(np.random.default_rng(17).normal(size=(3, 2)))
         store = ParamStore()
         w = store.add("w", np.ones((2, 1)))
         store.zero_grads()
-        backward(ad.sum_all(ad.matmul(x, w)))
+        backward(ad.mean_all(ad.matmul(x, w)))
         assert x.grad is None
-        assert np.allclose(w.grad, x.data.sum(axis=0).reshape(2, 1))
+        assert np.allclose(w.grad, x.data.mean(axis=0).reshape(2, 1))
 
     def test_second_backward_accumulates_without_zeroing(self):
         store = ParamStore()
         w = store.add("w", np.array([[0.5, -1.5]]))
         store.zero_grads()
-        backward(ad.sum_all(ad.tanh(w)))
+        backward(ad.mean_all(ad.tanh(w)))
         once = w.grad.copy()
-        backward(ad.sum_all(ad.tanh(w)))
+        backward(ad.mean_all(ad.tanh(w)))
         assert np.array_equal(w.grad, 2.0 * once)
+
+
+class TestNoTape:
+    def test_results_are_constants_with_the_same_values(self):
+        store = ParamStore()
+        w = store.add("w", np.array([[0.5, -1.5], [2.0, 0.25]]))
+        x = tensor([[1.0, -2.0]])
+        taped = ad.tanh(ad.matmul(x, w))
+        with ad.no_tape():
+            plain = ad.tanh(ad.matmul(x, w))
+        assert np.array_equal(plain.data, taped.data)
+        assert plain._parents == () and plain._rule is None
+        assert taped._parents
+
+    def test_recording_resumes_after_the_block_even_on_error(self):
+        store = ParamStore()
+        w = store.add("w", np.array([[0.5, -1.5]]))
+        with pytest.raises(ValueError):
+            with ad.no_tape():
+                raise ValueError("inside")
+        store.zero_grads()
+        backward(ad.mean_all(ad.tanh(w)))
+        assert np.allclose(w.grad, (1.0 - np.tanh(w.data) ** 2) / 2)
 
 
 class TestGradCheck:
@@ -351,14 +387,14 @@ class TestGradCheck:
         w = store.add("w", rng.normal(size=(4, 3)))
         b = store.add("b", rng.normal(size=(1, 3)))
         x = tensor(rng.normal(size=(6, 4)))
-        errors = grad_check(lambda: ad.sum_all(ad.add_bias(ad.matmul(x, w), b)), store)
+        errors = grad_check(lambda: ad.mean_all(ad.add_bias(ad.matmul(x, w), b)), store)
         assert max(errors.values()) < 1e-9
 
     def test_unused_parameter_reports_zero_error(self):
         store = ParamStore()
         used = store.add("used", np.ones((1, 1)))
         store.add("unused", np.ones((1, 1)))
-        errors = grad_check(lambda: ad.sum_all(ad.scale(used, 3.0)), store)
+        errors = grad_check(lambda: ad.mean_all(ad.scale(used, 3.0)), store)
         assert errors["unused"] == 0.0
 
 
@@ -382,7 +418,7 @@ def test_composed_forward_matches_finite_differences(seed, rows, cols):
     coeff = rng.normal(size=rows + 2)
     segments = segment_matrix(seg, coeff, rows)
 
-    weights = rng.normal(size=(rows, 2 * cols))  # keeps the reduced loss non-constant
+    labels = rng.integers(0, 2 * cols, size=rows)
 
     def forward():
         hidden = ad.tanh(ad.add_bias(ad.matmul(x, w1), b1))
@@ -390,9 +426,9 @@ def test_composed_forward_matches_finite_differences(seed, rows, cols):
         summed = ad.sparse_matmul(segments, gathered)
         blocks = ad.concat_cols([hidden, ad.sub(hidden, summed)])
         normed = ad.layer_norm(blocks, gain, bias)
-        return ad.mean_all(ad.mul_const(ad.softmax_rows(normed), weights))
+        return ad.cross_entropy(normed, labels)
 
     errors = grad_check(forward, store, probe=1e-5)
     # 1e-4 is the acceptance tolerance; central differences carry ~1e-5
-    # noise through the layer_norm/softmax chain for small gradients
+    # noise through the layer_norm/cross-entropy chain for small gradients
     assert max(errors.values()) < 1e-4

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -241,6 +242,29 @@ class TestCheckpointInput:
         assert main(["eval", "--data", str(dataset), "--checkpoint", str(tmp_path / "checkpoint.bin")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "corrupt header" in err
+
+    def test_mistyped_section_field_exits_one(self, dataset, trained, tmp_path, capsys):
+        blob = (trained / "checkpoint.bin").read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + header_len])
+        header["sections"][0]["rows"] = str(header["sections"][0]["rows"])
+        encoded = json.dumps(header).encode()
+        path = tmp_path / "checkpoint.bin"
+        path.write_bytes(blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + header_len :])
+        assert main(["eval", "--data", str(dataset), "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-negative int rows" in err
+
+    def test_non_finite_parameter_exits_one(self, dataset, trained, tmp_path, capsys):
+        params, meta = load_checkpoint(trained / "checkpoint.bin")
+        store = ParamStore()
+        for name, value in params.items():
+            store.add(name, value)
+        store["classifier/w"].data[0, 0] = np.nan
+        save_checkpoint(store, meta, tmp_path / "checkpoint.bin")
+        assert main(["eval", "--data", str(dataset), "--checkpoint", str(tmp_path / "checkpoint.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite value in section 'classifier/w'" in err
 
     def test_earlier_format_evaluates_identically(self, dataset, trained, tmp_path, capsys):
         # earlier versions saved two more settings, always at these values

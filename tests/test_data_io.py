@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualmp.autodiff import ParamStore
 from dualmp.data import (
@@ -302,6 +304,37 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="ckpt.bin"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            b"5",
+            b'[{"name": "w", "rows": "1", "cols": 1, "offset": 0}]',
+            b'[{"name": "w", "rows": 1, "cols": 1.0, "offset": 0}]',
+            b'[{"name": "w", "rows": true, "cols": 1, "offset": 0}]',
+            b'[{"name": "w", "rows": -1, "cols": 1, "offset": 0}]',
+            b'[{"name": "w", "rows": 1, "cols": 1, "offset": -8}]',
+            b'[{"name": ["w"], "rows": 1, "cols": 1, "offset": 0}]',
+        ],
+        ids=["sections-not-list", "string-rows", "float-cols", "bool-rows", "negative-rows",
+             "negative-offset", "list-name"],
+    )
+    def test_mistyped_section_fields(self, tmp_path, sections):
+        # each header is well-formed JSON over a payload that holds one value
+        header = b'{"meta": {}, "sections": ' + sections + b"}"
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header + bytes(8))
+        with pytest.raises(CheckpointError, match="ckpt.bin"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        store = random_store()
+        store["head"].data[3, 1] = value
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(store, {}, path)
+        with pytest.raises(CheckpointError, match="non-finite value in section 'head'"):
+            load_checkpoint(path)
+
     def test_shape_mismatch_on_restore(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         save_checkpoint(random_store(), {}, path)
@@ -326,6 +359,34 @@ class TestCheckpoints:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(random_store(), {}, path)
         assert path.read_bytes()[:4] == CHECKPOINT_MAGIC == b"DHMP"
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "valid.bin"
+    save_checkpoint(random_store(), {"train_config": {"seed": 0, "ablation": "full"}}, path)
+    return path.read_bytes()
+
+
+# JSON punctuation, and the high bytes that turn a float's exponent all ones
+TELLING_BYTES = b'-.e"[]{},:0 \x7f\xff'
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_single_byte_change_loads_or_raises_checkpoint_error(checkpoint_bytes, tmp_path_factory, data):
+    position = data.draw(st.integers(0, len(checkpoint_bytes) - 1), label="position")
+    value = data.draw(st.integers(0, 255), label="value")
+    path = tmp_path_factory.getbasetemp() / "mutated.bin"
+    for byte in bytes([value]) + TELLING_BYTES:
+        blob = bytearray(checkpoint_bytes)
+        blob[position] = byte
+        path.write_bytes(bytes(blob))
+        try:
+            params, _ = load_checkpoint(path)
+        except CheckpointError:
+            continue
+        assert all(np.isfinite(v).all() for v in params.values())
 
 
 class TestEmbeddings:

@@ -49,44 +49,60 @@ class TestRelationFuse:
 class TestClassify:
     def test_zero_head_is_uniform(self):
         z = tensor(np.random.default_rng(2).normal(size=(6, 4)))
-        probs = classify(z, tensor(np.zeros((4, 2))), tensor(np.zeros((1, 2))))
-        assert np.allclose(probs.data, 0.5)
+        logits = classify(z, tensor(np.zeros((4, 2))), tensor(np.zeros((1, 2))))
+        assert not logits.data.any()
+        assert np.allclose(ad.softmax(logits.data), 0.5)
 
     def test_bias_dominance(self):
         z = tensor(np.zeros((3, 4)))
-        probs = classify(z, tensor(np.zeros((4, 2))), tensor([[0.0, 10.0]]))
-        assert (probs.data[:, 1] > 0.9999).all()
+        logits = classify(z, tensor(np.zeros((4, 2))), tensor([[0.0, 10.0]]))
+        assert (ad.softmax(logits.data)[:, 1] > 0.9999).all()
 
     def test_hand_softmax(self):
         z = tensor([[1.0]])
-        probs = classify(z, tensor([[np.log(3.0), 0.0]]), tensor(np.zeros((1, 2))))
-        assert np.allclose(probs.data, [[0.75, 0.25]])
+        logits = classify(z, tensor([[np.log(3.0), 0.0]]), tensor(np.zeros((1, 2))))
+        assert logits.data.tolist() == [[np.log(3.0), 0.0]]
+        assert np.allclose(ad.softmax(logits.data), [[0.75, 0.25]])
+
+
+def log_probs(p):
+    """Logits whose softmax is ``p``."""
+    return tensor(np.log(np.asarray(p, dtype=np.float64)))
 
 
 class TestClassificationLoss:
     def test_uniform_probs(self):
-        probs = tensor(np.full((2, 2), 0.5))
-        loss = classification_loss(probs, [1, 0], [0, 1])
+        loss = classification_loss(log_probs(np.full((2, 2), 0.5)), [1, 0])
         assert loss.item() == pytest.approx(2 * np.log(2))
 
     def test_single_confident_node(self):
-        probs = tensor([[0.1, 0.9]])
-        assert classification_loss(probs, [1], [0]).item() == pytest.approx(-np.log(0.9))
+        assert classification_loss(log_probs([[0.1, 0.9]]), [1]).item() == pytest.approx(-np.log(0.9))
 
     def test_perfect_predictions_near_zero(self):
-        probs = tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        loss = classification_loss(probs, [0, 1], [0, 1])
+        logits = tensor([[50.0, -50.0], [-50.0, 50.0]])
+        loss = classification_loss(logits, [0, 1])
         assert 0 <= loss.item() < 1e-10
 
     def test_sum_not_mean(self):
-        probs = tensor(np.full((4, 2), 0.5))
-        one = classification_loss(probs, [1, 1, 1, 1], [0]).item()
-        four = classification_loss(probs, [1, 1, 1, 1], [0, 1, 2, 3]).item()
+        logits = log_probs(np.full((4, 2), 0.5))
+        one = classification_loss(ad.gather_rows(logits, [0]), [1]).item()
+        four = classification_loss(logits, [1, 1, 1, 1]).item()
         assert four == pytest.approx(4 * one)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            classification_loss(tensor(np.full((2, 2), 0.5)), [0, 1], [])
+            classification_loss(tensor(np.zeros((0, 2))), [])
+
+    def test_gradient_when_true_class_probability_vanishes(self):
+        # softmax([40, -2])[1] = exp(-42) < 1e-12; the head must still learn from the node
+        clf_w = tensor(np.zeros((1, 2)), requires_grad=True)
+        clf_b = tensor([[40.0, -2.0]], requires_grad=True)
+        loss = classification_loss(classify(tensor([[1.0]]), clf_w, clf_b), [1])
+        backward(loss)
+        assert loss.item() == pytest.approx(42.0)
+        for grad in (clf_w.grad, clf_b.grad):
+            assert np.isfinite(grad).all()
+            assert np.allclose(grad, [[1.0, -1.0]], rtol=0, atol=1e-12)
 
 
 class TestTotalLoss:
@@ -260,7 +276,8 @@ def test_batch_forward_equals_full_forward_at_the_batch(ablation):
 
     model.params.zero_grads()
     full = model.forward(training=False, partitions=partitions)
-    reference = classification_loss(full.probs, labels, node_batch)
+    full_logits = classify(full.embeddings, model.params["classifier/w"], model.params["classifier/b"])
+    reference = classification_loss(ad.gather_rows(full_logits, node_batch), labels[node_batch])
     backward(reference)
     reference_grads = {name: p.grad for name, p in model.params.items()}
 

@@ -299,7 +299,7 @@ def test_full_channel_gradients():
             h = tensor(h_arr)
             messages = channel_messages(h, fw, gw, fb, gb, 0.5, complement=complement)
             z = residual_aggregate(h, messages, adj)
-            return ad.sum_all(ad.mul_const(ad.tanh(z), weights))
+            return ad.mean_all(ad.mul_const(ad.tanh(z), weights))
 
         return inner
 

@@ -104,7 +104,7 @@ class TestFactoredScorer:
         tgt = np.array([1, 0, 3, 4, 2, 5, 2])
         weights = rng.normal(size=(len(src), 1))  # keeps the reduced loss non-constant
         errors = ad.grad_check(
-            lambda: ad.sum_all(ad.mul_const(edge_scores(h, src, tgt, edge_w), weights)), store, probe=1e-6
+            lambda: ad.mean_all(ad.mul_const(edge_scores(h, src, tgt, edge_w), weights)), store, probe=1e-6
         )
         assert max(errors.values()) < 1e-6
 

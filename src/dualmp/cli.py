@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import grad_check
+from .autodiff import grad_check, no_tape
 from .data import (
     CheckpointError,
     DatasetError,
@@ -66,7 +66,7 @@ _RETIRED_CONFIG = {"homo_filter_activation": "none", "plain_fusion": False}
 def _parse_config_file(path: str) -> dict:
     values = {}
     with open(path) as fh:
-        for i, line in enumerate(fh):
+        for i, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -203,7 +203,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"{args.split} split:")
     _print_report(report)
     if args.export_embeddings:
-        out = model.forward(training=False)
+        with no_tape():
+            out = model.forward(training=False)
         export_embeddings(out.embeddings.data, model.graph.labels, args.export_embeddings)
         print(f"embeddings written to {args.export_embeddings}")
     return 0

@@ -72,8 +72,10 @@ class ForwardResult:
 
     Without a ``node_batch`` the rows of ``probs`` and ``embeddings`` are
     all N nodes in node order; with one, they are the batch rows in batch
-    order, because the pass computes no other rows. ``probs`` is a constant,
-    the softmax of the classifier's logits; the loss reads the logits.
+    order, because the pass computes no other rows; training and evaluation
+    both pass the rows they read. A batch may repeat a node, and its rows are
+    then repeated too. ``probs`` is a constant, the softmax of the
+    classifier's logits; the loss reads the logits.
     """
 
     probs: TensorValue  # (rows, 2) constant, column 1 is fraud probability

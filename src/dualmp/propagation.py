@@ -77,7 +77,10 @@ def batch_adjacency(subgraph: RelationAdjacency, rows) -> BatchAdjacency:
 
     Each row keeps its stored entries in storage order and the coefficients
     of :func:`rescale_coefficients`, so the rows of the aggregate come out
-    bit for bit as in the whole-graph product.
+    bit for bit as in the whole-graph product. The senders and their column
+    numbers come from a length-N presence mask and its running count, which
+    gives the arrays of ``np.unique(neighbors, return_inverse=True)``
+    without sorting the neighbors.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n = subgraph.num_nodes
@@ -90,7 +93,10 @@ def batch_adjacency(subgraph: RelationAdjacency, rows) -> BatchAdjacency:
     # storage positions of the rows' entries, the rows laid end to end
     positions = np.repeat(subgraph.offsets[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
     neighbors = subgraph.targets[positions]
-    senders, columns = np.unique(neighbors, return_inverse=True)
+    present = np.zeros(n, dtype=bool)
+    present[neighbors] = True
+    senders = np.flatnonzero(present)
+    columns = (np.cumsum(present) - 1)[neighbors]
     deg = degrees.astype(np.float64)
     coefficients = _rescale(np.repeat(deg[rows], counts), deg[neighbors])
     matrix = sparse.csr_array((coefficients, columns, offsets), shape=(len(rows), len(senders)))

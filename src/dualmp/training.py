@@ -111,7 +111,9 @@ class FitResult:
     best_val_auc: float
 
     def final_forward(self) -> ForwardResult:
-        return self.model.forward(training=False)
+        """Whole-graph evaluation forward at the restored parameters; it records no tape."""
+        with no_tape():
+            return self.model.forward(training=False)
 
 
 def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
@@ -119,7 +121,9 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
 
     Every epoch re-scores and re-partitions each relation's edges, runs the
     active channels, takes one Adam step on the joint loss over balanced
-    node/edge batches, and evaluates the validation split. The parameters
+    node/edge batches, and evaluates the validation split. The evaluation
+    forward computes only the train and validation rows, which is all the
+    log reads (validation metrics and train accuracy). The parameters
     with the best validation AUC are restored before returning; training
     stops early after ``patience`` epochs without improvement.
     """
@@ -130,6 +134,11 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
 
     train_idx = np.asarray(graph.split.train, dtype=np.int64)
     val_idx = np.asarray(graph.split.val, dtype=np.int64)
+    # the rows the per-epoch evaluation reads, and where each split sits among them
+    eval_rows = np.union1d(train_idx, val_idx)
+    eval_labels = graph.labels[eval_rows]
+    train_pos = np.searchsorted(eval_rows, train_idx)
+    val_pos = np.searchsorted(eval_rows, val_idx)
     train_mask = graph.split.train_mask(graph.num_nodes)
     labeled_edges = (
         training_edge_sets(graph.relations, graph.labels, train_mask)
@@ -159,16 +168,16 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
         optimizer.step()
 
         with no_tape():
-            eval_out = model.forward(training=False)
+            eval_out = model.forward(training=False, node_batch=eval_rows)
         fraud_scores = eval_out.probs.data[:, 1]
-        val_report = evaluate(fraud_scores, graph.labels, val_idx) if len(val_idx) else None
+        val_report = evaluate(fraud_scores, eval_labels, val_pos) if len(val_idx) else None
 
         record = {
             "epoch": epoch,
             "loss_total": loss_value,
             "loss_cls": out.loss_cls.item(),
             "edge_losses": [l.item() for l in out.edge_losses],
-            "train_accuracy": accuracy(fraud_scores, graph.labels, train_idx),
+            "train_accuracy": accuracy(fraud_scores, eval_labels, train_pos),
         }
         if val_report is not None:
             record.update(
@@ -195,7 +204,15 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
 
 
 def evaluate_split(model: DualChannelModel, node_idx) -> MetricsReport:
-    """Metrics of the current parameters over one split (evaluation forward)."""
+    """Metrics of the current parameters over one node set.
+
+    The evaluation forward computes only the rows of ``node_idx``, in its
+    order and with any duplicates, which gives the same metrics as scoring
+    the whole graph and indexing it.
+    """
+    node_idx = np.asarray(node_idx, dtype=np.int64)
+    if node_idx.size == 0:
+        raise ValueError("cannot evaluate an empty node set")
     with no_tape():
-        out = model.forward(training=False)
-    return evaluate(out.probs.data[:, 1], model.graph.labels, node_idx)
+        out = model.forward(training=False, node_batch=node_idx)
+    return evaluate(out.probs.data[:, 1], model.graph.labels[node_idx], np.arange(len(node_idx)))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dualmp.autodiff import ParamStore
-from dualmp.cli import main
-from dualmp.data import load_checkpoint, save_checkpoint
+from dualmp.cli import _rebuild_model, main
+from dualmp.data import export_embeddings, load_checkpoint, save_checkpoint
 
 
 def read_metrics(path):
@@ -117,6 +117,22 @@ class TestTrain:
         assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "x"),
                      "--epochs", "0"]) == 1
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("learning_rate 0.1\nbogus 3\n", "line 2: unknown config key 'bogus'"),
+            ("# overrides\nepochs abc\n", "line 2: epochs must be int, got 'abc'"),
+        ],
+        ids=["unknown-key", "unparsable-value"],
+    )
+    def test_config_error_names_its_line(self, dataset, tmp_path, capsys, content, message):
+        cfg = tmp_path / "overrides.txt"
+        cfg.write_text(content)
+        assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "x"),
+                     "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 class TestEval:
     def test_matches_training_metrics(self, dataset, trained, capsys):
@@ -146,6 +162,17 @@ class TestEval:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("node,label,e0")
         assert len(lines) == 121
+
+    def test_embedding_export_equals_taped_forward(self, dataset, trained, tmp_path):
+        # the export runs without a tape; its file must not change by that
+        out = tmp_path / "emb.csv"
+        assert main(["eval", "--data", str(dataset), "--checkpoint",
+                     str(trained / "checkpoint.bin"), "--export-embeddings", str(out)]) == 0
+        model = _rebuild_model(str(dataset), str(trained / "checkpoint.bin"), symmetrize=False)
+        taped = model.forward(training=False).embeddings
+        assert taped._parents  # the reference did record a tape
+        export_embeddings(taped.data, model.graph.labels, tmp_path / "taped.csv")
+        assert out.read_bytes() == (tmp_path / "taped.csv").read_bytes()
 
 
 class TestGradcheck:

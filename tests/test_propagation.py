@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dualmp.autodiff as ad
 from dualmp.autodiff import tensor
@@ -189,6 +191,32 @@ class TestBatchRows:
         for rows in ([3], [-1], [[0, 1]]):
             with pytest.raises(ValueError, match="batch rows"):
                 batch_adjacency(adj, rows)
+
+
+# a random CSR graph (nodes without edges, or no edges at all, are common)
+# and a batch of its rows in any order, possibly repeated or empty
+batch_cases = st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+        st.lists(st.integers(0, n - 1), max_size=20),
+    )
+)
+
+
+@given(batch_cases)
+@example((5, [], [4, 1, 1]))  # empty view
+@example((6, [(0, 1), (1, 0), (2, 1)], [5, 1, 3, 1, 0]))  # isolated rows, unsorted, repeated
+@settings(max_examples=80, deadline=None)
+def test_batch_senders_equal_unique_of_neighbors(case):
+    n, edges, rows = case
+    adj = build_csr(edges, n)
+    batch = batch_adjacency(adj, rows)
+    read = [adj.targets[adj.offsets[u]:adj.offsets[u + 1]] for u in rows]
+    senders, columns = np.unique(np.concatenate([np.empty(0, np.int64), *read]), return_inverse=True)
+    assert np.array_equal(batch.senders, senders)
+    assert np.array_equal(batch.matrix.indices, columns)
+    assert batch.matrix.shape == (len(rows), len(senders))
 
 
 class TestDenseOracle:

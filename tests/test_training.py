@@ -3,7 +3,8 @@ import pytest
 
 from dualmp.autodiff import ParamStore
 from dualmp.data import SyntheticSpec, generate_synthetic
-from dualmp.model import ConfigError, TrainConfig
+from dualmp.metrics import accuracy, evaluate
+from dualmp.model import ABLATIONS, ConfigError, DualChannelModel, TrainConfig
 from dualmp.training import (
     Adam,
     NumericalError,
@@ -180,3 +181,47 @@ class TestFit:
                     "val_auc", "val_recall", "val_f1_macro", "val_gmean"):
             assert key in record
         assert len(record["edge_losses"]) == graph.num_relations
+
+
+class TestEvaluationRows:
+    """Evaluation computes only the rows it reports; the figures equal a whole-graph evaluation."""
+
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_evaluate_split_equals_whole_graph_evaluation(self, graph, ablation):
+        model = DualChannelModel(graph, quick_config(ablation=ablation), np.random.default_rng(3))
+        test = model.graph.split.test
+        rows = np.concatenate([test[::-1], test[2:3]])  # unsorted, with one node twice
+        whole = model.forward(training=False).probs.data[:, 1]
+        assert evaluate_split(model, rows) == evaluate(whole, model.graph.labels, rows)
+
+    def test_empty_node_set_rejected_before_any_forward(self, graph):
+        model = DualChannelModel(graph, quick_config(), np.random.default_rng(3))
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran")
+
+        model.forward = no_forward
+        with pytest.raises(ValueError, match="cannot evaluate an empty node set"):
+            evaluate_split(model, [])
+
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_fit_log_equals_whole_graph_evaluation(self, graph, ablation):
+        result = fit(graph, quick_config(ablation=ablation, epochs=1, patience=1))
+        model, record = result.model, result.log[0]
+        split, labels = model.graph.split, model.graph.labels
+        whole = model.forward(training=False).probs.data[:, 1]
+        report = evaluate(whole, labels, split.val)
+        assert record["val_auc"] == report.auc
+        assert record["val_recall"] == report.recall
+        assert record["val_f1_macro"] == report.f1_macro
+        assert record["val_gmean"] == report.gmean
+        assert record["train_accuracy"] == accuracy(whole, labels, split.train)
+
+    def test_final_forward_records_no_tape(self, graph):
+        result = fit(graph, quick_config(epochs=2, patience=2))
+        final = result.final_forward()
+        taped = result.model.forward(training=False)
+        assert not final.embeddings._parents and not final.probs._parents
+        assert taped.embeddings._parents  # the same forward records one outside no_tape
+        assert np.array_equal(final.embeddings.data, taped.embeddings.data)
+        assert np.array_equal(final.probs.data, taped.probs.data)

@@ -34,6 +34,6 @@ for key, value in report.as_dict().items():
     print(f"  {key}: {value:.4f}" if isinstance(value, float) else f"  {key}: {value}")
 
 out = Path("embeddings.csv")
-final = result.final_forward()
+final = result.model.forward(training=False)
 export_embeddings(final.embeddings.data, result.model.graph.labels, out)
 print(f"\nfused per-node embeddings written to {out.resolve()}")

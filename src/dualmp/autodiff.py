@@ -8,13 +8,15 @@ edge-loss weight; ``add_const``, ``mul_const`` and ``mean_all`` the edge-sign
 hinge; ``relu`` the projection, the contrast filter and the hinge;
 ``leaky_relu`` the channel gates and the fusion; ``tanh`` the edge scorer;
 ``concat_cols`` the fusion and the relation concatenation; ``gather_rows``
-the edge-scorer blocks and endpoints and the batch rows; ``sparse_matmul``
-the degree-rescaled aggregation, over scipy CSR; ``layer_norm`` the fusion;
-``dropout`` the projection; ``cross_entropy`` the classification loss.
+the edge-scorer blocks and endpoints, and a pass's rows and their senders;
+``sparse_matmul`` the degree-rescaled aggregation, over scipy CSR;
+``layer_norm`` the fusion; ``dropout`` the projection; ``cross_entropy``
+the classification loss.
 ``softmax`` takes a plain array and records nothing: it gives the class
 probabilities and ``cross_entropy``'s gradient. Inside ``no_tape()`` no
-operation records anything, for passes no backward reads. No broadcasting
-beyond row-vector biases, no tensors of rank above 2, no GPU.
+operation records anything; the model's evaluation pass runs there, since no
+backward reads it, and builds no loss. No broadcasting beyond row-vector
+biases, no tensors of rank above 2, no GPU.
 
 Each operation links its output to its inputs and stores a backward rule;
 :func:`backward` replays that implicit tape once, in reverse topological

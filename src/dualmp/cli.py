@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import grad_check, no_tape
+from .autodiff import grad_check
 from .data import (
     CheckpointError,
     DatasetError,
@@ -24,6 +24,7 @@ from .data import (
     generate_synthetic,
     load_checkpoint,
     load_dataset,
+    read_lines,
     restore_into,
     save_checkpoint,
     write_dataset,
@@ -65,20 +66,18 @@ _RETIRED_CONFIG = {"homo_filter_activation": "none", "plain_fusion": False}
 
 def _parse_config_file(path: str) -> dict:
     values = {}
-    with open(path) as fh:
-        for i, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, raw = line.replace("=", " ").partition(" ")
-            raw = raw.strip()
-            if key not in _CONFIG_FIELDS:
-                raise ConfigError(f"{path}: line {i}: unknown config key {key!r}")
-            ftype = _CONFIG_FIELDS[key].type
-            try:
-                values[key] = _FIELD_PARSERS[ftype](raw)
-            except ValueError:
-                raise ConfigError(f"{path}: line {i}: {key} must be {ftype}, got {raw!r}") from None
+    for i, line in enumerate(read_lines(path, error=ConfigError), 1):
+        if not line or line.startswith("#"):
+            continue
+        key, _, raw = line.replace("=", " ").partition(" ")
+        raw = raw.strip()
+        if key not in _CONFIG_FIELDS:
+            raise ConfigError(f"{path}: line {i}: unknown config key {key!r}")
+        ftype = _CONFIG_FIELDS[key].type
+        try:
+            values[key] = _FIELD_PARSERS[ftype](raw)
+        except ValueError:
+            raise ConfigError(f"{path}: line {i}: {key} must be {ftype}, got {raw!r}") from None
     return values
 
 
@@ -121,9 +120,18 @@ def _checkpoint_meta(model: DualChannelModel) -> dict:
     }
 
 
+def _evaluated_split(graph, name: str, data_path) -> np.ndarray:
+    """The nodes of the split a command reports on; an empty split is a data error."""
+    nodes = getattr(graph.split, name)
+    if len(nodes) == 0:
+        raise DatasetError(f"{data_path}: the {name} split is empty, so there is nothing to evaluate")
+    return nodes
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config = build_config(args)
     graph = load_dataset(args.data, split_seed=config.seed, force_symmetrize=args.symmetrize)
+    test_idx = _evaluated_split(graph, "test", args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -148,7 +156,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     save_checkpoint(result.model.params, _checkpoint_meta(result.model), out_dir / "checkpoint.bin")
 
-    report = evaluate_split(result.model, graph.split.test)
+    report = evaluate_split(result.model, test_idx)
     _write_metrics(
         out_dir / "metrics.txt",
         report,
@@ -198,13 +206,11 @@ def _rebuild_model(data_path: str, checkpoint_path: str, symmetrize: bool) -> Du
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model = _rebuild_model(args.data, args.checkpoint, args.symmetrize)
-    split = getattr(model.graph.split, args.split)
-    report = evaluate_split(model, split)
+    report = evaluate_split(model, _evaluated_split(model.graph, args.split, args.data))
     print(f"{args.split} split:")
     _print_report(report)
     if args.export_embeddings:
-        with no_tape():
-            out = model.forward(training=False)
+        out = model.forward(training=False)
         export_embeddings(out.embeddings.data, model.graph.labels, args.export_embeddings)
         print(f"embeddings written to {args.export_embeddings}")
     return 0
@@ -242,7 +248,7 @@ def gradcheck_model(ablation: str, seed: int, probe: float) -> dict[str, float]:
 
     def forward():
         return model.forward(
-            training=False, node_batch=node_batch, edge_batches=edge_batches, partitions=partitions
+            training=True, node_batch=node_batch, edge_batches=edge_batches, partitions=partitions
         ).loss_total
 
     return grad_check(forward, model.params, probe=probe, rng=np.random.default_rng(seed))

@@ -64,6 +64,15 @@ def stratified_split(labels, rng: np.random.Generator) -> NodeSplit:
 # manifest datasets
 
 
+def read_lines(path, error: type[ValueError] = DatasetError) -> list[str]:
+    """The stripped lines of a UTF-8 text file; a byte that is not UTF-8 raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line.strip() for line in fh.read().split("\n")]
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
 def _parse_int(token: str, where: str) -> int:
     try:
         return int(token)
@@ -73,18 +82,16 @@ def _parse_int(token: str, where: str) -> int:
 
 def _read_features(path: Path, num_nodes: int, feature_dim: int) -> np.ndarray:
     rows = []
-    with open(path) as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != feature_dim:
-                raise DatasetError(f"{path}: row {i} has {len(parts)} values, expected {feature_dim}")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise DatasetError(f"{path}: row {i}: {exc}") from None
+    for i, line in enumerate(read_lines(path)):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != feature_dim:
+            raise DatasetError(f"{path}: row {i} has {len(parts)} values, expected {feature_dim}")
+        try:
+            rows.append([float(v) for v in parts])
+        except ValueError as exc:
+            raise DatasetError(f"{path}: row {i}: {exc}") from None
     if len(rows) != num_nodes:
         raise DatasetError(f"{path}: {len(rows)} feature rows for {num_nodes} nodes")
     features = np.asarray(rows, dtype=np.float64)
@@ -96,15 +103,13 @@ def _read_features(path: Path, num_nodes: int, feature_dim: int) -> np.ndarray:
 
 def _read_labels(path: Path, num_nodes: int) -> np.ndarray:
     values = []
-    with open(path) as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            v = _parse_int(line, f"{path}: row {i}: label")
-            if v not in (0, 1):
-                raise DatasetError(f"{path}: row {i}: label must be 0 or 1, got {v}")
-            values.append(v)
+    for i, line in enumerate(read_lines(path)):
+        if not line:
+            continue
+        v = _parse_int(line, f"{path}: row {i}: label")
+        if v not in (0, 1):
+            raise DatasetError(f"{path}: row {i}: label must be 0 or 1, got {v}")
+        values.append(v)
     if len(values) != num_nodes:
         raise DatasetError(f"{path}: {len(values)} labels for {num_nodes} nodes")
     return np.asarray(values, dtype=np.int64)
@@ -112,34 +117,30 @@ def _read_labels(path: Path, num_nodes: int) -> np.ndarray:
 
 def _read_edges(path: Path) -> np.ndarray:
     pairs = []
-    with open(path) as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DatasetError(f"{path}: row {i}: expected 'src,dst', got {line!r}")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise DatasetError(f"{path}: row {i}: non-integer endpoint in {line!r}") from None
+    for i, line in enumerate(read_lines(path)):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DatasetError(f"{path}: row {i}: expected 'src,dst', got {line!r}")
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise DatasetError(f"{path}: row {i}: non-integer endpoint in {line!r}") from None
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _read_splits(path: Path) -> NodeSplit:
     parts: dict[str, np.ndarray] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, rest = line.partition(":")
-            key = key.strip()
-            if key not in ("train", "val", "test"):
-                raise DatasetError(f"{path}: unknown split section {key!r}")
-            where = f"{path}: {key}"
-            parts[key] = np.asarray([_parse_int(v, where) for v in rest.split()], dtype=np.int64)
+    for line in read_lines(path):
+        if not line:
+            continue
+        key, _, rest = line.partition(":")
+        key = key.strip()
+        if key not in ("train", "val", "test"):
+            raise DatasetError(f"{path}: unknown split section {key!r}")
+        where = f"{path}: {key}"
+        parts[key] = np.asarray([_parse_int(v, where) for v in rest.split()], dtype=np.int64)
     missing = {"train", "val", "test"} - parts.keys()
     if missing:
         raise DatasetError(f"{path}: missing split sections {sorted(missing)}")
@@ -161,30 +162,28 @@ def load_dataset(manifest_path, split_seed: int = 0, force_symmetrize: bool = Fa
     paths: dict[str, Path] = {}
     do_symmetrize = False
 
-    with open(manifest_path) as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            key = tokens[0]
-            where = f"{manifest_path}: line {i}"
-            if key not in MANIFEST_KEYS:
-                raise DatasetError(f"{where}: unknown key {key!r}")
-            if len(tokens) < 2:
-                raise DatasetError(f"{where}: {key} needs a value")
-            if key == "num_nodes":
-                num_nodes = _parse_int(tokens[1], f"{where}: num_nodes")
-            elif key == "feature_dim":
-                feature_dim = _parse_int(tokens[1], f"{where}: feature_dim")
-            elif key == "relation":
-                if len(tokens) != 3:
-                    raise DatasetError(f"{where}: relation needs a name and a path")
-                relation_files.append((tokens[1], base / tokens[2]))
-            elif key == "symmetrize":
-                do_symmetrize = tokens[1].lower() == "true"
-            else:
-                paths[key] = base / tokens[1]
+    for i, line in enumerate(read_lines(manifest_path)):
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        key = tokens[0]
+        where = f"{manifest_path}: line {i}"
+        if key not in MANIFEST_KEYS:
+            raise DatasetError(f"{where}: unknown key {key!r}")
+        if len(tokens) < 2:
+            raise DatasetError(f"{where}: {key} needs a value")
+        if key == "num_nodes":
+            num_nodes = _parse_int(tokens[1], f"{where}: num_nodes")
+        elif key == "feature_dim":
+            feature_dim = _parse_int(tokens[1], f"{where}: feature_dim")
+        elif key == "relation":
+            if len(tokens) != 3:
+                raise DatasetError(f"{where}: relation needs a name and a path")
+            relation_files.append((tokens[1], base / tokens[2]))
+        elif key == "symmetrize":
+            do_symmetrize = tokens[1].lower() == "true"
+        else:
+            paths[key] = base / tokens[1]
 
     if num_nodes is None or feature_dim is None:
         raise DatasetError(f"{manifest_path}: num_nodes and feature_dim are required")

@@ -9,6 +9,7 @@ not create the parameters they cannot reach.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -70,12 +71,11 @@ class TrainConfig:
 class ForwardResult:
     """What one forward pass produced.
 
-    Without a ``node_batch`` the rows of ``probs`` and ``embeddings`` are
-    all N nodes in node order; with one, they are the batch rows in batch
-    order, because the pass computes no other rows; training and evaluation
-    both pass the rows they read. A batch may repeat a node, and its rows are
-    then repeated too. ``probs`` is a constant, the softmax of the
-    classifier's logits; the loss reads the logits.
+    The rows of ``probs`` and ``embeddings`` are the pass's rows: the
+    ``node_batch`` in batch order, a repeated node repeating its row, or all
+    N nodes in node order without one. ``probs`` is a constant, the softmax
+    of the classifier's logits. Only a training pass builds losses; an
+    evaluation pass leaves them empty and records no tape.
     """
 
     probs: TensorValue  # (rows, 2) constant, column 1 is fraud probability
@@ -196,19 +196,18 @@ class DualChannelModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _relation_embedding(self, rel, h, partition, rows=None):
-        """Run the active channels over one relation and fuse the outputs.
+    def _relation_embedding(self, rel, h, partition, rows):
+        """Run the active channels over one relation for ``rows`` and fuse the outputs.
 
-        With ``rows`` only those rows are produced, and each channel computes
-        messages only for the neighbors the rows read.
+        Each channel computes messages only for the neighbors the rows read.
         """
         p, cfg = self.params, self.config
         name = rel.name
 
         def run_channel(side: str, subgraph, complement: bool):
-            batch = None if rows is None else propagation.batch_adjacency(subgraph, rows)
+            batch = propagation.batch_adjacency(subgraph, rows)
             messages = propagation.channel_messages(
-                h if batch is None else ad.gather_rows(h, batch.senders),
+                ad.gather_rows(h, batch.senders),
                 p[f"{name}/filter_w"],
                 p[f"{name}/{side}_gate_w"],
                 p[f"{name}/{side}_b1"],
@@ -216,7 +215,7 @@ class DualChannelModel:
                 cfg.residual_mix,
                 complement=complement,
             )
-            return propagation.residual_aggregate(h, messages, subgraph, batch)
+            return propagation.residual_aggregate(h, messages, batch)
 
         if cfg.ablation == "sep":
             return run_channel("smooth", rel, complement=False)
@@ -243,71 +242,75 @@ class DualChannelModel:
         edge_batches=None,
         partitions: list[EdgePartition | None] | None = None,
     ) -> ForwardResult:
-        """One pass: per-relation embeddings, fused classification, losses.
+        """One pass over the rows ``node_batch``, or over all N nodes without one.
 
-        Edge partitions are recomputed from the current edge scores unless
-        frozen ones are passed in (gradient checking does that). Losses are
-        produced only when the corresponding batches are given;
-        ``edge_batches`` holds per-relation (edge positions, sign labels).
-        With a ``node_batch``, the projection, edge scoring and partition
-        still cover the whole graph, but aggregation, fusion and the
-        classifier run only for the batch rows, which is all the
-        classification loss reads.
+        The projection, edge scoring and partition cover the whole graph;
+        aggregation, fusion and the classifier run only for the rows. Edge
+        partitions are recomputed from the current edge scores unless frozen
+        ones are passed in (gradient checking does that). A training pass
+        records the tape and builds the classification loss over its rows,
+        plus one edge loss per relation when ``edge_batches`` holds
+        per-relation (edge positions, sign labels). An evaluation pass
+        (``training=False``) runs under :func:`autodiff.no_tape` and builds no
+        loss, so every array is freed after its last use.
         """
         p, cfg = self.params, self.config
-        rows = None if node_batch is None else np.asarray(node_batch, dtype=np.int64)
-        per_rel_z: list[TensorValue] = []
-        out_partitions: list[EdgePartition | None] = []
-        out_scores: list[np.ndarray | None] = []
-        edge_losses: list[TensorValue] = []
+        rows = np.arange(self.graph.num_nodes) if node_batch is None else node_batch
+        rows = np.asarray(rows, dtype=np.int64)
+        with nullcontext() if training else ad.no_tape():
+            per_rel_z: list[TensorValue] = []
+            out_partitions: list[EdgePartition | None] = []
+            out_scores: list[np.ndarray | None] = []
+            edge_losses: list[TensorValue] = []
 
-        for ri, rel in enumerate(self.graph.relations):
-            h = separator.project_features(
-                self.features,
-                p[f"{rel.name}/proj_w"],
-                p[f"{rel.name}/proj_b"],
-                dropout_rate=cfg.dropout,
-                training=training,
-                rng=rng,
-            )
-            partition = None
-            scores = None
-            if self._has_separator:
-                sources, targets = rel.edge_sources, rel.targets
-                if partitions is not None:
-                    partition = partitions[ri]
-                else:
-                    # hard split: scores are detached here, the separator
-                    # learns only through the hinge loss below
-                    scores = separator.edge_score_values(
-                        h.data, sources, targets, p[f"{rel.name}/edge_w"].data
-                    )
-                    partition = partition_subgraphs(rel, scores)
-                if edge_batches is not None:
-                    positions, sign_labels = edge_batches[ri]
-                    if len(positions):
-                        batch_scores = separator.edge_scores(
-                            h, sources[positions], targets[positions], p[f"{rel.name}/edge_w"]
-                        )
-                        edge_losses.append(separator.heterophily_loss(batch_scores, sign_labels))
+            for ri, rel in enumerate(self.graph.relations):
+                h = separator.project_features(
+                    self.features,
+                    p[f"{rel.name}/proj_w"],
+                    p[f"{rel.name}/proj_b"],
+                    dropout_rate=cfg.dropout,
+                    training=training,
+                    rng=rng,
+                )
+                partition = None
+                scores = None
+                if self._has_separator:
+                    sources, targets = rel.edge_sources, rel.targets
+                    if partitions is not None:
+                        partition = partitions[ri]
                     else:
-                        edge_losses.append(ad.tensor(0.0))
-            per_rel_z.append(self._relation_embedding(rel, h, partition, rows))
-            out_partitions.append(partition)
-            out_scores.append(scores)
+                        # hard split: scores are detached here, the separator
+                        # learns only through the hinge loss below
+                        scores = separator.edge_score_values(
+                            h.data, sources, targets, p[f"{rel.name}/edge_w"].data
+                        )
+                        partition = partition_subgraphs(rel, scores)
+                    if training and edge_batches is not None:
+                        positions, sign_labels = edge_batches[ri]
+                        if len(positions):
+                            batch_scores = separator.edge_scores(
+                                h, sources[positions], targets[positions], p[f"{rel.name}/edge_w"]
+                            )
+                            edge_losses.append(separator.heterophily_loss(batch_scores, sign_labels))
+                        else:
+                            edge_losses.append(ad.tensor(0.0))
+                per_rel_z.append(self._relation_embedding(rel, h, partition, rows))
+                out_partitions.append(partition)
+                out_scores.append(scores)
 
-        fused = relation_fuse(per_rel_z)
-        logits = classify(fused, p["classifier/w"], p["classifier/b"])
+            fused = relation_fuse(per_rel_z)
+            logits = classify(fused, p["classifier/w"], p["classifier/b"])
 
-        result = ForwardResult(
-            probs=ad.tensor(ad.softmax(logits.data)),
-            embeddings=fused,
-            partitions=out_partitions,
-            edge_scores=out_scores,
-            edge_losses=edge_losses,
-        )
-        if rows is not None:
-            # the logits already hold just the batch rows, in batch order
-            result.loss_cls = classification_loss(logits, self.graph.labels[rows])
-            result.loss_total = total_loss(result.loss_cls, edge_losses, cfg.edge_loss_weight)
-        return result
+            result = ForwardResult(
+                probs=ad.tensor(ad.softmax(logits.data)),
+                embeddings=fused,
+                partitions=out_partitions,
+                edge_scores=out_scores,
+                edge_losses=edge_losses,
+            )
+            if training:
+                # the logits hold just the pass's rows, in row order
+                result.loss_cls = classification_loss(logits, self.graph.labels[rows])
+                result.loss_total = total_loss(result.loss_cls, edge_losses, cfg.edge_loss_weight)
+            return result
+

@@ -7,6 +7,11 @@ back in through a weighted residual gate, then neighbors are summed into the
 anchor with coefficient 1 / sqrt(1 + d_u * d_v) and added onto the anchor's
 own embedding. A fusion layer combines the two channel outputs and their
 difference.
+
+Aggregation has one path: every pass names the rows it computes (a training
+batch, the rows an evaluation reads, or ``np.arange(N)`` for the whole
+graph), :func:`batch_adjacency` cuts the rescaled adjacency down to those
+rows, and messages are computed only for the senders they read.
 """
 
 from __future__ import annotations
@@ -47,24 +52,13 @@ def channel_messages(
     return ad.leaky_relu(ad.add_bias(gated, gate_b))
 
 
-def _rescale(source_degrees: np.ndarray, target_degrees: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sqrt(1.0 + source_degrees * target_degrees)
-
-
-def rescale_coefficients(subgraph: RelationAdjacency) -> np.ndarray:
-    """1 / sqrt(1 + d_u * d_v) per edge, with degrees taken inside the subgraph."""
-    counts = subgraph.degrees()
-    deg = counts.astype(np.float64)
-    # the source degree of every edge, without building the source index
-    return _rescale(np.repeat(deg, counts), deg[subgraph.targets])
-
-
 @dataclass(frozen=True)
 class BatchAdjacency:
-    """The rows of a subgraph's rescaled adjacency that a node batch reads.
+    """The rows of a subgraph's rescaled adjacency that a set of rows reads.
 
-    ``matrix`` has one row per batch node, in batch order, and one column
-    per sender: column k holds the coefficients of node ``senders[k]``.
+    ``matrix`` has one row per entry of ``rows``, in that order, and one
+    column per sender: column k holds the coefficients of node
+    ``senders[k]``. A whole-graph pass takes ``rows = np.arange(N)``.
     """
 
     rows: np.ndarray
@@ -75,9 +69,10 @@ class BatchAdjacency:
 def batch_adjacency(subgraph: RelationAdjacency, rows) -> BatchAdjacency:
     """Cut the rescaled adjacency down to ``rows`` and the senders they read.
 
-    Each row keeps its stored entries in storage order and the coefficients
-    of :func:`rescale_coefficients`, so the rows of the aggregate come out
-    bit for bit as in the whole-graph product. The senders and their column
+    Row u holds 1 / sqrt(1 + d_u * d_v) for each neighbor v, with degrees
+    taken inside the subgraph, and keeps its stored entries in storage
+    order, so a row of the aggregate comes out bit for bit the same
+    whichever other rows are computed with it. The senders and their column
     numbers come from a length-N presence mask and its running count, which
     gives the arrays of ``np.unique(neighbors, return_inverse=True)``
     without sorting the neighbors.
@@ -98,36 +93,21 @@ def batch_adjacency(subgraph: RelationAdjacency, rows) -> BatchAdjacency:
     senders = np.flatnonzero(present)
     columns = (np.cumsum(present) - 1)[neighbors]
     deg = degrees.astype(np.float64)
-    coefficients = _rescale(np.repeat(deg[rows], counts), deg[neighbors])
+    coefficients = 1.0 / np.sqrt(1.0 + np.repeat(deg[rows], counts) * deg[neighbors])
     matrix = sparse.csr_array((coefficients, columns, offsets), shape=(len(rows), len(senders)))
     return BatchAdjacency(rows=rows, senders=senders, matrix=matrix)
 
 
-def residual_aggregate(
-    h: TensorValue,
-    node_messages: TensorValue,
-    subgraph: RelationAdjacency,
-    batch: BatchAdjacency | None = None,
-) -> TensorValue:
-    """z_u = h_u + sum over neighbors v of message_v / sqrt(1 + d_u * d_v).
+def residual_aggregate(h: TensorValue, sender_messages: TensorValue, batch: BatchAdjacency) -> TensorValue:
+    """z_u = h_u + sum over neighbors v of message_v / sqrt(1 + d_u * d_v), for u in ``batch.rows``.
 
     Messages depend only on the sending node, so they are computed once per
-    node and summed through the subgraph's rescaled adjacency matrix. Nodes
-    with no neighbors in the subgraph keep exactly their own embedding.
-
-    With ``batch`` (from :func:`batch_adjacency` of this subgraph), only the
-    batch rows are produced, in batch order, and ``node_messages`` holds one
-    row per sender, in the order of ``batch.senders``.
+    sender and summed through the batch's rescaled adjacency rows.
+    ``sender_messages`` holds one row per sender, in the order of
+    ``batch.senders``; the output has one row per batch row, in batch order.
+    A row with no neighbors in the subgraph keeps its own embedding.
     """
-    if batch is not None:
-        return ad.add(ad.gather_rows(h, batch.rows), ad.sparse_matmul(batch.matrix, node_messages))
-    if subgraph.edge_count == 0:
-        return h
-    n = subgraph.num_nodes
-    adjacency = sparse.csr_array(
-        (rescale_coefficients(subgraph), subgraph.targets, subgraph.offsets), shape=(n, n)
-    )
-    return ad.add(h, ad.sparse_matmul(adjacency, node_messages))
+    return ad.add(ad.gather_rows(h, batch.rows), ad.sparse_matmul(batch.matrix, sender_messages))
 
 
 def frequency_fuse(

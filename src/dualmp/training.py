@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamStore, backward, no_tape
+from .autodiff import ParamStore, backward
 from .graphs import MultiRelationGraph, RelationAdjacency
 from .metrics import MetricsReport, accuracy, evaluate
-from .model import ConfigError, DualChannelModel, ForwardResult, TrainConfig
+from .model import ConfigError, DualChannelModel, TrainConfig
 from .separator import edge_label_signs
 
 
@@ -110,11 +110,6 @@ class FitResult:
     best_epoch: int
     best_val_auc: float
 
-    def final_forward(self) -> ForwardResult:
-        """Whole-graph evaluation forward at the restored parameters; it records no tape."""
-        with no_tape():
-            return self.model.forward(training=False)
-
 
 def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     """Train one model per the configured schedule.
@@ -123,7 +118,8 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     active channels, takes one Adam step on the joint loss over balanced
     node/edge batches, and evaluates the validation split. The evaluation
     forward computes only the train and validation rows, which is all the
-    log reads (validation metrics and train accuracy). The parameters
+    log reads (validation metrics and train accuracy); like every evaluation
+    pass it records no tape and builds no loss. The parameters
     with the best validation AUC are restored before returning; training
     stops early after ``patience`` epochs without improvement.
     """
@@ -167,8 +163,7 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
         backward(out.loss_total)
         optimizer.step()
 
-        with no_tape():
-            eval_out = model.forward(training=False, node_batch=eval_rows)
+        eval_out = model.forward(training=False, node_batch=eval_rows)
         fraud_scores = eval_out.probs.data[:, 1]
         val_report = evaluate(fraud_scores, eval_labels, val_pos) if len(val_idx) else None
 
@@ -208,11 +203,10 @@ def evaluate_split(model: DualChannelModel, node_idx) -> MetricsReport:
 
     The evaluation forward computes only the rows of ``node_idx``, in its
     order and with any duplicates, which gives the same metrics as scoring
-    the whole graph and indexing it.
+    the whole graph and indexing it. It records no tape and builds no loss.
     """
     node_idx = np.asarray(node_idx, dtype=np.int64)
     if node_idx.size == 0:
         raise ValueError("cannot evaluate an empty node set")
-    with no_tape():
-        out = model.forward(training=False, node_batch=node_idx)
+    out = model.forward(training=False, node_batch=node_idx)
     return evaluate(out.probs.data[:, 1], model.graph.labels[node_idx], np.arange(len(node_idx)))

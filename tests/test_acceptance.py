@@ -24,8 +24,9 @@ from dualmp.data import (
 from dualmp.graphs import build_csr, partition_subgraphs
 from dualmp.metrics import evaluate, roc_auc
 from dualmp.model import DualChannelModel, TrainConfig
-from dualmp.propagation import channel_messages, residual_aggregate
+from dualmp.propagation import channel_messages
 from dualmp.training import evaluate_split, fit
+from whole_graph import whole_graph_aggregate
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -95,7 +96,7 @@ def test_a2_dense_oracle_equivalence():
                 h, tensor(fw), tensor(gw), tensor(fb), tensor(gb),
                 residual_mix=0.5, complement=complement,
             )
-            sparse = residual_aggregate(h, messages, sub).data
+            sparse = whole_graph_aggregate(h, messages, sub).data
             dense = dense_forward(h_arr, fw, fb, gw, gb, 0.5, adj_bool, complement)
             worst = max(worst, float(np.abs(sparse - dense).max()))
     elapsed = time.time() - start
@@ -167,7 +168,42 @@ A4_CONFIG = dict(epochs=3000, patience=200, edge_loss_weight=1.0)
 
 
 def test_a4_dual_channel_benefit():
-    """Full model beats both single-channel ablations by >= 0.05 AUC, 5 seeds."""
+    """Full model beats both single-channel ablations by >= 0.05 AUC, 5 seeds.
+
+    This gate fails today (mean test AUC full 0.839, homo 0.825, heter
+    0.824) and is kept as stated. Why the bar looks out of reach on this
+    fixture, measured with this spec and config over seeds 0-4:
+
+    - The learned split costs AUC: the ``sep`` ablation (no split, one
+      smoothing channel over the whole graph) scores 0.851 against 0.839
+      for the full model. Summing or averaging the cross-entropy makes no
+      difference (0.839 vs 0.838).
+    - The separator sits at the feature noise floor. At separation 1.5
+      and unit noise, one call of a node's class at the class midpoint is
+      right with p = Phi(0.75) ~ 0.77, and two independent calls give the
+      edge sign right with p^2 + (1 - p)^2 ~ 0.65. The measured sign
+      accuracy over all edges is 0.65, 0.73, 0.68, 0.66 and 0.35, with
+      33-77% of edges called heterophilic against a true 16%. A scorer
+      on |h_u - h_v| (sign accuracy 0.61-0.73, full 0.818) and
+      neighbour-mean input features (0.60-0.75, margins below 0.01) do
+      no better.
+    - Even a far better split leaves the heter margin short. With the
+      true edge signs, each flipped with probability q, in place of the
+      learned scores:
+
+      ====  =====  =====  =====  ===============
+      q     full   homo   heter  margins
+      ====  =====  =====  =====  ===============
+      0     1.000  0.999  0.990  +0.001 / +0.009
+      0.1   0.991  0.963  0.977  +0.028 / +0.015
+      0.2   0.966  0.893  0.948  +0.073 / +0.017
+      0.35  0.888  0.817  0.909  +0.071 / -0.021
+      ====  =====  =====  =====  ===============
+
+      At no q does the heter margin reach 0.05: when the split is good,
+      the smoothing channel on the homophilic side alone nearly matches
+      the full model.
+    """
     means = {}
     slowest = 0.0
     for ablation in ("full", "homo", "heter"):
@@ -280,7 +316,7 @@ def test_a7_invariants(tmp_path):
     messages = tensor(rng.normal(size=(12, 6)))
     empty = build_csr([], 12)
     checks["residual on empty subgraph"] = np.array_equal(
-        residual_aggregate(h, messages, empty).data, h.data
+        whole_graph_aggregate(h, messages, empty).data, h.data
     )
 
     # softmax normalization

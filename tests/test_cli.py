@@ -169,7 +169,8 @@ class TestEval:
         assert main(["eval", "--data", str(dataset), "--checkpoint",
                      str(trained / "checkpoint.bin"), "--export-embeddings", str(out)]) == 0
         model = _rebuild_model(str(dataset), str(trained / "checkpoint.bin"), symmetrize=False)
-        taped = model.forward(training=False).embeddings
+        model.config.dropout = 0.0  # so a training pass computes the evaluation numbers
+        taped = model.forward(training=True).embeddings
         assert taped._parents  # the reference did record a tape
         export_embeddings(taped.data, model.graph.labels, tmp_path / "taped.csv")
         assert out.read_bytes() == (tmp_path / "taped.csv").read_bytes()
@@ -242,6 +243,38 @@ class TestBadInput:
         assert main(train_args(dataset, tmp_path / "run") + [flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{field} must be finite" in err
+
+    @pytest.mark.parametrize(
+        "file", ["manifest.txt", "features.csv", "labels.csv", "splits.txt", "edges_rel0.csv", "config.txt"]
+    )
+    def test_non_utf8_byte_exits_one(self, dataset, tmp_path, capsys, file):
+        manifest = copy_dataset(dataset, tmp_path / "data")
+        (manifest.parent / "config.txt").write_text("epochs 2\n")
+        path = manifest.parent / file
+        blob = bytearray(path.read_bytes())
+        blob[4] = 0xFF
+        path.write_bytes(bytes(blob))
+        args = train_args(manifest, tmp_path / "run") + ["--config", str(manifest.parent / "config.txt")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and file in err and "byte 4 is not UTF-8 text" in err
+
+    def test_empty_test_split_exits_one_before_training(self, dataset, tmp_path, capsys):
+        manifest = copy_dataset(dataset, tmp_path / "data")
+        rewrite(manifest.parent / "splits.txt", lambda rows: [r for r in rows if not r.startswith("test:")] + ["test:"])
+        assert main(train_args(manifest, tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "the test split is empty" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_evaluated_split_exits_one(self, dataset, trained, tmp_path, capsys):
+        manifest = copy_dataset(dataset, tmp_path / "data")
+        rewrite(manifest.parent / "splits.txt", lambda rows: [r for r in rows if not r.startswith("val:")] + ["val:"])
+        code = main(["eval", "--data", str(manifest), "--checkpoint", str(trained / "checkpoint.bin"),
+                     "--split", "val"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "the val split is empty" in err
 
     def test_retired_config_key_is_unknown(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "overrides.txt"

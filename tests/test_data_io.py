@@ -20,6 +20,7 @@ from dualmp.data import (
     stratified_split,
     write_dataset,
 )
+from dualmp.graphs import GraphFormatError
 
 
 def write_fixture(tmp_path, features, labels, edges, manifest_lines=None):
@@ -387,6 +388,43 @@ def test_single_byte_change_loads_or_raises_checkpoint_error(checkpoint_bytes, t
         except CheckpointError:
             continue
         assert all(np.isfinite(v).all() for v in params.values())
+
+
+@pytest.fixture(scope="module")
+def dataset_files(tmp_path_factory):
+    """Every file of a small valid dataset directory, by name."""
+    graph = generate_synthetic(
+        SyntheticSpec(num_nodes=12, fraud_ratio=0.25, num_relations=2, mean_degree=2.0, feature_dim=2, seed=1)
+    )
+    root = write_dataset(graph, tmp_path_factory.mktemp("dataset")).parent
+    return {path.name: path.read_bytes() for path in root.iterdir()}
+
+
+# not UTF-8, a sign, an exponent, and the separators of the text schema
+DATASET_TELLING_BYTES = b"\xff-e,:\n"
+
+
+@pytest.mark.parametrize(
+    "name", ["manifest.txt", "features.csv", "labels.csv", "splits.txt", "edges_rel0.csv", "edges_rel1.csv"]
+)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_single_byte_change_loads_or_raises_dataset_error(dataset_files, tmp_path_factory, name, data):
+    assert name in dataset_files
+    position = data.draw(st.integers(0, len(dataset_files[name]) - 1), label="position")
+    value = data.draw(st.integers(0, 255), label="value")
+    root = tmp_path_factory.getbasetemp() / "mutated"
+    root.mkdir(exist_ok=True)
+    for other, content in dataset_files.items():
+        (root / other).write_bytes(content)
+    for byte in bytes([value]) + DATASET_TELLING_BYTES:
+        blob = bytearray(dataset_files[name])
+        blob[position] = byte
+        (root / name).write_bytes(bytes(blob))
+        try:
+            load_dataset(root / "manifest.txt")
+        except (DatasetError, GraphFormatError):
+            pass
 
 
 class TestEmbeddings:

@@ -188,12 +188,13 @@ class TestAblations:
         h = tensor(full.graph.features)
         h_proj_full = ad.relu(ad.add_bias(ad.matmul(h, full.params[f"{rel.name}/proj_w"]),
                                           full.params[f"{rel.name}/proj_b"]))
-        z_full_smooth = full._relation_embedding(rel, h_proj_full, all_homo)  # heter wiring path
-        z_heter = heter._relation_embedding(rel, h_proj_full, all_homo)
+        rows = np.arange(small_graph.num_nodes)
+        z_full_smooth = full._relation_embedding(rel, h_proj_full, all_homo, rows)  # heter wiring path
+        z_heter = heter._relation_embedding(rel, h_proj_full, all_homo, rows)
         # full wiring runs fusion on top, so compare the shared channel instead
         full.config.ablation = "heter"
         try:
-            z_full_channel = full._relation_embedding(rel, h_proj_full, all_homo)
+            z_full_channel = full._relation_embedding(rel, h_proj_full, all_homo, rows)
         finally:
             full.config.ablation = "full"
         assert np.array_equal(z_full_channel.data, z_heter.data)
@@ -228,11 +229,17 @@ class TestForward:
         assert second.partitions[0] is first.partitions[0]
         assert np.array_equal(first.probs.data, second.probs.data)
 
-    def test_losses_only_with_batches(self, small_graph):
+    def test_only_a_training_pass_builds_losses(self, small_graph):
+        from dualmp.training import training_edge_sets
+
         model = make_model(small_graph)
-        assert model.forward(training=False).loss_total is None
-        out = model.forward(training=False, node_batch=small_graph.split.train[:4])
-        assert out.loss_total is not None
+        node_batch = small_graph.split.train[:4]
+        mask = small_graph.split.train_mask(small_graph.num_nodes)
+        edge_batches = training_edge_sets(small_graph.relations, small_graph.labels, mask)
+        out = model.forward(training=False, node_batch=node_batch, edge_batches=edge_batches)
+        assert out.loss_total is None and out.loss_cls is None and out.edge_losses == []
+        out = model.forward(training=True, node_batch=node_batch, edge_batches=edge_batches)
+        assert out.loss_total is not None and len(out.edge_losses) == small_graph.num_relations
 
     def test_sep_ablation_reports_no_scores(self, small_graph):
         out = make_model(small_graph, ablation="sep").forward(training=False)
@@ -275,14 +282,14 @@ def test_batch_forward_equals_full_forward_at_the_batch(ablation):
     node_batch = balanced_node_sample(model.graph.split.train, labels, np.random.default_rng(5))
 
     model.params.zero_grads()
-    full = model.forward(training=False, partitions=partitions)
+    full = model.forward(training=True, partitions=partitions)  # dropout is 0
     full_logits = classify(full.embeddings, model.params["classifier/w"], model.params["classifier/b"])
     reference = classification_loss(ad.gather_rows(full_logits, node_batch), labels[node_batch])
     backward(reference)
     reference_grads = {name: p.grad for name, p in model.params.items()}
 
     model.params.zero_grads()
-    batch = model.forward(training=False, node_batch=node_batch, partitions=partitions)
+    batch = model.forward(training=True, node_batch=node_batch, partitions=partitions)
     backward(batch.loss_total)
 
     assert batch.loss_total.item() == reference.item()
@@ -290,3 +297,21 @@ def test_batch_forward_equals_full_forward_at_the_batch(ablation):
     assert np.array_equal(batch.embeddings.data, full.embeddings.data[node_batch])
     for name, p in model.params.items():
         assert np.abs(p.grad - reference_grads[name]).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("ablation", ["full", "sep", "homo", "heter", "rel"])
+def test_eval_forward_records_no_tape_and_builds_no_loss(small_graph, ablation):
+    model = make_model(small_graph, ablation=ablation)
+    out = model.forward(training=False)
+    assert not out.probs._parents and not out.embeddings._parents
+    assert out.loss_total is None and out.loss_cls is None
+    # the same pass with dropout 0, taped, gives the same numbers
+    taped = model.forward(training=True)
+    assert taped.embeddings._parents
+    assert np.array_equal(out.probs.data, taped.probs.data)
+    assert np.array_equal(out.embeddings.data, taped.embeddings.data)
+    # an evaluation pass that raises leaves recording on
+    with pytest.raises(ValueError, match="batch rows"):
+        model.forward(training=False, node_batch=[small_graph.num_nodes])
+    w = model.params["classifier/w"]
+    assert ad.add(w, w)._parents

@@ -6,13 +6,8 @@ from hypothesis import strategies as st
 import dualmp.autodiff as ad
 from dualmp.autodiff import tensor
 from dualmp.graphs import build_csr, partition_subgraphs
-from dualmp.propagation import (
-    batch_adjacency,
-    channel_messages,
-    frequency_fuse,
-    rescale_coefficients,
-    residual_aggregate,
-)
+from dualmp.propagation import batch_adjacency, channel_messages, frequency_fuse, residual_aggregate
+from whole_graph import whole_graph_aggregate
 
 
 def dense_channel_reference(h, filter_w, filter_b, gate_w, gate_b, mix, adj_bool, complement, filter_act="none"):
@@ -110,28 +105,28 @@ class TestResidualAggregate:
         h = tensor(np.random.default_rng(2).normal(size=(4, 3)))
         messages = tensor(np.random.default_rng(3).normal(size=(4, 3)))
         empty = build_csr([], 4)
-        out = residual_aggregate(h, messages, empty)
+        out = whole_graph_aggregate(h, messages, empty)
         assert np.array_equal(out.data, h.data)
 
     def test_isolated_node_keeps_own_embedding(self):
         h = tensor([[1.0, 1.0], [2.0, 2.0], [5.0, -1.0]])
         messages = tensor(np.ones((3, 2)))
         adj = build_csr([(0, 1), (1, 0)], 3)  # node 2 isolated
-        out = residual_aggregate(h, messages, adj)
+        out = whole_graph_aggregate(h, messages, adj)
         assert np.array_equal(out.data[2], h.data[2])
 
     def test_single_edge_coefficient(self):
         h = tensor(np.zeros((2, 2)))
         messages = tensor([[0.0, 0.0], [3.0, 1.0]])
         adj = build_csr([(0, 1), (1, 0)], 2)  # both degrees 1
-        out = residual_aggregate(h, messages, adj)
+        out = whole_graph_aggregate(h, messages, adj)
         assert np.allclose(out.data[0], np.array([3.0, 1.0]) / np.sqrt(2))
 
     def test_star_center_coefficients(self):
         k = 5
         edges = [(0, i) for i in range(1, k + 1)] + [(i, 0) for i in range(1, k + 1)]
         adj = build_csr(edges, k + 1)
-        coeff = rescale_coefficients(adj)
+        coeff = batch_adjacency(adj, np.arange(adj.num_nodes)).matrix.data  # storage order
         sources = adj.edge_sources
         # eachedge from the center to a leaf carries 1/sqrt(1 + k*1)
         assert np.allclose(coeff[sources == 0], 1.0 / np.sqrt(1 + k))
@@ -141,7 +136,7 @@ class TestResidualAggregate:
         pairs = rng.integers(0, 8, size=(30, 2))
         pairs = np.concatenate([pairs, pairs[:, ::-1]])  # ensure both directions exist
         adj = build_csr(pairs, 8)
-        coeff = rescale_coefficients(adj)
+        coeff = batch_adjacency(adj, np.arange(adj.num_nodes)).matrix.data  # storage order
         lookup = {(u, v): c for (u, v), c in zip(adj.edge_pairs().tolist(), coeff)}
         for (u, v), c in lookup.items():
             assert c == pytest.approx(lookup[(v, u)])
@@ -150,41 +145,45 @@ class TestResidualAggregate:
         h = tensor(np.random.default_rng(5).normal(size=(5, 3)))
         messages = tensor(np.random.default_rng(6).normal(size=(5, 3)))
         adj = build_csr([(0, 1), (1, 2), (2, 0), (3, 4)], 5)
-        a = residual_aggregate(h, messages, adj)
-        b = residual_aggregate(h, messages, adj)
+        a = whole_graph_aggregate(h, messages, adj)
+        b = whole_graph_aggregate(h, messages, adj)
         assert np.array_equal(a.data, b.data)
 
 
 class TestBatchRows:
-    """A batch's rows of the aggregate equal the same rows of the whole-graph aggregate, bit for bit."""
+    """A batch's rows of the aggregate match the dense oracle, and the whole-graph rows bit for bit."""
 
-    def batch_and_full(self, adj, rows, seed=15):
+    def check_rows(self, adj, rows, seed=15):
         rng = np.random.default_rng(seed)
         h = tensor(rng.normal(size=(adj.num_nodes, 3)))
         messages = tensor(rng.normal(size=(adj.num_nodes, 3)))
         batch = batch_adjacency(adj, rows)
-        sender_messages = ad.gather_rows(messages, batch.senders)
-        return residual_aggregate(h, sender_messages, adj, batch), residual_aggregate(h, messages, adj), batch
+        part = residual_aggregate(h, ad.gather_rows(messages, batch.senders), batch).data
+        adj_bool = np.zeros((adj.num_nodes, adj.num_nodes), dtype=bool)
+        for u, v in adj.edge_pairs():
+            adj_bool[u, v] = True
+        deg = adj_bool.sum(axis=1).astype(float)
+        dense = h.data + (adj_bool / np.sqrt(1.0 + np.outer(deg, deg))) @ messages.data
+        assert np.abs(part - dense[rows]).max() < 1e-12
+        assert np.array_equal(part, whole_graph_aggregate(h, messages, adj).data[rows])
+        return batch
 
     def test_unsorted_rows_with_isolated_nodes(self):
         rng = np.random.default_rng(16)
         adj = build_csr(rng.integers(0, 30, size=(90, 2)), 40)  # nodes 30..39 have no edges
         rows = np.array([35, 7, 22, 0, 39, 7, 13, 31])
-        part, full, batch = self.batch_and_full(adj, rows)
-        assert np.array_equal(part.data, full.data[rows])
+        batch = self.check_rows(adj, rows)
         read = np.concatenate([adj.targets[adj.offsets[u]:adj.offsets[u + 1]] for u in rows])
         assert batch.senders.tolist() == sorted(set(read.tolist()))
 
     def test_rows_without_neighbors_keep_own_embedding(self):
         adj = build_csr([(0, 1), (1, 0)], 4)
-        part, full, batch = self.batch_and_full(adj, [3, 2])
+        batch = self.check_rows(adj, [3, 2])
         assert batch.senders.size == 0
-        assert np.array_equal(part.data, full.data[[3, 2]])
 
     def test_empty_view(self):
-        part, full, batch = self.batch_and_full(build_csr([], 5), [4, 1, 2])
+        batch = self.check_rows(build_csr([], 5), [4, 1, 2])
         assert batch.matrix.shape == (3, 0)
-        assert np.array_equal(part.data, full.data[[4, 1, 2]])
 
     def test_rows_out_of_range(self):
         adj = build_csr([(0, 1)], 3)
@@ -238,7 +237,7 @@ class TestDenseOracle:
                     h, tensor(fw), tensor(gw), tensor(fb), tensor(gb),
                     residual_mix=0.5, complement=complement,
                 )
-                sparse = residual_aggregate(h, messages, adj).data
+                sparse = whole_graph_aggregate(h, messages, adj).data
                 dense = dense_channel_reference(
                     h_arr, fw, fb, gw, gb, 0.5, adj_bool, complement
                 )
@@ -260,7 +259,7 @@ class TestPermutationEquivariance:
             messages = channel_messages(
                 h, tensor(fw), tensor(gw), tensor(fb), tensor(gb), residual_mix=0.5
             )
-            return residual_aggregate(h, messages, adj).data
+            return whole_graph_aggregate(h, messages, adj).data
 
         base = run(h_arr, pairs)
         permuted = run(h_arr[np.argsort(perm)], np.stack([perm[pairs[:, 0]], perm[pairs[:, 1]]], axis=1))
@@ -326,7 +325,7 @@ def test_full_channel_gradients():
         def inner():
             h = tensor(h_arr)
             messages = channel_messages(h, fw, gw, fb, gb, 0.5, complement=complement)
-            z = residual_aggregate(h, messages, adj)
+            z = whole_graph_aggregate(h, messages, adj)
             return ad.mean_all(ad.mul_const(ad.tanh(z), weights))
 
         return inner

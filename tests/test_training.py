@@ -216,12 +216,3 @@ class TestEvaluationRows:
         assert record["val_f1_macro"] == report.f1_macro
         assert record["val_gmean"] == report.gmean
         assert record["train_accuracy"] == accuracy(whole, labels, split.train)
-
-    def test_final_forward_records_no_tape(self, graph):
-        result = fit(graph, quick_config(epochs=2, patience=2))
-        final = result.final_forward()
-        taped = result.model.forward(training=False)
-        assert not final.embeddings._parents and not final.probs._parents
-        assert taped.embeddings._parents  # the same forward records one outside no_tape
-        assert np.array_equal(final.embeddings.data, taped.embeddings.data)
-        assert np.array_equal(final.probs.data, taped.probs.data)

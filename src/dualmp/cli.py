@@ -36,6 +36,7 @@ from .training import (
     NumericalError,
     balanced_edge_sample,
     balanced_node_sample,
+    check_validation_split,
     evaluate_split,
     fit,
     training_edge_sets,
@@ -132,6 +133,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = build_config(args)
     graph = load_dataset(args.data, split_seed=config.seed, force_symmetrize=args.symmetrize)
     test_idx = _evaluated_split(graph, "test", args.data)
+    check_validation_split(graph)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

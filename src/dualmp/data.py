@@ -2,6 +2,7 @@
 
 Datasets live in a plain text schema: a key-value manifest pointing at
 comma-separated feature/label/edge files and an optional split file.
+numpy reads and writes those three tables (``np.loadtxt`` / ``np.savetxt``).
 Checkpoints are binary (magic ``DHMP``) for exact round-trips.
 """
 
@@ -20,6 +21,7 @@ from .graphs import GraphFormatError, MultiRelationGraph, NodeSplit, build_csr, 
 CHECKPOINT_MAGIC = b"DHMP"
 CHECKPOINT_VERSION = 1
 SPLIT_FRACTIONS = (0.4, 0.2, 0.4)  # train, val, test share of each class
+INT64 = np.iinfo(np.int64)
 MANIFEST_KEYS = ("num_nodes", "feature_dim", "features", "labels", "splits", "symmetrize", "relation")
 
 
@@ -65,9 +67,12 @@ def stratified_split(labels, rng: np.random.Generator) -> NodeSplit:
 
 
 def read_lines(path, error: type[ValueError] = DatasetError) -> list[str]:
-    """The stripped lines of a UTF-8 text file; a byte that is not UTF-8 raises ``error``."""
+    """The stripped ``\\n``-separated lines of a UTF-8 text file; a byte that is not UTF-8 raises ``error``.
+
+    A ``\\r`` ends no line: before ``\\n`` it is stripped, elsewhere it stays part of the line.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return [line.strip() for line in fh.read().split("\n")]
     except UnicodeDecodeError as exc:
         raise error(f"{path}: byte {exc.start} is not UTF-8 text") from None
@@ -75,26 +80,38 @@ def read_lines(path, error: type[ValueError] = DatasetError) -> list[str]:
 
 def _parse_int(token: str, where: str) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise DatasetError(f"{where}: {token!r} is not an integer") from None
+    if not INT64.min <= value <= INT64.max:
+        raise DatasetError(f"{where}: {token!r} is beyond int64")
+    return value
+
+
+def _read_table(path: Path, width: int, dtype) -> np.ndarray:
+    """The comma-separated rows of a table file as a ``(rows, width)`` array; blank lines are skipped."""
+    lines = read_lines(path)
+    rows = [line for line in lines if line]
+    if not rows:
+        return np.empty((0, width), dtype=dtype)
+    failure = None
+    try:
+        table = np.loadtxt(rows, delimiter=",", dtype=dtype, ndmin=2, comments=None)
+    except ValueError as exc:
+        failure = exc
+    if failure is None and table.shape[1] == width:
+        return table
+    for i, line in enumerate(lines):
+        n = line.count(",") + 1
+        if line and n != width:
+            raise DatasetError(f"{path}: row {i} has {n} values, expected {width}")
+    raise DatasetError(f"{path}: {failure}")
 
 
 def _read_features(path: Path, num_nodes: int, feature_dim: int) -> np.ndarray:
-    rows = []
-    for i, line in enumerate(read_lines(path)):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != feature_dim:
-            raise DatasetError(f"{path}: row {i} has {len(parts)} values, expected {feature_dim}")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise DatasetError(f"{path}: row {i}: {exc}") from None
-    if len(rows) != num_nodes:
-        raise DatasetError(f"{path}: {len(rows)} feature rows for {num_nodes} nodes")
-    features = np.asarray(rows, dtype=np.float64)
+    features = _read_table(path, feature_dim, np.float64)
+    if len(features) != num_nodes:
+        raise DatasetError(f"{path}: {len(features)} feature rows for {num_nodes} nodes")
     if not np.isfinite(features).all():
         node = np.flatnonzero(~np.isfinite(features).all(axis=1))[0]
         raise DatasetError(f"{path}: feature row of node {node} is not all finite")
@@ -102,32 +119,13 @@ def _read_features(path: Path, num_nodes: int, feature_dim: int) -> np.ndarray:
 
 
 def _read_labels(path: Path, num_nodes: int) -> np.ndarray:
-    values = []
-    for i, line in enumerate(read_lines(path)):
-        if not line:
-            continue
-        v = _parse_int(line, f"{path}: row {i}: label")
-        if v not in (0, 1):
-            raise DatasetError(f"{path}: row {i}: label must be 0 or 1, got {v}")
-        values.append(v)
-    if len(values) != num_nodes:
-        raise DatasetError(f"{path}: {len(values)} labels for {num_nodes} nodes")
-    return np.asarray(values, dtype=np.int64)
-
-
-def _read_edges(path: Path) -> np.ndarray:
-    pairs = []
-    for i, line in enumerate(read_lines(path)):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DatasetError(f"{path}: row {i}: expected 'src,dst', got {line!r}")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise DatasetError(f"{path}: row {i}: non-integer endpoint in {line!r}") from None
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    labels = _read_table(path, 1, np.int64)[:, 0]
+    if len(labels) != num_nodes:
+        raise DatasetError(f"{path}: {len(labels)} labels for {num_nodes} nodes")
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if len(bad):
+        raise DatasetError(f"{path}: label of node {bad[0]} must be 0 or 1, got {labels[bad[0]]}")
+    return labels
 
 
 def _read_splits(path: Path) -> NodeSplit:
@@ -202,7 +200,7 @@ def load_dataset(manifest_path, split_seed: int = 0, force_symmetrize: bool = Fa
     for name, path in relation_files:
         if not path.exists():
             raise DatasetError(f"edge file not found: {path}")
-        pairs = _read_edges(path)
+        pairs = _read_table(path, 2, np.int64)
         if do_symmetrize or force_symmetrize:
             pairs = symmetrize(pairs)
         try:
@@ -299,23 +297,18 @@ def generate_synthetic(spec: SyntheticSpec) -> MultiRelationGraph:
     return graph
 
 
-def write_dataset(graph: MultiRelationGraph, out_dir, symmetrize_flag: bool = False) -> Path:
+def write_dataset(graph: MultiRelationGraph, out_dir) -> Path:
     """Write a graph in the manifest schema; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    with open(out_dir / "features.csv", "w") as fh:
-        for row in graph.features:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-    with open(out_dir / "labels.csv", "w") as fh:
-        fh.write("".join(f"{v}\n" for v in graph.labels))
+    np.savetxt(out_dir / "features.csv", graph.features, fmt="%.12g", delimiter=",")
+    np.savetxt(out_dir / "labels.csv", graph.labels, fmt="%d")
     with open(out_dir / "splits.txt", "w") as fh:
         for name, idx in (("train", graph.split.train), ("val", graph.split.val), ("test", graph.split.test)):
             fh.write(f"{name}: " + " ".join(str(i) for i in idx) + "\n")
     for rel in graph.relations:
-        with open(out_dir / f"edges_{rel.name}.csv", "w") as fh:
-            for u, v in rel.edge_pairs():
-                fh.write(f"{u},{v}\n")
+        np.savetxt(out_dir / f"edges_{rel.name}.csv", rel.edge_pairs(), fmt="%d", delimiter=",")
 
     manifest = out_dir / "manifest.txt"
     with open(manifest, "w") as fh:
@@ -324,7 +317,7 @@ def write_dataset(graph: MultiRelationGraph, out_dir, symmetrize_flag: bool = Fa
         fh.write("features features.csv\n")
         fh.write("labels labels.csv\n")
         fh.write("splits splits.txt\n")
-        fh.write(f"symmetrize {'true' if symmetrize_flag else 'false'}\n")
+        fh.write("symmetrize false\n")
         for rel in graph.relations:
             fh.write(f"relation {rel.name} edges_{rel.name}.csv\n")
     return manifest

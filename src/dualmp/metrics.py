@@ -8,7 +8,7 @@ confusion matrix at the 0.5 threshold.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,16 +25,7 @@ class MetricsReport:
     fn: int
 
     def as_dict(self) -> dict:
-        return {
-            "auc": self.auc,
-            "recall": self.recall,
-            "f1_macro": self.f1_macro,
-            "gmean": self.gmean,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-        }
+        return asdict(self)
 
 
 def tied_ranks(values: np.ndarray) -> np.ndarray:

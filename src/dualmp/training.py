@@ -111,6 +111,16 @@ class FitResult:
     best_val_auc: float
 
 
+def check_validation_split(graph: MultiRelationGraph) -> None:
+    """Raise :class:`ConfigError` unless the validation split holds both classes, as its AUC needs."""
+    val_classes = np.unique(graph.labels[np.asarray(graph.split.val, dtype=np.int64)]).tolist()
+    if len(val_classes) < 2:
+        raise ConfigError(
+            f"the validation split ({len(graph.split.val)} nodes, classes {val_classes}) "
+            "needs both classes to select the best epoch by AUC"
+        )
+
+
 def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     """Train one model per the configured schedule.
 
@@ -121,9 +131,12 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     log reads (validation metrics and train accuracy); like every evaluation
     pass it records no tape and builds no loss. The parameters
     with the best validation AUC are restored before returning; training
-    stops early after ``patience`` epochs without improvement.
+    stops early after ``patience`` epochs without improvement. A validation
+    split without both classes has no AUC to select on and raises
+    :class:`ConfigError` before the first epoch (``check_validation_split``).
     """
     config.validate()
+    check_validation_split(graph)
     rng = np.random.default_rng(config.seed)
     model = DualChannelModel(graph, config, rng)
     graph = model.graph  # the rel ablation swaps in the merged union graph
@@ -165,27 +178,23 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
 
         eval_out = model.forward(training=False, node_batch=eval_rows)
         fraud_scores = eval_out.probs.data[:, 1]
-        val_report = evaluate(fraud_scores, eval_labels, val_pos) if len(val_idx) else None
+        val_report = evaluate(fraud_scores, eval_labels, val_pos)
+        log.append(
+            {
+                "epoch": epoch,
+                "loss_total": loss_value,
+                "loss_cls": out.loss_cls.item(),
+                "edge_losses": [l.item() for l in out.edge_losses],
+                "train_accuracy": accuracy(fraud_scores, eval_labels, train_pos),
+                "val_auc": val_report.auc,
+                "val_recall": val_report.recall,
+                "val_f1_macro": val_report.f1_macro,
+                "val_gmean": val_report.gmean,
+            }
+        )
 
-        record = {
-            "epoch": epoch,
-            "loss_total": loss_value,
-            "loss_cls": out.loss_cls.item(),
-            "edge_losses": [l.item() for l in out.edge_losses],
-            "train_accuracy": accuracy(fraud_scores, eval_labels, train_pos),
-        }
-        if val_report is not None:
-            record.update(
-                val_auc=val_report.auc,
-                val_recall=val_report.recall,
-                val_f1_macro=val_report.f1_macro,
-                val_gmean=val_report.gmean,
-            )
-        log.append(record)
-
-        current = val_report.auc if val_report is not None else float("nan")
-        if np.isfinite(current) and current > best_auc:
-            best_auc = current
+        if val_report.auc > best_auc:
+            best_auc = val_report.auc
             best_epoch = epoch
             best_snapshot = model.params.snapshot()
             stale = 0

@@ -217,8 +217,11 @@ class TestBadInput:
             ("manifest.txt", lambda rows: ["num_nodes abc"] + rows[1:], "'abc' is not an integer"),
             ("manifest.txt", lambda rows: ["num_nodes"] + rows[1:], "num_nodes needs a value"),
             ("config.txt", lambda rows: ["epochs abc"], "epochs must be int, got 'abc'"),
+            ("splits.txt", lambda rows: [rows[0] + " 99999999999999999999"] + rows[1:], "is beyond int64"),
+            ("edges_rel0.csv", lambda rows: ["0,99999999999999999999"] + rows[1:], "'99999999999999999999'"),
         ],
-        ids=["splits-token", "manifest-number", "manifest-bare-key", "config-number"],
+        ids=["splits-token", "manifest-number", "manifest-bare-key", "config-number",
+             "splits-overflow", "edges-overflow"],
     )
     def test_malformed_integer_exits_one(self, dataset, tmp_path, capsys, file, edit, message):
         manifest = copy_dataset(dataset, tmp_path / "data")
@@ -265,6 +268,21 @@ class TestBadInput:
         assert main(train_args(manifest, tmp_path / "run")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "the test split is empty" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("keep", ["none", "benign"])
+    def test_validation_split_without_both_classes_exits_one(self, dataset, tmp_path, capsys, keep):
+        manifest = copy_dataset(dataset, tmp_path / "data")
+        labels = (manifest.parent / "labels.csv").read_text().split()
+
+        def one_class(rows):
+            val = [i for i in rows[1].split()[1:] if keep == "benign" and labels[int(i)] == "0"]
+            return [rows[0], " ".join(["val:"] + val)] + rows[2:]
+
+        rewrite(manifest.parent / "splits.txt", one_class)
+        assert main(train_args(manifest, tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "validation split" in err
         assert not (tmp_path / "run").exists()
 
     def test_empty_evaluated_split_exits_one(self, dataset, trained, tmp_path, capsys):

@@ -149,6 +149,59 @@ class TestLoadDataset:
         assert len(a.split.train) == pytest.approx(80, abs=2)
 
 
+FIVE_NODES = [
+    "num_nodes 5", "feature_dim 2", "features features.csv", "labels labels.csv", "relation net edges.csv"
+]
+
+
+class TestTables:
+    def test_loaded_tables_equal_python_parse_of_written_files(self, tmp_path):
+        graph = generate_synthetic(
+            SyntheticSpec(num_nodes=80, fraud_ratio=0.2, num_relations=2, mean_degree=4.0, seed=11)
+        )
+        root = write_dataset(graph, tmp_path / "ds").parent
+        loaded = load_dataset(root / "manifest.txt")
+
+        def parsed(name, parse):
+            lines = (root / name).read_text().splitlines()
+            return [[parse(token) for token in line.split(",")] for line in lines]
+
+        assert loaded.features.tobytes() == np.array(parsed("features.csv", float)).tobytes()
+        assert loaded.labels.tolist() == [label for (label,) in parsed("labels.csv", int)]
+        assert len(loaded.relations) == 2
+        for rel in loaded.relations:
+            assert rel.edge_pairs().tolist() == parsed(f"edges_{rel.name}.csv", int)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "\n \n\n"], ids=["empty", "blank-only"])
+    def test_empty_edge_file_is_a_zero_edge_relation(self, tmp_path, text):
+        manifest = write_fixture(
+            tmp_path, features=["1.0,2.0", "3.0,4.0", "5.0,6.0"], labels=["0", "1", "0"], edges=[]
+        )
+        (tmp_path / "edges.csv").write_text(text)
+        graph = load_dataset(manifest)
+        assert graph.relations[0].edge_count == 0
+        assert graph.relations[0].offsets.tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("1_0,2", "'1_0'"), ("1,2\r3,4", "row 0 has 3 values, expected 2")],
+        ids=["underscore", "carriage-return"],
+    )
+    def test_malformed_edge_line_rejected(self, tmp_path, line, message):
+        # five nodes, so that every number in these lines is an in-range endpoint
+        manifest = write_fixture(
+            tmp_path,
+            features=["0,0"] * 5,
+            labels=["0", "1", "0", "1", "0"],
+            edges=[line],
+            manifest_lines=FIVE_NODES,
+        )
+        with pytest.raises(DatasetError, match="edges.csv") as err:
+            load_dataset(manifest)
+        assert message in str(err.value)
+
+
 class TestStratifiedSplit:
     def test_fractions_and_disjointness(self):
         labels = np.array([0] * 80 + [1] * 20)

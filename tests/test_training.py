@@ -3,6 +3,7 @@ import pytest
 
 from dualmp.autodiff import ParamStore
 from dualmp.data import SyntheticSpec, generate_synthetic
+from dualmp.graphs import MultiRelationGraph, NodeSplit
 from dualmp.metrics import accuracy, evaluate
 from dualmp.model import ABLATIONS, ConfigError, DualChannelModel, TrainConfig
 from dualmp.training import (
@@ -167,6 +168,19 @@ class TestFit:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalError, match="non-finite loss"):
                 fit(small, quick_config(learning_rate=1e155))
+
+    @pytest.mark.parametrize("keep", ["none", "benign"])
+    def test_validation_split_without_both_classes_rejected(self, graph, keep):
+        val = graph.split.val
+        val = val[graph.labels[val] == 0] if keep == "benign" else val[:0]
+        one_class = MultiRelationGraph(
+            features=graph.features,
+            labels=graph.labels,
+            relations=graph.relations,
+            split=NodeSplit(train=graph.split.train, val=val, test=graph.split.test),
+        )
+        with pytest.raises(ConfigError, match="validation split"):
+            fit(one_class, quick_config())
 
     def test_training_edge_sets_stay_in_train(self, graph):
         mask = graph.split.train_mask(graph.num_nodes)

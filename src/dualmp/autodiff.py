@@ -12,6 +12,11 @@ the edge-scorer blocks and endpoints, and a pass's rows and their senders;
 ``sparse_matmul`` the degree-rescaled aggregation, over scipy CSR;
 ``layer_norm`` the fusion; ``dropout`` the projection; ``cross_entropy``
 the classification loss.
+``gather_rows``' backward is the module's one scatter: the transposed 0/1
+selection matrix times the gradient, the product ``sparse_matmul``'s rule
+runs, so repeated indices add up in index order. ``relu`` is max(x, 0) and
+passes a NaN on, so a NaN pre-activation reaches the loss instead of
+turning into 0.
 ``softmax`` takes a plain array and records nothing: it gives the class
 probabilities and ``cross_entropy``'s gradient. Inside ``no_tape()`` no
 operation records anything; the model's evaluation pass runs there, since no
@@ -27,9 +32,11 @@ and keep ``grad`` at None.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 
 import numpy as np
+from scipy import sparse
 
 LEAKY_SLOPE = 0.01  # negative-side slope of leaky_relu
 
@@ -221,22 +228,27 @@ def mul_const(x: TensorValue, c) -> TensorValue:
 
 
 def relu(x: TensorValue) -> TensorValue:
-    # slope at exactly 0 taken from the positive side
-    mask = x.data >= 0
+    """max(x, 0); NaN propagates. The slope at exactly 0 is taken from the positive side."""
 
     def rule(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, g * (x.data >= 0))
 
-    return _result(np.where(mask, x.data, 0.0), (x,), rule)
+    return _result(np.maximum(x.data, 0.0), (x,), rule)
 
 
 def leaky_relu(x: TensorValue) -> TensorValue:
-    mask = x.data >= 0
+    """max(x, LEAKY_SLOPE * x), the same value as x where x >= 0 and LEAKY_SLOPE * x below."""
+    out = LEAKY_SLOPE * x.data
+    np.maximum(x.data, out, out=out)  # in place: a second N-sized temporary costs more than the max
 
     def rule(g):
-        _accumulate(x, g * np.where(mask, 1.0, LEAKY_SLOPE))
+        # the factor is exactly 1.0 where x >= 0 and LEAKY_SLOPE elsewhere
+        factor = (x.data >= 0) * (1.0 - LEAKY_SLOPE)
+        factor += LEAKY_SLOPE
+        factor *= g
+        _accumulate(x, factor)
 
-    return _result(np.where(mask, x.data, LEAKY_SLOPE * x.data), (x,), rule)
+    return _result(out, (x,), rule)
 
 
 def tanh(x: TensorValue) -> TensorValue:
@@ -267,7 +279,12 @@ def concat_cols(parts: list[TensorValue]) -> TensorValue:
 
 
 def gather_rows(x: TensorValue, index) -> TensorValue:
-    """Select rows by index; duplicate indices scatter-add in the backward pass."""
+    """Select rows by index; the backward pass scatter-adds, duplicates in index order.
+
+    The scatter is ``selection.T @ g`` for the (len(index) x N) 0/1 selection
+    CSR with one entry per row, the CSC product :func:`sparse_matmul`'s rule
+    runs: it adds each gradient row into its source row in index order.
+    """
     index = np.asarray(index, dtype=np.int64)
     if index.ndim != 1:
         raise ValueError("gather_rows index must be one-dimensional")
@@ -275,9 +292,11 @@ def gather_rows(x: TensorValue, index) -> TensorValue:
         raise ValueError(f"gather index out of range for {x.shape[0]} rows")
 
     def rule(g):
-        scatter = np.zeros_like(x.data)
-        np.add.at(scatter, index, g)
-        _accumulate(x, scatter)
+        # built directly as the CSC that the selection CSR's .T is, which saves
+        # a second scipy constructor on every call
+        k = len(index)
+        selection_t = sparse.csc_array((np.ones(k), index, np.arange(k + 1)), shape=(x.shape[0], k))
+        _accumulate(x, selection_t @ g)
 
     return _result(x.data[index], (x,), rule)
 
@@ -350,10 +369,21 @@ def mean_all(x: TensorValue) -> TensorValue:
     return _result(x.data.mean(), (x,), rule)
 
 
+def _fold_columns(ufunc, x: np.ndarray) -> np.ndarray:
+    """Row reduction of x as ufunc applied column after column, left to right.
+
+    With the model's 2 classes this is one elementwise call on two strided
+    columns, where an ``axis=1`` reduce pays a fixed cost per row. Maxima are
+    exact either way; a sum over 8 or more columns rounds differently from
+    numpy's pairwise ``sum``.
+    """
+    return functools.reduce(ufunc, x.T)
+
+
 def softmax(x: np.ndarray) -> np.ndarray:
     """Row softmax of a plain array, shifted by each row's maximum; records no tape."""
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(x - _fold_columns(np.maximum, x)[:, None])
+    return e / _fold_columns(np.add, e)[:, None]
 
 
 def cross_entropy(logits: TensorValue, labels) -> TensorValue:
@@ -367,8 +397,8 @@ def cross_entropy(logits: TensorValue, labels) -> TensorValue:
     if labels.shape != (rows,) or (rows and not 0 <= labels.min() <= labels.max() < classes):
         raise ValueError(f"cross_entropy needs {rows} class indices in [0, {classes})")
     picked = (np.arange(rows), labels)
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    loss = (np.log(np.exp(shifted).sum(axis=1)) - shifted[picked]).sum()
+    shifted = logits.data - _fold_columns(np.maximum, logits.data)[:, None]
+    loss = (np.log(_fold_columns(np.add, np.exp(shifted))) - shifted[picked]).sum()
 
     def rule(g):
         grad = softmax(logits.data)
@@ -416,7 +446,7 @@ class ParamStore:
 
     def zero_grads(self) -> None:
         for p in self._params.values():
-            p.grad = np.zeros_like(p.data)
+            p.grad = np.zeros(p.shape)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self._params.items()}

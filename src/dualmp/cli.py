@@ -338,7 +338,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, ConfigError, GraphFormatError, CheckpointError, FileNotFoundError) as exc:
+    except (DatasetError, ConfigError, GraphFormatError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

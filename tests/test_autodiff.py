@@ -80,6 +80,36 @@ class TestActivations:
             loss = lambda: ad.mean_all(fn(x))
             assert np.allclose(tape_gradient(loss, x), fd_gradient(loss, x), atol=1e-8)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relu_family_matches_where_formulas_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        tiny = np.finfo(np.float64).tiny  # smallest normal
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, tiny, -tiny]
+        x_data = rng.normal(size=(16, 8)) * 10.0 ** rng.integers(-310, 3, size=(16, 8))
+        x_data.flat[rng.choice(x_data.size, size=40, replace=False)] = np.resize(special, 40)
+        mask = x_data >= 0
+        references = {
+            ad.relu: (np.where(mask, x_data, 0.0), lambda g: g * mask),
+            ad.leaky_relu: (np.where(mask, x_data, ad.LEAKY_SLOPE * x_data),
+                            lambda g: g * np.where(mask, 1.0, ad.LEAKY_SLOPE)),
+        }
+        negative_zero = (x_data == 0) & np.signbit(x_data)
+        for fn, (forward, gradient) in references.items():
+            x = tensor(x_data, requires_grad=True)
+            out = fn(x)
+            backward(ad.mean_all(ad.mul_const(out, rng.normal(size=x_data.shape))))
+            # relu(-0.0) is +0.0 where np.where keeps -0.0; the values compare equal
+            same_bits = out.data.view(np.int64) == forward.view(np.int64)
+            if fn is ad.relu:
+                assert (out.data[negative_zero] == 0).all()
+                same_bits |= negative_zero
+            assert same_bits.all()
+            assert np.array_equal(x.grad.view(np.int64), gradient(out.grad).view(np.int64))
+
+    def test_relu_propagates_nan(self):
+        out = ad.relu(tensor([[np.nan, -1.0, 2.0]])).data
+        assert np.isnan(out[0, 0]) and out[0, 1:].tolist() == [0.0, 2.0]
+
 
 class TestConcat:
     def test_flat_values(self):
@@ -157,6 +187,34 @@ class TestSegmentWeightedSum:
         assert np.allclose(tape_gradient(loss, msgs), fd_gradient(loss, msgs), atol=1e-8)
 
 
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=30),
+    st.sampled_from([1, 8]),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_gather_rows_gradient_is_the_add_at_scatter(seed, rows, k, width, fan_out):
+    # unsorted indices with repeats (or none at all); with fan_out, x also
+    # reaches the loss through a second path and sums both gradients
+    rng = np.random.default_rng(seed)
+    x = tensor(rng.normal(size=(rows, width)), requires_grad=True)
+    index = rng.integers(0, rows, size=k)
+    gathered = ad.gather_rows(x, index)
+    head = ad.sparse_matmul(sparse.csr_array(rng.normal(size=(1, k))), gathered)
+    direct_weights = sparse.csr_array(rng.normal(size=(1, rows)))
+    if fan_out:
+        direct = ad.sparse_matmul(direct_weights, x)
+        head = ad.add(head, direct)
+    backward(ad.mean_all(ad.tanh(head)))
+    expected = np.zeros((rows, width))
+    np.add.at(expected, index, gathered.grad)
+    if fan_out:
+        expected = expected + direct_weights.T @ direct.grad
+    assert np.array_equal(x.grad.view(np.int64), expected.view(np.int64))
+
+
 class TestLayerNorm:
     def test_constant_row_collapses_to_bias(self):
         out = ad.layer_norm(tensor([[1.0, 1.0, 1.0]]), tensor(np.ones((1, 3))), tensor(np.zeros((1, 3))))
@@ -211,6 +269,52 @@ class TestSoftmax:
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
         shifted = ad.softmax(x + 7.3)
         assert np.abs(out - shifted).max() < 1e-12
+
+
+def softmax_axis1(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def cross_entropy_axis1(x, labels):
+    """Loss and gradient of a summed cross-entropy through numpy's axis=1 reductions."""
+    picked = (np.arange(len(labels)), labels)
+    shifted = x - x.max(axis=1, keepdims=True)
+    loss = (np.log(np.exp(shifted).sum(axis=1)) - shifted[picked]).sum()
+    grad = softmax_axis1(x)
+    grad[picked] -= 1.0
+    return loss, grad
+
+
+class TestColumnFoldedReductions:
+    # softmax and cross_entropy reduce each row by folding over its columns
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_classes_bit_equal_to_axis1_formulas(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(200, 2)) * 10.0 ** rng.integers(-3, 4, size=(200, 2))
+        x[:5] = [[0.0, -0.0], [-0.0, 0.0], [1e-310, -1e-310], [700.0, -700.0], [3.0, 3.0]]
+        labels = rng.integers(0, 2, size=200)
+        assert np.array_equal(ad.softmax(x).view(np.int64), softmax_axis1(x).view(np.int64))
+        logits = tensor(x, requires_grad=True)
+        loss = ad.cross_entropy(logits, labels)
+        backward(loss)
+        ref_loss, ref_grad = cross_entropy_axis1(x, labels)
+        assert loss.item() == ref_loss
+        assert np.array_equal(logits.grad.view(np.int64), ref_grad.view(np.int64))
+
+    def test_nine_classes_agree_to_1e15(self):
+        # a sum over 8 or more columns rounds differently from numpy's pairwise sum
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(300, 9)) * 3.0
+        labels = rng.integers(0, 9, size=300)
+        assert np.allclose(ad.softmax(x), softmax_axis1(x), rtol=1e-15, atol=0)
+        logits = tensor(x, requires_grad=True)
+        loss = ad.cross_entropy(logits, labels)
+        backward(loss)
+        ref_loss, ref_grad = cross_entropy_axis1(x, labels)
+        assert loss.item() == pytest.approx(ref_loss, rel=1e-15, abs=0)
+        # entries lie in [-1, 1], so 1e-15 absolute is 1e-15 of the gradient's scale
+        assert np.abs(logits.grad - ref_grad).max() <= 1e-15
 
 
 class TestCrossEntropy:

@@ -300,6 +300,20 @@ class TestBadInput:
         assert main(train_args(dataset, tmp_path / "run") + ["--config", str(cfg)]) == 1
         assert "unknown config key 'plain_fusion'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "synth", "eval"])
+    def test_unwritable_output_path_exits_one(self, dataset, trained, tmp_path, capsys, command):
+        # train and synth --out name an existing file; eval exports onto a directory
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        argv = {
+            "train": train_args(dataset, blocker),
+            "synth": ["synth", "--out", str(blocker), "--nodes", "60", "--seed", "1"],
+            "eval": ["eval", "--data", str(dataset), "--checkpoint", str(trained / "checkpoint.bin"),
+                     "--export-embeddings", str(tmp_path)],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 def resave_with_config(source, dest, edit):
     """Copy a checkpoint, applying ``edit`` to the train_config of its metadata."""

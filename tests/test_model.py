@@ -246,6 +246,12 @@ class TestForward:
         assert out.partitions == [None, None]
         assert out.edge_scores == [None, None]
 
+    def test_nan_projection_weight_reaches_the_training_loss(self, small_graph):
+        # relu passes the NaN on, so fit sees a non-finite loss instead of training on zeros
+        model = make_model(small_graph)
+        model.params[f"{small_graph.relations[0].name}/proj_w"].data[0, 0] = np.nan
+        assert not np.isfinite(model.forward(training=True).loss_total.item())
+
     def test_loss_reachability_smoke(self):
         # every active parameter moves on a seeded batch; the graph is dense
         # enough that every relation has labeled edges of both kinds

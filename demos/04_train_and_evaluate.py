@@ -7,6 +7,8 @@ test-split metrics, and embedding export for external visualization.
 
 from pathlib import Path
 
+import numpy as np
+
 from dualmp import SyntheticSpec, TrainConfig, evaluate_split, fit, generate_synthetic
 from dualmp.data import export_embeddings
 
@@ -35,5 +37,5 @@ for key, value in report.as_dict().items():
 
 out = Path("embeddings.csv")
 final = result.model.forward(training=False)
-export_embeddings(final.embeddings.data, result.model.graph.labels, out)
+export_embeddings(np.hstack([z.data for z in final.embeddings]), result.model.graph.labels, out)
 print(f"\nfused per-node embeddings written to {out.resolve()}")

@@ -2,13 +2,13 @@
 
 Covers exactly the primitives the fraud model uses, listed with their users:
 ``matmul`` and ``add_bias`` every linear layer; ``add`` and ``sub`` the
-edge-scorer blocks, the residuals, the contrast filter h - hW, the fusion's
-difference block and the total loss; ``scale`` the residual mix and the
-edge-loss weight; ``add_const``, ``mul_const`` and ``mean_all`` the edge-sign
-hinge; ``relu`` the projection, the contrast filter and the hinge;
-``leaky_relu`` the channel gates and the fusion; ``tanh`` the edge scorer;
-``concat_cols`` the fusion and the relation concatenation; ``gather_rows``
-the edge-scorer blocks and endpoints, and a pass's rows and their senders;
+weight blocks of the edge scorer and the fusion, the residuals, the contrast
+filter h - hW, the classifier's sum over relations and the total loss;
+``scale`` the residual mix and the edge-loss weight; ``add_const``,
+``mul_const`` and ``mean_all`` the edge-sign hinge; ``relu`` the projection,
+the contrast filter and the hinge; ``leaky_relu`` the channel gates and the
+fusion; ``tanh`` the edge scorer; ``gather_rows`` the weight blocks of
+:func:`row_blocks`, the edge endpoints, and a pass's rows and their senders;
 ``sparse_matmul`` the degree-rescaled aggregation, over scipy CSR;
 ``layer_norm`` the fusion; ``dropout`` the projection; ``cross_entropy``
 the classification loss.
@@ -260,24 +260,6 @@ def tanh(x: TensorValue) -> TensorValue:
     return _result(out, (x,), rule)
 
 
-def concat_cols(parts: list[TensorValue]) -> TensorValue:
-    if not parts:
-        raise ValueError("concat_cols needs at least one part")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.shape[0] != rows:
-            raise ValueError(f"concat_cols row mismatch: {rows} vs {p.shape[0]}")
-    widths = [p.shape[1] for p in parts]
-    edges = np.cumsum([0] + widths)
-
-    def rule(g):
-        for p, lo, hi in zip(parts, edges[:-1], edges[1:]):
-            if _needs(p):
-                _accumulate(p, g[:, lo:hi])
-
-    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), rule)
-
-
 def gather_rows(x: TensorValue, index) -> TensorValue:
     """Select rows by index; the backward pass scatter-adds, duplicates in index order.
 
@@ -299,6 +281,19 @@ def gather_rows(x: TensorValue, index) -> TensorValue:
         _accumulate(x, selection_t @ g)
 
     return _result(x.data[index], (x,), rule)
+
+
+def row_blocks(w: TensorValue, k: int) -> list[TensorValue]:
+    """The rows of ``w`` cut into ``k`` equal blocks, top to bottom, each a :func:`gather_rows` of ``w``.
+
+    [a_1 || ... || a_k] @ w equals the sum of a_i @ block_i, which lets a
+    layer over stacked inputs skip the concatenation.
+    """
+    rows = w.shape[0]
+    if k < 1 or rows % k:
+        raise ValueError(f"{rows} weight rows do not split into {k} equal blocks")
+    size = rows // k
+    return [gather_rows(w, np.arange(i * size, (i + 1) * size)) for i in range(k)]
 
 
 def sparse_matmul(matrix, x: TensorValue) -> TensorValue:
@@ -323,8 +318,11 @@ def layer_norm(x: TensorValue, gain: TensorValue, bias: TensorValue, eps: float 
         raise ValueError("layer_norm eps must be positive")
     if gain.shape != (1, x.shape[1]) or bias.shape != (1, x.shape[1]):
         raise ValueError("gain/bias must be (1, d) row vectors matching x columns")
-    mean = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mean) ** 2).mean(axis=1, keepdims=True)
+    # row means as products with a (d, 1) column of 1/d: an axis=1 reduce over
+    # the model's 8 columns pays a fixed cost per row, and so does a fold
+    average = np.full((x.shape[1], 1), 1.0 / x.shape[1])
+    mean = x.data @ average
+    var = ((x.data - mean) ** 2) @ average
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean) * inv_std
 
@@ -335,9 +333,7 @@ def layer_norm(x: TensorValue, gain: TensorValue, bias: TensorValue, eps: float 
             _accumulate(bias, g.sum(axis=0, keepdims=True))
         if _needs(x):
             gh = g * gain.data
-            dx = inv_std * (
-                gh - gh.mean(axis=1, keepdims=True) - xhat * (gh * xhat).mean(axis=1, keepdims=True)
-            )
+            dx = inv_std * (gh - gh @ average - xhat * ((gh * xhat) @ average))
             _accumulate(x, dx)
 
     return _result(xhat * gain.data + bias.data, (x, gain, bias), rule)

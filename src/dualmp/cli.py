@@ -212,8 +212,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"{args.split} split:")
     _print_report(report)
     if args.export_embeddings:
-        out = model.forward(training=False)
-        export_embeddings(out.embeddings.data, model.graph.labels, args.export_embeddings)
+        embeddings = np.hstack([z.data for z in model.forward(training=False).embeddings])
+        export_embeddings(embeddings, model.graph.labels, args.export_embeddings)
         print(f"embeddings written to {args.export_embeddings}")
     return 0
 

@@ -9,8 +9,9 @@ Checkpoints are binary (magic ``DHMP``) for exact round-trips.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,8 @@ def _read_splits(path: Path) -> NodeSplit:
         key = key.strip()
         if key not in ("train", "val", "test"):
             raise DatasetError(f"{path}: unknown split section {key!r}")
+        if key in parts:
+            raise DatasetError(f"{path}: split section {key!r} given twice")
         where = f"{path}: {key}"
         parts[key] = np.asarray([_parse_int(v, where) for v in rest.split()], dtype=np.int64)
     missing = {"train", "val", "test"} - parts.keys()
@@ -148,8 +151,8 @@ def _read_splits(path: Path) -> NodeSplit:
 def load_dataset(manifest_path, split_seed: int = 0, force_symmetrize: bool = False) -> MultiRelationGraph:
     """Load a graph from a manifest; generates a stratified split when none is given.
 
-    ``force_symmetrize`` adds reverse edges even when the manifest does not
-    ask for them; the manifest flag alone decides otherwise.
+    Every manifest key but ``relation`` takes one value, once. ``force_symmetrize`` adds
+    reverse edges even when the manifest's ``symmetrize`` is ``false``.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -159,29 +162,38 @@ def load_dataset(manifest_path, split_seed: int = 0, force_symmetrize: bool = Fa
     relation_files: list[tuple[str, Path]] = []
     paths: dict[str, Path] = {}
     do_symmetrize = False
+    seen: set[str] = set()
 
     for i, line in enumerate(read_lines(manifest_path)):
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        key = tokens[0]
+        key, *values = line.split()
         where = f"{manifest_path}: line {i}"
         if key not in MANIFEST_KEYS:
             raise DatasetError(f"{where}: unknown key {key!r}")
-        if len(tokens) < 2:
+        if not values:
             raise DatasetError(f"{where}: {key} needs a value")
-        if key == "num_nodes":
-            num_nodes = _parse_int(tokens[1], f"{where}: num_nodes")
-        elif key == "feature_dim":
-            feature_dim = _parse_int(tokens[1], f"{where}: feature_dim")
-        elif key == "relation":
-            if len(tokens) != 3:
+        if key == "relation":
+            if len(values) != 2:
                 raise DatasetError(f"{where}: relation needs a name and a path")
-            relation_files.append((tokens[1], base / tokens[2]))
+            relation_files.append((values[0], base / values[1]))
+            continue
+        if len(values) != 1:
+            raise DatasetError(f"{where}: {key} takes one value, got {len(values)}")
+        if key in seen:
+            raise DatasetError(f"{where}: {key} given twice")
+        seen.add(key)
+        (value,) = values
+        if key == "num_nodes":
+            num_nodes = _parse_int(value, f"{where}: num_nodes")
+        elif key == "feature_dim":
+            feature_dim = _parse_int(value, f"{where}: feature_dim")
         elif key == "symmetrize":
-            do_symmetrize = tokens[1].lower() == "true"
+            if value not in ("true", "false"):
+                raise DatasetError(f"{where}: symmetrize must be true or false, got {value!r}")
+            do_symmetrize = value == "true"
         else:
-            paths[key] = base / tokens[1]
+            paths[key] = base / value
 
     if num_nodes is None or feature_dim is None:
         raise DatasetError(f"{manifest_path}: num_nodes and feature_dim are required")
@@ -245,6 +257,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        # every range test below is false for NaN, so non-finite values go first
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise DatasetError(f"{f.name} must be finite, got {value}")
         if not 0 < self.fraud_ratio < 1:
             raise DatasetError(f"fraud_ratio must be in (0, 1), got {self.fraud_ratio}")
         for name in ("fraud_homophily", "benign_homophily"):
@@ -257,6 +274,9 @@ class SyntheticSpec:
             raise DatasetError("num_relations and feature_dim must be at least 1")
         if self.mean_degree <= 0 or self.noise < 0 or self.separation < 0:
             raise DatasetError("mean_degree must be positive; separation and noise non-negative")
+        if self.mean_degree >= self.num_nodes:
+            # a node has at most num_nodes - 1 distinct neighbours
+            raise DatasetError(f"mean_degree must be below num_nodes ({self.num_nodes}), got {self.mean_degree}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> MultiRelationGraph:

@@ -1,13 +1,14 @@
 """Full fraud-detection model: per-relation dual channels, relation fusion, classifier.
 
 One parameter group per relation (projection, edge scorer, filter, two
-channel gates, fusion) plus a shared linear classifier over the concatenated
+channel gates, fusion) plus a shared linear classifier over all the
 relation embeddings. Ablation variants rewire the forward pass and simply do
 not create the parameters they cannot reach.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
@@ -71,15 +72,15 @@ class TrainConfig:
 class ForwardResult:
     """What one forward pass produced.
 
-    The rows of ``probs`` and ``embeddings`` are the pass's rows: the
-    ``node_batch`` in batch order, a repeated node repeating its row, or all
-    N nodes in node order without one. ``probs`` is a constant, the softmax
-    of the classifier's logits. Only a training pass builds losses; an
-    evaluation pass leaves them empty and records no tape.
+    The rows of ``probs`` and of each relation's ``embeddings`` are the pass's
+    rows: the ``node_batch`` in batch order, a repeated node repeating its
+    row, or all N nodes in node order without one. ``probs`` is a constant,
+    the softmax of the classifier's logits. Only a training pass builds
+    losses; an evaluation pass leaves them empty and records no tape.
     """
 
     probs: TensorValue  # (rows, 2) constant, column 1 is fraud probability
-    embeddings: TensorValue  # (rows, R * hidden) fused relation embeddings
+    embeddings: list[TensorValue]  # (rows, hidden) fused embedding per relation
     partitions: list[EdgePartition | None]
     edge_scores: list[np.ndarray | None]  # detached scores over all edges, per relation
     loss_total: TensorValue | None = None
@@ -87,16 +88,11 @@ class ForwardResult:
     edge_losses: list[TensorValue] = field(default_factory=list)
 
 
-def relation_fuse(per_relation: list[TensorValue]) -> TensorValue:
-    """Concatenate per-relation embeddings column-wise in relation order."""
-    if len(per_relation) == 1:
-        return per_relation[0]
-    return ad.concat_cols(per_relation)
-
-
-def classify(fused: TensorValue, clf_w: TensorValue, clf_b: TensorValue) -> TensorValue:
-    """Two-class logits: a linear head over the fused embedding."""
-    return ad.add_bias(ad.matmul(fused, clf_w), clf_b)
+def classify(per_relation: list[TensorValue], clf_w: TensorValue, clf_b: TensorValue) -> TensorValue:
+    """Two-class logits [z_1 || ... || z_R] W + b, computed as sum_r z_r W_r + b over W's row blocks."""
+    blocks = ad.row_blocks(clf_w, len(per_relation))
+    products = [ad.matmul(z, w) for z, w in zip(per_relation, blocks, strict=True)]
+    return ad.add_bias(functools.reduce(ad.add, products), clf_b)
 
 
 def classification_loss(logits: TensorValue, labels) -> TensorValue:
@@ -118,10 +114,7 @@ def total_loss(loss_cls: TensorValue, edge_losses: list[TensorValue], weight: fl
         raise ValueError("edge loss weight must be non-negative")
     if not edge_losses:
         return loss_cls
-    acc = edge_losses[0]
-    for extra in edge_losses[1:]:
-        acc = ad.add(acc, extra)
-    return ad.add(loss_cls, ad.scale(acc, weight))
+    return ad.add(loss_cls, ad.scale(functools.reduce(ad.add, edge_losses), weight))
 
 
 def _kaiming_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -163,10 +156,6 @@ class DualChannelModel:
     def _has_contrast_channel(self) -> bool:
         return self.config.ablation not in ("heter", "sep")
 
-    @property
-    def _has_fusion(self) -> bool:
-        return self._has_smooth_channel and self._has_contrast_channel
-
     def _init_params(self, rng: np.random.Generator) -> None:
         d_in, d_h = self.graph.feature_dim, self.config.hidden_dim
         for rel in self.graph.relations:
@@ -186,7 +175,7 @@ class DualChannelModel:
                 p.add(f"{name}/contrast_b1", np.zeros((1, d_h)), decay=False)
                 p.add(f"{name}/contrast_gate_w", _kaiming_uniform(rng, d_h, d_h))
                 p.add(f"{name}/contrast_b2", np.zeros((1, d_h)), decay=False)
-            if self._has_fusion:
+            if self._has_smooth_channel and self._has_contrast_channel:  # the fusion
                 p.add(f"{name}/fuse_w", _kaiming_uniform(rng, 3 * d_h, d_h))
                 p.add(f"{name}/fuse_b", np.zeros((1, d_h)), decay=False)
                 p.add(f"{name}/norm_gain", np.ones((1, d_h)), decay=False)
@@ -206,14 +195,9 @@ class DualChannelModel:
 
         def run_channel(side: str, subgraph, complement: bool):
             batch = propagation.batch_adjacency(subgraph, rows)
+            weights = (p[f"{name}/{key}"] for key in ("filter_w", f"{side}_gate_w", f"{side}_b1", f"{side}_b2"))
             messages = propagation.channel_messages(
-                ad.gather_rows(h, batch.senders),
-                p[f"{name}/filter_w"],
-                p[f"{name}/{side}_gate_w"],
-                p[f"{name}/{side}_b1"],
-                p[f"{name}/{side}_b2"],
-                cfg.residual_mix,
-                complement=complement,
+                ad.gather_rows(h, batch.senders), *weights, cfg.residual_mix, complement=complement
             )
             return propagation.residual_aggregate(h, messages, batch)
 
@@ -225,14 +209,8 @@ class DualChannelModel:
             return run_channel("smooth", partition.homo, complement=False)
         z_smooth = run_channel("smooth", partition.homo, complement=False)
         z_contrast = run_channel("contrast", partition.hetero, complement=True)
-        return propagation.frequency_fuse(
-            z_smooth,
-            z_contrast,
-            p[f"{name}/fuse_w"],
-            p[f"{name}/fuse_b"],
-            p[f"{name}/norm_gain"],
-            p[f"{name}/norm_bias"],
-        )
+        fusion = (p[f"{name}/{key}"] for key in ("fuse_w", "fuse_b", "norm_gain", "norm_bias"))
+        return propagation.frequency_fuse(z_smooth, z_contrast, *fusion)
 
     def forward(
         self,
@@ -298,12 +276,11 @@ class DualChannelModel:
                 out_partitions.append(partition)
                 out_scores.append(scores)
 
-            fused = relation_fuse(per_rel_z)
-            logits = classify(fused, p["classifier/w"], p["classifier/b"])
+            logits = classify(per_rel_z, p["classifier/w"], p["classifier/b"])
 
             result = ForwardResult(
                 probs=ad.tensor(ad.softmax(logits.data)),
-                embeddings=fused,
+                embeddings=per_rel_z,
                 partitions=out_partitions,
                 edge_scores=out_scores,
                 edge_losses=edge_losses,

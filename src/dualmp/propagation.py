@@ -118,7 +118,12 @@ def frequency_fuse(
     norm_gain: TensorValue,
     norm_bias: TensorValue,
 ) -> TensorValue:
-    """LayerNorm(LeakyReLU(W [z+ || z- || z+ - z-] + b)): one per-node embedding from both channels."""
-    blocks = ad.concat_cols([z_smooth, z_contrast, ad.sub(z_smooth, z_contrast)])
-    pre = ad.leaky_relu(ad.add_bias(ad.matmul(blocks, fuse_w), fuse_b))
+    """LayerNorm(LeakyReLU(W [z+ || z- || z+ - z-] + b)): one per-node embedding from both channels.
+
+    With W's row blocks [W_1; W_2; W_3] the product is z+ (W_1 + W_3) + z- (W_2 - W_3).
+    """
+    w_smooth, w_contrast, w_diff = ad.row_blocks(fuse_w, 3)
+    from_smooth = ad.matmul(z_smooth, ad.add(w_smooth, w_diff))
+    from_contrast = ad.matmul(z_contrast, ad.sub(w_contrast, w_diff))
+    pre = ad.leaky_relu(ad.add_bias(ad.add(from_smooth, from_contrast), fuse_b))
     return ad.layer_norm(pre, norm_gain, norm_bias, eps=1e-5)

@@ -44,7 +44,7 @@ def _score(h: TensorValue, sources, targets, edge_w: TensorValue) -> TensorValue
     d = h.shape[1]
     if edge_w.shape[0] != 3 * d:
         raise ValueError(f"edge weight has {edge_w.shape[0]} rows, the scorer needs 3 * {d}")
-    w_u, w_v, w_d = (ad.gather_rows(edge_w, np.arange(k * d, (k + 1) * d)) for k in range(3))
+    w_u, w_v, w_d = ad.row_blocks(edge_w, 3)
     from_source = ad.matmul(h, ad.add(w_u, w_d))
     from_target = ad.matmul(h, ad.sub(w_v, w_d))
     return ad.tanh(ad.add(ad.gather_rows(from_source, sources), ad.gather_rows(from_target, targets)))

@@ -6,7 +6,9 @@ seeds and finish on a laptop-class CPU; the whole module takes a few
 minutes, dominated by A4's fifteen training runs.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,10 @@ from dualmp.metrics import evaluate, roc_auc
 from dualmp.model import DualChannelModel, TrainConfig
 from dualmp.propagation import channel_messages
 from dualmp.training import evaluate_split, fit
-from whole_graph import whole_graph_aggregate
+
+# bench/test_bench.py loads this file by its path, with tests/ not on sys.path
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from whole_graph import whole_graph_aggregate  # noqa: E402
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:

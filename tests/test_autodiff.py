@@ -111,30 +111,43 @@ class TestActivations:
         assert np.isnan(out[0, 0]) and out[0, 1:].tolist() == [0.0, 2.0]
 
 
-class TestConcat:
-    def test_flat_values(self):
-        out = ad.concat_cols([tensor([[1.0]]), tensor([[2.0]]), tensor([[-1.0]])])
-        assert out.data.tolist() == [[1.0, 2.0, -1.0]]
+class TestRowBlocks:
+    def test_blocks_are_consecutive_row_slices(self):
+        w = tensor(np.arange(12.0).reshape(6, 2))
+        blocks = ad.row_blocks(w, 3)
+        assert [b.data.tolist() for b in blocks] == [w.data[0:2].tolist(), w.data[2:4].tolist(), w.data[4:6].tolist()]
 
-    def test_single_part_identity(self):
-        x = tensor([[1.0, 2.0]])
-        assert np.array_equal(ad.concat_cols([x]).data, x.data)
+    def test_single_block_is_whole_weight(self):
+        w = tensor([[1.0, 2.0], [3.0, 4.0]])
+        (block,) = ad.row_blocks(w, 1)
+        assert np.array_equal(block.data, w.data)
 
-    def test_shape_arithmetic(self):
-        out = ad.concat_cols([tensor(np.zeros((2, 3))), tensor(np.zeros((2, 5)))])
-        assert out.shape == (2, 8)
+    def test_block_shapes(self):
+        blocks = ad.row_blocks(tensor(np.zeros((24, 5))), 3)
+        assert [b.shape for b in blocks] == [(8, 5)] * 3
 
-    def test_row_mismatch(self):
-        with pytest.raises(ValueError, match="row mismatch"):
-            ad.concat_cols([tensor(np.zeros((2, 3))), tensor(np.zeros((3, 3)))])
+    @pytest.mark.parametrize("rows, k", [(7, 3), (6, 4), (6, 0)])
+    def test_rows_not_divisible_rejected(self, rows, k):
+        with pytest.raises(ValueError, match=f"{rows} weight rows do not split into {k} equal blocks"):
+            ad.row_blocks(tensor(np.zeros((rows, 2))), k)
 
-    def test_gradient_slices_back(self):
+    def test_gradient_scatters_back(self):
+        # the blocks' products sum to the product with the stacked inputs
+        rng = np.random.default_rng(2)
         store = ParamStore()
-        a = store.add("a", np.random.default_rng(2).normal(size=(3, 2)))
-        b = store.add("b", np.random.default_rng(3).normal(size=(3, 4)))
-        loss = lambda: ad.mean_all(ad.tanh(ad.concat_cols([a, b])))
-        for p in (a, b):
-            assert np.allclose(tape_gradient(loss, p), fd_gradient(loss, p), atol=1e-8)
+        w = store.add("w", rng.normal(size=(6, 3)))
+        parts = [tensor(rng.normal(size=(4, 2))) for _ in range(3)]
+        stacked = tensor(np.hstack([p.data for p in parts]))
+
+        def loss():
+            blocks = ad.row_blocks(w, 3)
+            acc = ad.matmul(parts[0], blocks[0])
+            for p, b in zip(parts[1:], blocks[1:]):
+                acc = ad.add(acc, ad.matmul(p, b))
+            return ad.mean_all(ad.tanh(acc))
+
+        assert np.allclose(loss().item(), ad.mean_all(ad.tanh(ad.matmul(stacked, w))).item(), rtol=0, atol=1e-15)
+        assert np.allclose(tape_gradient(loss, w), fd_gradient(loss, w), atol=1e-8)
 
 
 def segment_matrix(segment_ids, coefficients, num_segments):
@@ -248,6 +261,24 @@ class TestLayerNorm:
         loss = lambda: ad.mean_all(ad.tanh(ad.layer_norm(x, gain, bias)))
         for p in (x, gain, bias):
             assert np.allclose(tape_gradient(loss, p), fd_gradient(loss, p), atol=1e-7)
+
+    @pytest.mark.parametrize("cols", [8, 9])
+    def test_matches_axis_mean_formulas(self, cols):
+        # the row means are products against a ones column; numpy's axis=1
+        # mean sums in another order, so the two agree to rounding only
+        rng = np.random.default_rng(cols)
+        x_data, gain_data, g = (rng.normal(size=(200, cols)) for _ in range(3))
+        x = tensor(x_data, requires_grad=True)
+        out = ad.layer_norm(x, tensor(gain_data[:1]), tensor(np.zeros((1, cols))))
+        backward(ad.mean_all(ad.mul_const(out, g)))
+
+        mean = x_data.mean(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(((x_data - mean) ** 2).mean(axis=1, keepdims=True) + 1e-5)
+        xhat = (x_data - mean) * inv_std
+        gh = g / g.size * gain_data[:1]
+        dx = inv_std * (gh - gh.mean(axis=1, keepdims=True) - xhat * (gh * xhat).mean(axis=1, keepdims=True))
+        assert np.abs(out.data - xhat * gain_data[:1]).max() <= 1e-13
+        assert np.abs(x.grad - dx).max() <= 1e-13 * np.abs(dx).max()
 
 
 class TestSoftmax:
@@ -514,6 +545,7 @@ def test_composed_forward_matches_finite_differences(seed, rows, cols):
     store = ParamStore()
     w1 = store.add("w1", rng.normal(size=(cols, cols)))
     b1 = store.add("b1", rng.normal(size=(1, cols)))
+    w2 = store.add("w2", rng.normal(size=(2 * cols, 2 * cols)))
     gain = store.add("gain", rng.normal(size=(1, 2 * cols)))
     bias = store.add("bias", rng.normal(size=(1, 2 * cols)))
     x = tensor(rng.normal(size=(rows, cols)))
@@ -528,8 +560,10 @@ def test_composed_forward_matches_finite_differences(seed, rows, cols):
         hidden = ad.tanh(ad.add_bias(ad.matmul(x, w1), b1))
         gathered = ad.gather_rows(hidden, idx)
         summed = ad.sparse_matmul(segments, gathered)
-        blocks = ad.concat_cols([hidden, ad.sub(hidden, summed)])
-        normed = ad.layer_norm(blocks, gain, bias)
+        # w2 [hidden || hidden - summed], one product per row block of w2
+        top, bottom = ad.row_blocks(w2, 2)
+        mixed = ad.add(ad.matmul(hidden, top), ad.matmul(ad.sub(hidden, summed), bottom))
+        normed = ad.layer_norm(mixed, gain, bias)
         return ad.cross_entropy(normed, labels)
 
     errors = grad_check(forward, store, probe=1e-5)

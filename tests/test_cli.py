@@ -58,6 +58,25 @@ class TestSynth:
     def test_invalid_probability_exits_one(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--fraud-homophily", "1.5"]) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--mean-degree", "nan", "mean_degree must be finite, got nan"),
+            ("--mean-degree", "inf", "mean_degree must be finite, got inf"),
+            ("--mean-degree", "1e30", "mean_degree must be below num_nodes (50), got 1e+30"),
+            ("--mean-degree", "50", "mean_degree must be below num_nodes (50), got 50.0"),
+            ("--fraud-ratio", "nan", "fraud_ratio must be finite, got nan"),
+            ("--separation", "-inf", "separation must be finite, got -inf"),
+            ("--noise", "inf", "noise must be finite, got inf"),
+        ],
+        ids=["mean-degree-nan", "mean-degree-inf", "mean-degree-1e30", "mean-degree-num-nodes",
+             "fraud-ratio-nan", "separation-minus-inf", "noise-inf"],
+    )
+    def test_bad_float_exits_one_with_error_line(self, tmp_path, capsys, flag, value, message):
+        assert main(["synth", "--out", str(tmp_path / "ds"), "--nodes", "50", f"{flag}={value}"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "ds").exists()
+
 
 class TestTrain:
     def test_outputs_exist(self, trained):
@@ -171,8 +190,8 @@ class TestEval:
         model = _rebuild_model(str(dataset), str(trained / "checkpoint.bin"), symmetrize=False)
         model.config.dropout = 0.0  # so a training pass computes the evaluation numbers
         taped = model.forward(training=True).embeddings
-        assert taped._parents  # the reference did record a tape
-        export_embeddings(taped.data, model.graph.labels, tmp_path / "taped.csv")
+        assert all(z._parents for z in taped)  # the reference did record a tape
+        export_embeddings(np.hstack([z.data for z in taped]), model.graph.labels, tmp_path / "taped.csv")
         assert out.read_bytes() == (tmp_path / "taped.csv").read_bytes()
 
 

@@ -116,6 +116,64 @@ class TestLoadDataset:
         graph = load_dataset(manifest)
         assert graph.relations[0].edge_count == 2
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("symmetrize yes", "line 4: symmetrize must be true or false, got 'yes'"),
+            ("symmetrize True", "line 4: symmetrize must be true or false, got 'True'"),
+            ("symmetrize true false", "line 4: symmetrize takes one value, got 2"),
+            ("num_nodes 3 300", "line 4: num_nodes takes one value, got 2"),
+            ("features features.csv labels.csv", "line 4: features takes one value, got 2"),
+            ("num_nodes 3", "line 4: num_nodes given twice"),
+            ("labels labels.csv", "line 4: labels given twice"),
+        ],
+        ids=["symmetrize-yes", "symmetrize-capital", "symmetrize-two-values", "num-nodes-two-values",
+             "path-two-values", "num-nodes-twice", "labels-twice"],
+    )
+    def test_malformed_manifest_line_rejected(self, tmp_path, line, message):
+        manifest = write_fixture(
+            tmp_path,
+            features=["1.0,2.0", "3.0,4.0", "5.0,6.0"],
+            labels=["0", "1", "0"],
+            edges=["0,1"],
+            manifest_lines=[
+                "num_nodes 3", "feature_dim 2", "features features.csv",
+                "labels labels.csv", line, "relation net edges.csv",
+            ],
+        )
+        with pytest.raises(DatasetError, match=f"manifest.txt: {message}$"):
+            load_dataset(manifest)
+
+    def test_relation_may_repeat(self, tmp_path):
+        manifest = write_fixture(
+            tmp_path,
+            features=["1.0,2.0", "3.0,4.0", "5.0,6.0"],
+            labels=["0", "1", "0"],
+            edges=["0,1"],
+            manifest_lines=[
+                "num_nodes 3", "feature_dim 2", "features features.csv", "labels labels.csv",
+                "symmetrize false", "relation a edges.csv", "relation b edges.csv",
+            ],
+        )
+        graph = load_dataset(manifest)
+        assert [rel.edge_count for rel in graph.relations] == [1, 1]
+
+    @pytest.mark.parametrize("section", ["train", "val", "test"])
+    def test_split_section_given_twice_rejected(self, tmp_path, section):
+        (tmp_path / "splits.txt").write_text(f"train: 0 1\nval: 2\ntest:\n{section}: 1\n")
+        manifest = write_fixture(
+            tmp_path,
+            features=["1.0,2.0", "3.0,4.0", "5.0,6.0"],
+            labels=["0", "1", "0"],
+            edges=["0,1"],
+            manifest_lines=[
+                "num_nodes 3", "feature_dim 2", "features features.csv",
+                "labels labels.csv", "splits splits.txt", "relation net edges.csv",
+            ],
+        )
+        with pytest.raises(DatasetError, match=f"splits.txt: split section '{section}' given twice"):
+            load_dataset(manifest)
+
     def test_split_file_round_trip(self, tmp_path):
         (tmp_path / "splits.txt").write_text("train: 0 1\nval: 2\ntest:\n")
         manifest = write_fixture(

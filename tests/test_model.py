@@ -11,7 +11,6 @@ from dualmp.model import (
     TrainConfig,
     classification_loss,
     classify,
-    relation_fuse,
     total_loss,
 )
 
@@ -29,38 +28,41 @@ def make_model(graph, **overrides):
     return DualChannelModel(graph, config, np.random.default_rng(0))
 
 
-class TestRelationFuse:
-    def test_single_relation_identity(self):
-        z = tensor(np.random.default_rng(0).normal(size=(4, 3)))
-        assert relation_fuse([z]) is z
-
-    def test_width(self):
-        parts = [tensor(np.zeros((5, 8))) for _ in range(3)]
-        assert relation_fuse(parts).shape == (5, 24)
-
-    def test_rows_stay_aligned(self):
-        rng = np.random.default_rng(1)
-        parts = [tensor(rng.normal(size=(4, 2))) for _ in range(3)]
-        fused = relation_fuse(parts).data
-        u = 2
-        assert np.array_equal(fused[u], np.concatenate([p.data[u] for p in parts]))
-
-
 class TestClassify:
+    def test_single_relation_is_one_product(self):
+        rng = np.random.default_rng(0)
+        z, w, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=(1, 2))
+        logits = classify([tensor(z)], tensor(w), tensor(b))
+        assert np.array_equal(logits.data.view(np.int64), (z @ w + b).view(np.int64))
+
+    @pytest.mark.parametrize("relations", [1, 2, 3])
+    def test_matches_stacked_product(self, relations):
+        # sum_r z_r W_r + b is [z_1 || ... || z_R] W + b up to rounding
+        rng = np.random.default_rng(relations)
+        parts = [rng.normal(size=(40, 8)) for _ in range(relations)]
+        w, b = rng.normal(size=(8 * relations, 2)), rng.normal(size=(1, 2))
+        logits = classify([tensor(z) for z in parts], tensor(w), tensor(b))
+        assert np.abs(logits.data - (np.hstack(parts) @ w + b)).max() <= 1e-12
+
+    def test_weight_rows_must_split_over_relations(self):
+        parts = [tensor(np.zeros((5, 8))) for _ in range(3)]
+        with pytest.raises(ValueError, match="16 weight rows do not split into 3 equal blocks"):
+            classify(parts, tensor(np.zeros((16, 2))), tensor(np.zeros((1, 2))))
+
     def test_zero_head_is_uniform(self):
         z = tensor(np.random.default_rng(2).normal(size=(6, 4)))
-        logits = classify(z, tensor(np.zeros((4, 2))), tensor(np.zeros((1, 2))))
+        logits = classify([z], tensor(np.zeros((4, 2))), tensor(np.zeros((1, 2))))
         assert not logits.data.any()
         assert np.allclose(ad.softmax(logits.data), 0.5)
 
     def test_bias_dominance(self):
         z = tensor(np.zeros((3, 4)))
-        logits = classify(z, tensor(np.zeros((4, 2))), tensor([[0.0, 10.0]]))
+        logits = classify([z], tensor(np.zeros((4, 2))), tensor([[0.0, 10.0]]))
         assert (ad.softmax(logits.data)[:, 1] > 0.9999).all()
 
     def test_hand_softmax(self):
         z = tensor([[1.0]])
-        logits = classify(z, tensor([[np.log(3.0), 0.0]]), tensor(np.zeros((1, 2))))
+        logits = classify([z], tensor([[np.log(3.0), 0.0]]), tensor(np.zeros((1, 2))))
         assert logits.data.tolist() == [[np.log(3.0), 0.0]]
         assert np.allclose(ad.softmax(logits.data), [[0.75, 0.25]])
 
@@ -97,7 +99,7 @@ class TestClassificationLoss:
         # softmax([40, -2])[1] = exp(-42) < 1e-12; the head must still learn from the node
         clf_w = tensor(np.zeros((1, 2)), requires_grad=True)
         clf_b = tensor([[40.0, -2.0]], requires_grad=True)
-        loss = classification_loss(classify(tensor([[1.0]]), clf_w, clf_b), [1])
+        loss = classification_loss(classify([tensor([[1.0]])], clf_w, clf_b), [1])
         backward(loss)
         assert loss.item() == pytest.approx(42.0)
         for grad in (clf_w.grad, clf_b.grad):
@@ -300,7 +302,8 @@ def test_batch_forward_equals_full_forward_at_the_batch(ablation):
 
     assert batch.loss_total.item() == reference.item()
     assert np.array_equal(batch.probs.data, full.probs.data[node_batch])
-    assert np.array_equal(batch.embeddings.data, full.embeddings.data[node_batch])
+    for z_batch, z_full in zip(batch.embeddings, full.embeddings, strict=True):
+        assert np.array_equal(z_batch.data, z_full.data[node_batch])
     for name, p in model.params.items():
         assert np.abs(p.grad - reference_grads[name]).max() <= 1e-12, name
 
@@ -309,13 +312,15 @@ def test_batch_forward_equals_full_forward_at_the_batch(ablation):
 def test_eval_forward_records_no_tape_and_builds_no_loss(small_graph, ablation):
     model = make_model(small_graph, ablation=ablation)
     out = model.forward(training=False)
-    assert not out.probs._parents and not out.embeddings._parents
+    assert len(out.embeddings) == model.graph.num_relations
+    assert not out.probs._parents and not any(z._parents for z in out.embeddings)
     assert out.loss_total is None and out.loss_cls is None
     # the same pass with dropout 0, taped, gives the same numbers
     taped = model.forward(training=True)
-    assert taped.embeddings._parents
+    assert all(z._parents for z in taped.embeddings)
     assert np.array_equal(out.probs.data, taped.probs.data)
-    assert np.array_equal(out.embeddings.data, taped.embeddings.data)
+    for z_out, z_taped in zip(out.embeddings, taped.embeddings, strict=True):
+        assert np.array_equal(z_out.data, z_taped.data)
     # an evaluation pass that raises leaves recording on
     with pytest.raises(ValueError, match="batch rows"):
         model.forward(training=False, node_batch=[small_graph.num_nodes])

@@ -299,14 +299,42 @@ class TestFrequencyFuse:
         assert np.allclose(out.data, out.data[0])
 
     def test_hand_preactivation_and_composition(self):
-        za, zb = tensor([[1.0]]), tensor([[0.0]])
-        w = tensor([[1.0], [1.0], [1.0]])
-        b = tensor([[0.0]])
-        pre = ad.leaky_relu(ad.add_bias(ad.matmul(ad.concat_cols([za, zb, ad.sub(za, zb)]), w), b))
-        assert pre.data.tolist() == [[2.0]]
-        gain, bias = tensor(np.ones((1, 1))), tensor(np.zeros((1, 1)))
+        za, zb = tensor([[1.0, 0.0]]), tensor([[0.0, 1.0]])
+        w = tensor(np.vstack([np.eye(2), 2.0 * np.eye(2), -np.eye(2)]))
+        b = tensor([[0.0, 1.0]])
+        # W [za || zb || za - zb] + b = [1, 0] + [0, 2] - [1, -1] + [0, 1] = [0, 4]
+        pre = ad.leaky_relu(tensor([[0.0, 4.0]]))
+        gain, bias = tensor([[2.0, 3.0]]), tensor([[0.5, -0.5]])
         fused = frequency_fuse(za, zb, w, b, gain, bias)
         assert np.array_equal(fused.data, ad.layer_norm(pre, gain, bias, eps=1e-5).data)
+
+    def test_matches_stacked_block_product(self):
+        # z+ (W1 + W3) + z- (W2 - W3) is W [z+ || z- || z+ - z-] up to rounding
+        rng = np.random.default_rng(15)
+        d = 8
+        za, zb = (rng.normal(size=(50, d)) for _ in range(2))
+        w, b, gain, bias = (rng.normal(size=shape) for shape in ((3 * d, d), (1, d), (1, d), (1, d)))
+        pre = np.hstack([za, zb, za - zb]) @ w + b
+        pre = np.where(pre >= 0, pre, ad.LEAKY_SLOPE * pre)
+        mean = pre.mean(axis=1, keepdims=True)
+        var = ((pre - mean) ** 2).mean(axis=1, keepdims=True)
+        expected = (pre - mean) / np.sqrt(var + 1e-5) * gain + bias
+        fused = frequency_fuse(tensor(za), tensor(zb), tensor(w), tensor(b), tensor(gain), tensor(bias))
+        assert np.abs(fused.data - expected).max() <= 1e-12
+
+    def test_gradients(self):
+        rng = np.random.default_rng(16)
+        d = 4
+        store = ad.ParamStore()
+        za, zb = (store.add(name, rng.normal(size=(5, d))) for name in ("za", "zb"))
+        w = store.add("fuse_w", rng.normal(size=(3 * d, d)))
+        b, gain, bias = (store.add(name, rng.normal(size=(1, d))) for name in ("fuse_b", "gain", "bias"))
+        weights = rng.normal(size=(5, d))
+        errors = ad.grad_check(
+            lambda: ad.mean_all(ad.mul_const(frequency_fuse(za, zb, w, b, gain, bias), weights)), store, probe=1e-5
+        )
+        # the acceptance tolerance, as in the composed autodiff check
+        assert max(errors.values()) < 1e-4
 
 
 def test_full_channel_gradients():

@@ -7,8 +7,9 @@ filter h - hW, the classifier's sum over relations and the total loss;
 ``scale`` the residual mix and the edge-loss weight; ``add_const``,
 ``mul_const`` and ``mean_all`` the edge-sign hinge; ``relu`` the projection,
 the contrast filter and the hinge; ``leaky_relu`` the channel gates and the
-fusion; ``tanh`` the edge scorer; ``gather_rows`` the weight blocks of
-:func:`row_blocks`, the edge endpoints, and a pass's rows and their senders;
+fusion; ``tanh`` the edge scorer; ``row_blocks`` the weight blocks of the edge
+scorer, the fusion and the classifier; ``gather_rows`` the edge endpoints,
+and a pass's rows and their senders;
 ``sparse_matmul`` the degree-rescaled aggregation, over scipy CSR;
 ``layer_norm`` the fusion; ``dropout`` the projection; ``cross_entropy``
 the classification loss.
@@ -284,16 +285,28 @@ def gather_rows(x: TensorValue, index) -> TensorValue:
 
 
 def row_blocks(w: TensorValue, k: int) -> list[TensorValue]:
-    """The rows of ``w`` cut into ``k`` equal blocks, top to bottom, each a :func:`gather_rows` of ``w``.
+    """The rows of ``w`` cut into ``k`` equal blocks, top to bottom.
 
     [a_1 || ... || a_k] @ w equals the sum of a_i @ block_i, which lets a
-    layer over stacked inputs skip the concatenation.
+    layer over stacked inputs skip the concatenation. A block is the row
+    slice ``w[lo:hi]``; its backward writes the gradient into those rows of
+    a zero array, the values the scatter of :func:`gather_rows` would give
+    for indices without repeats.
     """
     rows = w.shape[0]
     if k < 1 or rows % k:
         raise ValueError(f"{rows} weight rows do not split into {k} equal blocks")
     size = rows // k
-    return [gather_rows(w, np.arange(i * size, (i + 1) * size)) for i in range(k)]
+
+    def block(lo: int, hi: int) -> TensorValue:
+        def rule(g):
+            grad = np.zeros(w.shape)
+            grad[lo:hi] = g
+            _accumulate(w, grad)
+
+        return _result(w.data[lo:hi], (w,), rule)
+
+    return [block(i * size, (i + 1) * size) for i in range(k)]
 
 
 def sparse_matmul(matrix, x: TensorValue) -> TensorValue:

@@ -164,7 +164,7 @@ def load_dataset(manifest_path, split_seed: int = 0, force_symmetrize: bool = Fa
     do_symmetrize = False
     seen: set[str] = set()
 
-    for i, line in enumerate(read_lines(manifest_path)):
+    for i, line in enumerate(read_lines(manifest_path), start=1):
         if not line or line.startswith("#"):
             continue
         key, *values = line.split()

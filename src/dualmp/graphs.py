@@ -119,26 +119,62 @@ class MultiRelationGraph:
         self.split.validate(n)
 
 
-@dataclass(frozen=True)
 class EdgePartition:
-    """A relation's edges split into homophilic and heterophilic subgraph views.
+    """A relation's edges split into a homophilic and a heterophilic side.
 
-    Every edge lands in exactly one view; ``hetero_mask`` records the
-    assignment in the original edge order. Degrees are per-view out-degrees,
-    so ``homo_degrees + hetero_degrees`` equals the relation's degrees.
+    Every edge lands on exactly one side; ``hetero_mask`` records the
+    assignment in the relation's storage order. Masking keeps the
+    grouped-by-source order, so each side's CSR offsets are the running
+    count of its edges read at the relation's offsets: ``homo_offsets`` and
+    ``hetero_offsets``. Their differences are the per-side out-degrees, so
+    ``homo_degrees + hetero_degrees`` equals the relation's degrees. The
+    model cuts its channel blocks from the relation with these arrays
+    (:func:`propagation.channel_adjacencies`) and never builds a view.
+
+    ``homo`` and ``hetero`` are the sides as :class:`RelationAdjacency`
+    views, built from ``relation`` on first access. Views passed to the
+    constructor are used as given, and their offsets stand in for the
+    running counts; without views the partition needs its ``relation``.
     """
 
-    hetero_mask: np.ndarray
-    homo: RelationAdjacency
-    hetero: RelationAdjacency
+    def __init__(
+        self,
+        hetero_mask: np.ndarray,
+        homo: RelationAdjacency | None = None,
+        hetero: RelationAdjacency | None = None,
+        relation: RelationAdjacency | None = None,
+    ):
+        self.hetero_mask = hetero_mask
+        self.relation = relation
+        if homo is not None and hetero is not None:
+            # instance entries shadow the cached properties below
+            self.homo, self.hetero = homo, hetero
+            self.homo_offsets, self.hetero_offsets = homo.offsets, hetero.offsets
+        elif relation is not None:
+            running = np.zeros(len(hetero_mask) + 1, dtype=np.int64)
+            np.cumsum(hetero_mask, out=running[1:])
+            self.hetero_offsets = running[relation.offsets]
+            self.homo_offsets = relation.offsets - self.hetero_offsets
+        else:
+            raise ValueError("an edge partition needs both views or the relation they split")
 
     @property
     def homo_degrees(self) -> np.ndarray:
-        return self.homo.degrees()
+        return np.diff(self.homo_offsets)
 
     @property
     def hetero_degrees(self) -> np.ndarray:
-        return self.hetero.degrees()
+        return np.diff(self.hetero_offsets)
+
+    @cached_property
+    def homo(self) -> RelationAdjacency:
+        rel = self.relation
+        return RelationAdjacency(rel.name + ":homo", self.homo_offsets, rel.targets[~self.hetero_mask])
+
+    @cached_property
+    def hetero(self) -> RelationAdjacency:
+        rel = self.relation
+        return RelationAdjacency(rel.name + ":hetero", self.hetero_offsets, rel.targets[self.hetero_mask])
 
 
 def _dedupe_pairs(pairs: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -185,25 +221,19 @@ def symmetrize(edges) -> np.ndarray:
 
 
 def partition_subgraphs(adj: RelationAdjacency, edge_signs) -> EdgePartition:
-    """Split a relation by per-edge sign score: score >= 0 goes heterophilic.
+    """Split a relation by per-edge sign: a sign >= 0 goes heterophilic.
 
-    ``edge_signs`` aligns with the CSR edge order. The tie at exactly 0 is
-    assigned heterophilic so the split is deterministic.
+    ``edge_signs`` aligns with the CSR edge order; only each value's side of
+    0 is read, so the scorer's pre-activation serves as well as its tanh.
+    The tie at exactly 0 is assigned heterophilic so the split is
+    deterministic; a NaN compares false and goes homophilic. The partition
+    keeps the mask and its running counts; the views are built only when
+    read.
     """
     signs = np.asarray(edge_signs, dtype=np.float64).reshape(-1)
     if len(signs) != adj.edge_count:
         raise ValueError(f"{len(signs)} edge signs for {adj.edge_count} edges in relation {adj.name!r}")
-    hetero_mask = signs >= 0.0
-    # Masking keeps the grouped-by-source CSR order, so each view's offsets
-    # are the running count of its edges read off at the relation's offsets.
-    running = np.zeros(adj.edge_count + 1, dtype=np.int64)
-    np.cumsum(hetero_mask, out=running[1:])
-    hetero_offsets = running[adj.offsets]
-    return EdgePartition(
-        hetero_mask=hetero_mask,
-        homo=RelationAdjacency(adj.name + ":homo", adj.offsets - hetero_offsets, adj.targets[~hetero_mask]),
-        hetero=RelationAdjacency(adj.name + ":hetero", hetero_offsets, adj.targets[hetero_mask]),
-    )
+    return EdgePartition(signs >= 0.0, relation=adj)
 
 
 def merge_relations(graph: MultiRelationGraph) -> MultiRelationGraph:

@@ -75,14 +75,17 @@ class ForwardResult:
     The rows of ``probs`` and of each relation's ``embeddings`` are the pass's
     rows: the ``node_batch`` in batch order, a repeated node repeating its
     row, or all N nodes in node order without one. ``probs`` is a constant,
-    the softmax of the classifier's logits. Only a training pass builds
-    losses; an evaluation pass leaves them empty and records no tape.
+    the softmax of the classifier's logits. ``edge_scores`` holds each
+    relation's detached scorer pre-activation over all its edges, not the
+    tanh score: the two share their sign, and only the sign is read (the
+    partition, A3's sign accuracy). Only a training pass builds losses; an
+    evaluation pass leaves them empty and records no tape.
     """
 
     probs: TensorValue  # (rows, 2) constant, column 1 is fraud probability
     embeddings: list[TensorValue]  # (rows, hidden) fused embedding per relation
     partitions: list[EdgePartition | None]
-    edge_scores: list[np.ndarray | None]  # detached scores over all edges, per relation
+    edge_scores: list[np.ndarray | None]  # detached pre-activations over all edges, per relation
     loss_total: TensorValue | None = None
     loss_cls: TensorValue | None = None
     edge_losses: list[TensorValue] = field(default_factory=list)
@@ -193,8 +196,7 @@ class DualChannelModel:
         p, cfg = self.params, self.config
         name = rel.name
 
-        def run_channel(side: str, subgraph, complement: bool):
-            batch = propagation.batch_adjacency(subgraph, rows)
+        def run_channel(side: str, batch, complement: bool):
             weights = (p[f"{name}/{key}"] for key in ("filter_w", f"{side}_gate_w", f"{side}_b1", f"{side}_b2"))
             messages = propagation.channel_messages(
                 ad.gather_rows(h, batch.senders), *weights, cfg.residual_mix, complement=complement
@@ -202,13 +204,14 @@ class DualChannelModel:
             return propagation.residual_aggregate(h, messages, batch)
 
         if cfg.ablation == "sep":
-            return run_channel("smooth", rel, complement=False)
+            return run_channel("smooth", propagation.batch_adjacency(rel, rows), complement=False)
+        homo, hetero = propagation.channel_adjacencies(rel, partition, rows)
         if cfg.ablation == "homo":
-            return run_channel("contrast", partition.hetero, complement=True)
+            return run_channel("contrast", hetero, complement=True)
         if cfg.ablation == "heter":
-            return run_channel("smooth", partition.homo, complement=False)
-        z_smooth = run_channel("smooth", partition.homo, complement=False)
-        z_contrast = run_channel("contrast", partition.hetero, complement=True)
+            return run_channel("smooth", homo, complement=False)
+        z_smooth = run_channel("smooth", homo, complement=False)
+        z_contrast = run_channel("contrast", hetero, complement=True)
         fusion = (p[f"{name}/{key}"] for key in ("fuse_w", "fuse_b", "norm_gain", "norm_bias"))
         return propagation.frequency_fuse(z_smooth, z_contrast, *fusion)
 
@@ -224,8 +227,9 @@ class DualChannelModel:
 
         The projection, edge scoring and partition cover the whole graph;
         aggregation, fusion and the classifier run only for the rows. Edge
-        partitions are recomputed from the current edge scores unless frozen
-        ones are passed in (gradient checking does that). A training pass
+        partitions are recomputed from the sign of the current edge scores
+        unless frozen ones are passed in (gradient checking does that); no
+        pass builds a partition's views. A training pass
         records the tape and builds the classification loss over its rows,
         plus one edge loss per relation when ``edge_batches`` holds
         per-relation (edge positions, sign labels). An evaluation pass
@@ -257,8 +261,8 @@ class DualChannelModel:
                     if partitions is not None:
                         partition = partitions[ri]
                     else:
-                        # hard split: scores are detached here, the separator
-                        # learns only through the hinge loss below
+                        # hard split on the sign of the detached pre-activation;
+                        # the separator learns only through the hinge loss below
                         scores = separator.edge_score_values(
                             h.data, sources, targets, p[f"{rel.name}/edge_w"].data
                         )

@@ -10,8 +10,10 @@ difference.
 
 Aggregation has one path: every pass names the rows it computes (a training
 batch, the rows an evaluation reads, or ``np.arange(N)`` for the whole
-graph), :func:`batch_adjacency` cuts the rescaled adjacency down to those
-rows, and messages are computed only for the senders they read.
+graph), the rescaled adjacency is cut down to those rows
+(:func:`channel_adjacencies` for a partitioned relation, straight from the
+relation and its edge mask; :func:`batch_adjacency` for a whole one), and
+messages are computed only for the senders they read.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy import sparse
 
 from . import autodiff as ad
 from .autodiff import TensorValue
-from .graphs import RelationAdjacency
+from .graphs import EdgePartition, RelationAdjacency
 
 
 def channel_messages(
@@ -66,29 +68,31 @@ class BatchAdjacency:
     matrix: sparse.csr_array  # (len(rows), len(senders))
 
 
-def batch_adjacency(subgraph: RelationAdjacency, rows) -> BatchAdjacency:
-    """Cut the rescaled adjacency down to ``rows`` and the senders they read.
-
-    Row u holds 1 / sqrt(1 + d_u * d_v) for each neighbor v, with degrees
-    taken inside the subgraph, and keeps its stored entries in storage
-    order, so a row of the aggregate comes out bit for bit the same
-    whichever other rows are computed with it. The senders and their column
-    numbers come from a length-N presence mask and its running count, which
-    gives the arrays of ``np.unique(neighbors, return_inverse=True)``
-    without sorting the neighbors.
-    """
+def _batch_rows(rows, num_nodes: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64)
-    n = subgraph.num_nodes
-    if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= n)):
-        raise ValueError(f"batch rows must be a flat index into {n} nodes")
-    degrees = subgraph.degrees()
-    counts = degrees[rows]
+    if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= num_nodes)):
+        raise ValueError(f"batch rows must be a flat index into {num_nodes} nodes")
+    return rows
+
+
+def _row_positions(offsets: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Storage positions of the entries of ``rows`` (``counts`` each), the rows laid end to end."""
+    starts = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    return np.repeat(offsets[rows] - starts[:-1], counts) + np.arange(starts[-1])
+
+
+def _cut(rows: np.ndarray, counts: np.ndarray, neighbors: np.ndarray, degrees: np.ndarray) -> BatchAdjacency:
+    """The block whose rows hold ``counts`` entries each, reading ``neighbors`` row after row.
+
+    The senders and their column numbers come from a length-N presence mask
+    and its running count, which gives the arrays of
+    ``np.unique(neighbors, return_inverse=True)`` without sorting the
+    neighbors.
+    """
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    # storage positions of the rows' entries, the rows laid end to end
-    positions = np.repeat(subgraph.offsets[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
-    neighbors = subgraph.targets[positions]
-    present = np.zeros(n, dtype=bool)
+    present = np.zeros(len(degrees), dtype=bool)
     present[neighbors] = True
     senders = np.flatnonzero(present)
     columns = (np.cumsum(present) - 1)[neighbors]
@@ -96,6 +100,48 @@ def batch_adjacency(subgraph: RelationAdjacency, rows) -> BatchAdjacency:
     coefficients = 1.0 / np.sqrt(1.0 + np.repeat(deg[rows], counts) * deg[neighbors])
     matrix = sparse.csr_array((coefficients, columns, offsets), shape=(len(rows), len(senders)))
     return BatchAdjacency(rows=rows, senders=senders, matrix=matrix)
+
+
+def batch_adjacency(subgraph: RelationAdjacency, rows) -> BatchAdjacency:
+    """Cut the rescaled adjacency down to ``rows`` and the senders they read.
+
+    Row u holds 1 / sqrt(1 + d_u * d_v) for each neighbor v, with degrees
+    taken inside the subgraph, and keeps its stored entries in storage
+    order, so a row of the aggregate comes out bit for bit the same
+    whichever other rows are computed with it. The model runs this on a
+    whole relation (the ``sep`` ablation); the channels of a partitioned
+    relation take :func:`channel_adjacencies`, which gives the blocks this
+    function gives for the partition's views.
+    """
+    rows = _batch_rows(rows, subgraph.num_nodes)
+    degrees = subgraph.degrees()
+    counts = degrees[rows]
+    positions = _row_positions(subgraph.offsets, rows, counts)
+    return _cut(rows, counts, subgraph.targets[positions], degrees)
+
+
+def channel_adjacencies(
+    relation: RelationAdjacency, partition: EdgePartition, rows
+) -> tuple[BatchAdjacency, BatchAdjacency]:
+    """The (homophilic, heterophilic) blocks for ``rows``, cut straight from the relation.
+
+    Equal, array for array, to :func:`batch_adjacency` of ``partition.homo``
+    and ``partition.hetero``, without building either view: the storage
+    positions of the rows' edges are found once in the relation, the
+    partition's mask taken there splits their neighbors, which keeps each
+    row's entries in storage order, and each side's degrees come from the
+    partition's running counts.
+    """
+    rows = _batch_rows(rows, relation.num_nodes)
+    offsets = relation.offsets
+    positions = _row_positions(offsets, rows, offsets[rows + 1] - offsets[rows])
+    neighbors = relation.targets[positions]
+    hetero_at = partition.hetero_mask[positions]
+
+    def cut(degrees: np.ndarray, side: np.ndarray) -> BatchAdjacency:
+        return _cut(rows, degrees[rows], neighbors[side], degrees)
+
+    return cut(partition.homo_degrees, ~hetero_at), cut(partition.hetero_degrees, hetero_at)
 
 
 def residual_aggregate(h: TensorValue, sender_messages: TensorValue, batch: BatchAdjacency) -> TensorValue:

@@ -3,7 +3,8 @@
 A shared feature projection feeds a per-edge scorer built from the two
 endpoint embeddings and their difference. Scores live in (-1, 1); negative
 means the edge is predicted to join same-label endpoints. A hinge-style
-loss on labeled training edges teaches the scorer.
+loss on labeled training edges teaches the scorer; the partition reads only
+the sign, which the detached pre-activation already has.
 """
 
 from __future__ import annotations
@@ -35,29 +36,38 @@ def project_features(
     return ad.dropout(h, dropout_rate, training=training, rng=rng)
 
 
-# The one scorer formula. The two public scorers both call it rather than each
-# other, so a profiler that wraps them by name times each on its own. With
-# edge_w split into blocks [W_u; W_v; W_d], W [h_u || h_v || h_u - h_v] equals
-# (h (W_u + W_d))_u + (h (W_v - W_d))_v, so the products run once per node and
-# each edge only gathers and adds two scalars.
-def _score(h: TensorValue, sources, targets, edge_w: TensorValue) -> TensorValue:
-    d = h.shape[1]
-    if edge_w.shape[0] != 3 * d:
-        raise ValueError(f"edge weight has {edge_w.shape[0]} rows, the scorer needs 3 * {d}")
+# With edge_w split into blocks [W_u; W_v; W_d], W [h_u || h_v || h_u - h_v]
+# equals (h (W_u + W_d))_u + (h (W_v - W_d))_v, so the products run once per
+# node and each edge only gathers and adds two scalars. The taped and the
+# detached scorer both run this sequence of operations, so the detached
+# pre-activation is bit for bit the one the taped score takes tanh of.
+def _check_edge_weight(d: int, edge_w_rows: int) -> None:
+    if edge_w_rows != 3 * d:
+        raise ValueError(f"edge weight has {edge_w_rows} rows, the scorer needs 3 * {d}")
+
+
+def edge_scores(h: TensorValue, sources, targets, edge_w: TensorValue) -> TensorValue:
+    """tanh(W [h_u || h_v || h_u - h_v]) for each edge (u, v); shape (E, 1)."""
+    _check_edge_weight(h.shape[1], edge_w.shape[0])
     w_u, w_v, w_d = ad.row_blocks(edge_w, 3)
     from_source = ad.matmul(h, ad.add(w_u, w_d))
     from_target = ad.matmul(h, ad.sub(w_v, w_d))
     return ad.tanh(ad.add(ad.gather_rows(from_source, sources), ad.gather_rows(from_target, targets)))
 
 
-def edge_scores(h: TensorValue, sources, targets, edge_w: TensorValue) -> TensorValue:
-    """tanh(W [h_u || h_v || h_u - h_v]) for each edge (u, v); shape (E, 1)."""
-    return _score(h, sources, targets, edge_w)
-
-
 def edge_score_values(h: np.ndarray, sources, targets, edge_w: np.ndarray) -> np.ndarray:
-    """:func:`edge_scores` of plain arrays as a flat array; constant inputs record no tape."""
-    return _score(ad.tensor(h), sources, targets, ad.tensor(edge_w)).data.reshape(-1)
+    """The pre-activation W [h_u || h_v || h_u - h_v] of :func:`edge_scores`, flat, in plain numpy.
+
+    The partition reads only a score's side of 0, and tanh keeps every
+    input on its side: ±0 stay ±0, ±inf go to ±1 and NaN stays NaN, so
+    ``edge_score_values(...) >= 0`` equals ``edge_scores(...) >= 0``
+    without the tanh or a tape.
+    """
+    _check_edge_weight(h.shape[1], edge_w.shape[0])
+    w_u, w_v, w_d = np.split(edge_w, 3)
+    from_source = (h @ (w_u + w_d)).reshape(-1)
+    from_target = (h @ (w_v - w_d)).reshape(-1)
+    return from_source[sources] + from_target[targets]
 
 
 def edge_label_signs(sources, targets, labels, train_mask) -> tuple[np.ndarray, np.ndarray]:

@@ -119,13 +119,13 @@ class TestLoadDataset:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("symmetrize yes", "line 4: symmetrize must be true or false, got 'yes'"),
-            ("symmetrize True", "line 4: symmetrize must be true or false, got 'True'"),
-            ("symmetrize true false", "line 4: symmetrize takes one value, got 2"),
-            ("num_nodes 3 300", "line 4: num_nodes takes one value, got 2"),
-            ("features features.csv labels.csv", "line 4: features takes one value, got 2"),
-            ("num_nodes 3", "line 4: num_nodes given twice"),
-            ("labels labels.csv", "line 4: labels given twice"),
+            ("symmetrize yes", "line 5: symmetrize must be true or false, got 'yes'"),
+            ("symmetrize True", "line 5: symmetrize must be true or false, got 'True'"),
+            ("symmetrize true false", "line 5: symmetrize takes one value, got 2"),
+            ("num_nodes 3 300", "line 5: num_nodes takes one value, got 2"),
+            ("features features.csv labels.csv", "line 5: features takes one value, got 2"),
+            ("num_nodes 3", "line 5: num_nodes given twice"),
+            ("labels labels.csv", "line 5: labels given twice"),
         ],
         ids=["symmetrize-yes", "symmetrize-capital", "symmetrize-two-values", "num-nodes-two-values",
              "path-two-values", "num-nodes-twice", "labels-twice"],

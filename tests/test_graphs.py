@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualmp.graphs import (
+    EdgePartition,
     GraphFormatError,
+    RelationAdjacency,
     build_csr,
     merge_relations,
     partition_subgraphs,
@@ -98,6 +100,28 @@ class TestPartition:
         assert part.hetero.edge_count == 1
         assert part.homo.edge_count == 0
 
+    def test_views_are_built_on_first_access_only(self):
+        adj = build_csr([(0, 1), (1, 2), (2, 0)], 3)
+        part = partition_subgraphs(adj, [-1.0, 0.5, 0.0])
+        assert "homo" not in vars(part) and "hetero" not in vars(part)
+        assert part.hetero_degrees.tolist() == [0, 1, 1]
+        assert part.homo_degrees.tolist() == [1, 0, 0]
+        assert "homo" not in vars(part) and "hetero" not in vars(part)
+        assert part.hetero is part.hetero
+        assert (part.homo.name, part.hetero.name) == ("relation:homo", "relation:hetero")
+
+    def test_keyword_constructor_takes_explicit_views(self):
+        adj = build_csr([(0, 1), (1, 2), (1, 0)], 3)
+        eager = partition_subgraphs(adj, [0.3, -0.2, 0.7])
+        homo, hetero = eager.homo, eager.hetero
+        # the views given win, swapped or not
+        part = EdgePartition(hetero_mask=eager.hetero_mask, homo=hetero, hetero=homo)
+        assert part.homo is hetero and part.hetero is homo
+        assert np.array_equal(part.homo_degrees, hetero.degrees())
+        assert np.array_equal(part.hetero_degrees, homo.degrees())
+        with pytest.raises(ValueError, match="both views or the relation"):
+            EdgePartition(hetero_mask=eager.hetero_mask, homo=homo)
+
     def test_score_count_mismatch(self):
         adj = build_csr([(0, 1)], 2)
         with pytest.raises(ValueError, match="edge signs"):
@@ -172,6 +196,27 @@ def test_partition_views_equal_csr_of_masked_edges(case):
         rebuilt = build_csr(adj.edge_pairs()[keep], n)
         assert np.array_equal(view.offsets, rebuilt.offsets)
         assert np.array_equal(view.targets, rebuilt.targets)
+
+
+@given(edge_lists, st.sampled_from(["random", "all-homo", "all-hetero"]))
+@settings(max_examples=60, deadline=None)
+def test_lazy_views_equal_eager_construction(case, mode):
+    # the eager construction: each view's targets copied out by the mask, its
+    # offsets the running count of the mask read at the relation's offsets
+    n, edges = case
+    adj = build_csr(edges, n, name="r")
+    signs = {"random": np.random.default_rng(adj.edge_count).uniform(-1, 1, size=adj.edge_count),
+             "all-homo": -np.ones(adj.edge_count), "all-hetero": np.zeros(adj.edge_count)}[mode]
+    part = partition_subgraphs(adj, signs)
+    mask = signs >= 0
+    running = np.concatenate([[0], np.cumsum(mask)])
+    hetero_offsets = running[adj.offsets]
+    eager = (RelationAdjacency("r:homo", adj.offsets - hetero_offsets, adj.targets[~mask]),
+             RelationAdjacency("r:hetero", hetero_offsets, adj.targets[mask]))
+    for lazy, view in zip((part.homo, part.hetero), eager):
+        assert lazy.name == view.name
+        assert np.array_equal(lazy.offsets, view.offsets) and lazy.offsets.dtype == view.offsets.dtype
+        assert np.array_equal(lazy.targets, view.targets) and lazy.targets.dtype == view.targets.dtype
 
 
 @given(edge_lists)

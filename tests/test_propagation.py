@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 import dualmp.autodiff as ad
 from dualmp.autodiff import tensor
 from dualmp.graphs import build_csr, partition_subgraphs
-from dualmp.propagation import batch_adjacency, channel_messages, frequency_fuse, residual_aggregate
+from dualmp.propagation import (
+    batch_adjacency,
+    channel_adjacencies,
+    channel_messages,
+    frequency_fuse,
+    residual_aggregate,
+)
 from whole_graph import whole_graph_aggregate
 
 
@@ -216,6 +222,37 @@ def test_batch_senders_equal_unique_of_neighbors(case):
     assert np.array_equal(batch.senders, senders)
     assert np.array_equal(batch.matrix.indices, columns)
     assert batch.matrix.shape == (len(rows), len(senders))
+
+
+@given(batch_cases, st.sampled_from(["random", "all-homo", "all-hetero"]), st.integers(0, 2**32 - 1))
+@example((5, [], [4, 1, 1]), "random", 0)  # no edges
+@example((6, [(0, 1), (1, 0), (2, 1), (2, 3)], [5, 1, 3, 1, 0, 2]), "random", 3)  # isolated rows, unsorted, repeated
+@example((4, [(0, 1), (1, 2)], []), "all-hetero", 0)  # no rows
+@settings(max_examples=120, deadline=None)
+def test_channel_blocks_equal_view_blocks(case, mode, seed):
+    # the model's blocks, cut from the relation and its mask, are the blocks
+    # of the eager views, which the dense oracle (A2) checks, bit for bit
+    n, edges, rows = case
+    adj = build_csr(edges, n)
+    signs = {"random": np.random.default_rng(seed).uniform(-1, 1, size=adj.edge_count),
+             "all-homo": -np.ones(adj.edge_count), "all-hetero": np.zeros(adj.edge_count)}[mode]
+    part = partition_subgraphs(adj, signs)
+    for block, view in zip(channel_adjacencies(adj, part, rows), (part.homo, part.hetero), strict=True):
+        expected = batch_adjacency(view, rows)
+        assert np.array_equal(block.rows, expected.rows)
+        assert np.array_equal(block.senders, expected.senders)
+        assert block.matrix.shape == expected.matrix.shape
+        for attr in ("indices", "indptr", "data"):
+            got, want = getattr(block.matrix, attr), getattr(expected.matrix, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+
+
+def test_channel_blocks_check_rows_first():
+    adj = build_csr([(0, 1), (1, 0)], 3)
+    part = partition_subgraphs(adj, [0.5, -0.5])
+    for rows in ([3], [-1], [[0, 1]]):
+        with pytest.raises(ValueError, match="batch rows"):
+            channel_adjacencies(adj, part, rows)
 
 
 class TestDenseOracle:

@@ -61,8 +61,24 @@ class TestEdgeScores:
         src = rng.integers(0, 10, size=15)
         tgt = rng.integers(0, 10, size=15)
         taped = edge_scores(tensor(h), src, tgt, tensor(w)).data.reshape(-1)
-        plain = edge_score_values(h, src, tgt, w)
-        assert np.array_equal(taped, plain)
+        plain = edge_score_values(h, src, tgt, w)  # the pre-activation
+        assert np.array_equal(taped, np.tanh(plain))
+
+    def test_pre_activation_sign_equals_score_sign_at_the_edges_of_float64(self):
+        values = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, np.inf, -np.inf, np.nan, 1.0, -1.0])
+        sides = [True, True, True, False, True, False, True, False, False, True, False]
+        # tanh keeps every value on its side of 0, signed zeros and NaN included
+        assert (ad.tanh(tensor(values)).data.reshape(-1) >= 0).tolist() == sides
+        # with edge_w = [1, -1, 0] and h_0 = 0 the pre-activation of edge (u, 0)
+        # is h_u - 0, so the scorer sees each value (BLAS turns -0.0 into +0.0)
+        h = np.concatenate([[0.0], values]).reshape(-1, 1)
+        w = np.array([[1.0], [-1.0], [0.0]])
+        src = np.arange(1, len(h))
+        tgt = np.zeros(len(values), dtype=np.int64)
+        pre = edge_score_values(h, src, tgt, w)
+        taped = edge_scores(tensor(h), src, tgt, tensor(w)).data.reshape(-1)
+        assert np.array_equal(pre, values, equal_nan=True)
+        assert (pre >= 0).tolist() == (taped >= 0).tolist() == sides
 
     def test_strictly_inside_unit_interval(self):
         # holds up to float64 resolution; tanh rounds to exactly 1 past |x| ~ 19

@@ -3,7 +3,7 @@ import pytest
 
 from dualmp.autodiff import ParamStore
 from dualmp.data import SyntheticSpec, generate_synthetic
-from dualmp.graphs import MultiRelationGraph, NodeSplit
+from dualmp.graphs import EdgePartition, MultiRelationGraph, NodeSplit
 from dualmp.metrics import accuracy, evaluate
 from dualmp.model import ABLATIONS, ConfigError, DualChannelModel, TrainConfig
 from dualmp.training import (
@@ -187,6 +187,21 @@ class TestFit:
         for rel, (pos, _) in zip(graph.relations, training_edge_sets(graph.relations, graph.labels, mask)):
             src, tgt = rel.edge_sources, rel.targets
             assert mask[src[pos]].all() and mask[tgt[pos]].all()
+
+    @pytest.mark.parametrize("ablation", ["full", "homo", "heter", "rel"])
+    def test_training_and_evaluation_build_no_view(self, graph, ablation, monkeypatch):
+        # the channels cut their blocks from the relation and its edge mask;
+        # only a reader of EdgePartition.homo or .hetero builds a view
+        built = []
+        for side in ("homo", "hetero"):
+            build = vars(EdgePartition)[side].func
+            monkeypatch.setattr(EdgePartition, side, property(lambda part, b=build: built.append(b) or b(part)))
+        result = fit(graph, quick_config(ablation=ablation, epochs=1, patience=1))
+        evaluate_split(result.model, result.model.graph.split.test)
+        assert built == []
+        part = result.model.forward(training=False).partitions[0]
+        assert part.hetero.edge_count + part.homo.edge_count == result.model.graph.relations[0].edge_count
+        assert len(built) == 2
 
     def test_log_records_have_expected_fields(self, graph):
         result = fit(graph, quick_config(epochs=2, patience=2))

@@ -34,9 +34,8 @@ from .metrics import MetricsReport
 from .model import ABLATIONS, ConfigError, DualChannelModel, TrainConfig
 from .training import (
     NumericalError,
-    balanced_edge_sample,
-    balanced_node_sample,
     check_validation_split,
+    epoch_batches,
     evaluate_split,
     fit,
     training_edge_sets,
@@ -74,6 +73,8 @@ def _parse_config_file(path: str) -> dict:
         raw = raw.strip()
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}: line {i}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}: line {i}: {key} given twice")
         ftype = _CONFIG_FIELDS[key].type
         try:
             values[key] = _FIELD_PARSERS[ftype](raw)
@@ -194,7 +195,12 @@ def _checkpoint_config(meta, path: str) -> TrainConfig:
     mistyped = {key: value for key, value in sorted(saved.items()) if not _has_field_type(key, value)}
     if mistyped:
         raise CheckpointError(f"{path}: train_config values of the wrong type: {mistyped}")
-    return TrainConfig(**saved)
+    config = TrainConfig(**saved)
+    try:  # before load_dataset draws the split from the seed
+        config.validate()
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: train_config: {exc}") from None
+    return config
 
 
 def _rebuild_model(data_path: str, checkpoint_path: str, symmetrize: bool) -> DualChannelModel:
@@ -219,7 +225,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def gradcheck_model(ablation: str, seed: int, probe: float) -> dict[str, float]:
-    """Errors for one wiring on the standard 30-node, 2-relation random graph."""
+    """Errors for one wiring on the standard 30-node, 2-relation random graph.
+
+    The loss is ``fit``'s first training loss, with the partitions frozen.
+    """
     spec = SyntheticSpec(
         num_nodes=30,
         fraud_ratio=0.2,
@@ -236,17 +245,8 @@ def gradcheck_model(ablation: str, seed: int, probe: float) -> dict[str, float]:
     config = TrainConfig(ablation=ablation, dropout=0.0, seed=seed)
     rng = np.random.default_rng(seed)
     model = DualChannelModel(graph, config, rng)
-    graph = model.graph
-
     partitions = model.forward(training=False).partitions
-    node_batch = balanced_node_sample(graph.split.train, graph.labels, rng)
-    edge_batches = None
-    if ablation != "sep":
-        train_mask = graph.split.train_mask(graph.num_nodes)
-        edge_batches = [
-            balanced_edge_sample(pos, signs, rng)
-            for pos, signs in training_edge_sets(graph.relations, graph.labels, train_mask)
-        ]
+    node_batch, edge_batches = epoch_batches(model.graph, training_edge_sets(model), rng)
 
     def forward():
         return model.forward(

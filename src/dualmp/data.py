@@ -277,6 +277,8 @@ class SyntheticSpec:
         if self.mean_degree >= self.num_nodes:
             # a node has at most num_nodes - 1 distinct neighbours
             raise DatasetError(f"mean_degree must be below num_nodes ({self.num_nodes}), got {self.mean_degree}")
+        if self.seed < 0:
+            raise DatasetError(f"seed must be non-negative, got {self.seed}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> MultiRelationGraph:

@@ -2,8 +2,8 @@
 
 One parameter group per relation (projection, edge scorer, filter, two
 channel gates, fusion) plus a shared linear classifier over all the
-relation embeddings. Ablation variants rewire the forward pass and simply do
-not create the parameters they cannot reach.
+relation embeddings. ``CHANNELS`` names the channels each ablation runs; an
+ablation creates only the parameters its channels reach.
 """
 
 from __future__ import annotations
@@ -20,7 +20,16 @@ from . import propagation, separator
 from .autodiff import ParamStore, TensorValue
 from .graphs import EdgePartition, MultiRelationGraph, merge_relations, partition_subgraphs
 
-ABLATIONS = ("full", "sep", "homo", "heter", "rel")
+# The channels each ablation runs, in run order; two outputs are fused. Only
+# ``sep`` has no separator, so its smoothing channel reads the whole relation.
+CHANNELS = {
+    "full": ("smooth", "contrast"),
+    "sep": ("smooth",),
+    "homo": ("contrast",),
+    "heter": ("smooth",),
+    "rel": ("smooth", "contrast"),
+}
+ABLATIONS = tuple(CHANNELS)
 
 
 class ConfigError(ValueError):
@@ -64,6 +73,8 @@ class TrainConfig:
             raise ConfigError("hidden_dim must be at least 1")
         if not 0 <= self.dropout < 1:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
 
@@ -75,17 +86,16 @@ class ForwardResult:
     The rows of ``probs`` and of each relation's ``embeddings`` are the pass's
     rows: the ``node_batch`` in batch order, a repeated node repeating its
     row, or all N nodes in node order without one. ``probs`` is a constant,
-    the softmax of the classifier's logits. ``edge_scores`` holds each
-    relation's detached scorer pre-activation over all its edges, not the
-    tanh score: the two share their sign, and only the sign is read (the
-    partition, A3's sign accuracy). Only a training pass builds losses; an
-    evaluation pass leaves them empty and records no tape.
+    the softmax of the classifier's logits. ``partitions`` holds each
+    relation's edge split, whose ``hetero_mask`` is the sign of the edge
+    scores, or None under an ablation without a separator. Only a training
+    pass builds losses; an evaluation pass leaves them empty and records no
+    tape.
     """
 
     probs: TensorValue  # (rows, 2) constant, column 1 is fraud probability
     embeddings: list[TensorValue]  # (rows, hidden) fused embedding per relation
     partitions: list[EdgePartition | None]
-    edge_scores: list[np.ndarray | None]  # detached pre-activations over all edges, per relation
     loss_total: TensorValue | None = None
     loss_cls: TensorValue | None = None
     edge_losses: list[TensorValue] = field(default_factory=list)
@@ -129,8 +139,8 @@ class DualChannelModel:
     """Wires parameters and the forward pass for one graph and config.
 
     Under the ``rel`` ablation the relations are merged into a single union
-    graph at construction; the other ablations only change which channels
-    run. Parameters that an ablation cannot reach are never created, so the
+    graph at construction; ``CHANNELS`` names the channels each ablation
+    runs. Parameters that an ablation cannot reach are never created, so the
     store size doubles as the active-parameter count.
     """
 
@@ -148,37 +158,27 @@ class DualChannelModel:
     # -- parameter construction -------------------------------------------
 
     @property
-    def _has_separator(self) -> bool:
+    def has_separator(self) -> bool:
+        """Whether the model scores and splits edges, and so trains an edge loss."""
         return self.config.ablation != "sep"
-
-    @property
-    def _has_smooth_channel(self) -> bool:
-        return self.config.ablation != "homo"
-
-    @property
-    def _has_contrast_channel(self) -> bool:
-        return self.config.ablation not in ("heter", "sep")
 
     def _init_params(self, rng: np.random.Generator) -> None:
         d_in, d_h = self.graph.feature_dim, self.config.hidden_dim
+        channels = CHANNELS[self.config.ablation]
         for rel in self.graph.relations:
             p = self.params
             name = rel.name
             p.add(f"{name}/proj_w", _kaiming_uniform(rng, d_in, d_h))
             p.add(f"{name}/proj_b", np.zeros((1, d_h)), decay=False)
-            if self._has_separator:
+            if self.has_separator:
                 p.add(f"{name}/edge_w", _kaiming_uniform(rng, 3 * d_h, 1))
             # both channels share the filter; I - W is the contrast filter
             p.add(f"{name}/filter_w", 0.5 * np.eye(d_h) + rng.uniform(-0.01, 0.01, size=(d_h, d_h)))
-            if self._has_smooth_channel:
-                p.add(f"{name}/smooth_b1", np.zeros((1, d_h)), decay=False)
-                p.add(f"{name}/smooth_gate_w", _kaiming_uniform(rng, d_h, d_h))
-                p.add(f"{name}/smooth_b2", np.zeros((1, d_h)), decay=False)
-            if self._has_contrast_channel:
-                p.add(f"{name}/contrast_b1", np.zeros((1, d_h)), decay=False)
-                p.add(f"{name}/contrast_gate_w", _kaiming_uniform(rng, d_h, d_h))
-                p.add(f"{name}/contrast_b2", np.zeros((1, d_h)), decay=False)
-            if self._has_smooth_channel and self._has_contrast_channel:  # the fusion
+            for side in channels:
+                p.add(f"{name}/{side}_b1", np.zeros((1, d_h)), decay=False)
+                p.add(f"{name}/{side}_gate_w", _kaiming_uniform(rng, d_h, d_h))
+                p.add(f"{name}/{side}_b2", np.zeros((1, d_h)), decay=False)
+            if len(channels) == 2:  # the fusion
                 p.add(f"{name}/fuse_w", _kaiming_uniform(rng, 3 * d_h, d_h))
                 p.add(f"{name}/fuse_b", np.zeros((1, d_h)), decay=False)
                 p.add(f"{name}/norm_gain", np.ones((1, d_h)), decay=False)
@@ -189,31 +189,29 @@ class DualChannelModel:
     # -- forward -----------------------------------------------------------
 
     def _relation_embedding(self, rel, h, partition, rows):
-        """Run the active channels over one relation for ``rows`` and fuse the outputs.
+        """Run the ablation's channels over one relation for ``rows`` and fuse two outputs.
 
         Each channel computes messages only for the neighbors the rows read.
         """
         p, cfg = self.params, self.config
         name = rel.name
-
-        def run_channel(side: str, batch, complement: bool):
+        if partition is None:
+            blocks = {"smooth": propagation.batch_adjacency(rel, rows)}
+        else:
+            homo, hetero = propagation.channel_adjacencies(rel, partition, rows)
+            blocks = {"smooth": homo, "contrast": hetero}
+        outputs = []
+        for side in CHANNELS[cfg.ablation]:
+            batch = blocks[side]
             weights = (p[f"{name}/{key}"] for key in ("filter_w", f"{side}_gate_w", f"{side}_b1", f"{side}_b2"))
             messages = propagation.channel_messages(
-                ad.gather_rows(h, batch.senders), *weights, cfg.residual_mix, complement=complement
+                ad.gather_rows(h, batch.senders), *weights, cfg.residual_mix, complement=side == "contrast"
             )
-            return propagation.residual_aggregate(h, messages, batch)
-
-        if cfg.ablation == "sep":
-            return run_channel("smooth", propagation.batch_adjacency(rel, rows), complement=False)
-        homo, hetero = propagation.channel_adjacencies(rel, partition, rows)
-        if cfg.ablation == "homo":
-            return run_channel("contrast", hetero, complement=True)
-        if cfg.ablation == "heter":
-            return run_channel("smooth", homo, complement=False)
-        z_smooth = run_channel("smooth", homo, complement=False)
-        z_contrast = run_channel("contrast", hetero, complement=True)
+            outputs.append(propagation.residual_aggregate(h, messages, batch))
+        if len(outputs) == 1:
+            return outputs[0]
         fusion = (p[f"{name}/{key}"] for key in ("fuse_w", "fuse_b", "norm_gain", "norm_bias"))
-        return propagation.frequency_fuse(z_smooth, z_contrast, *fusion)
+        return propagation.frequency_fuse(*outputs, *fusion)
 
     def forward(
         self,
@@ -242,7 +240,6 @@ class DualChannelModel:
         with nullcontext() if training else ad.no_tape():
             per_rel_z: list[TensorValue] = []
             out_partitions: list[EdgePartition | None] = []
-            out_scores: list[np.ndarray | None] = []
             edge_losses: list[TensorValue] = []
 
             for ri, rel in enumerate(self.graph.relations):
@@ -255,30 +252,20 @@ class DualChannelModel:
                     rng=rng,
                 )
                 partition = None
-                scores = None
-                if self._has_separator:
+                if self.has_separator:
                     sources, targets = rel.edge_sources, rel.targets
-                    if partitions is not None:
-                        partition = partitions[ri]
-                    else:
-                        # hard split on the sign of the detached pre-activation;
-                        # the separator learns only through the hinge loss below
-                        scores = separator.edge_score_values(
-                            h.data, sources, targets, p[f"{rel.name}/edge_w"].data
-                        )
-                        partition = partition_subgraphs(rel, scores)
+                    edge_w = p[f"{rel.name}/edge_w"]
+                    # unless frozen, a hard split on the sign of the detached pre-activation;
+                    # the separator learns only through the hinge loss below
+                    partition = partitions[ri] if partitions is not None else partition_subgraphs(
+                        rel, separator.edge_score_values(h.data, sources, targets, edge_w.data)
+                    )
                     if training and edge_batches is not None:
-                        positions, sign_labels = edge_batches[ri]
-                        if len(positions):
-                            batch_scores = separator.edge_scores(
-                                h, sources[positions], targets[positions], p[f"{rel.name}/edge_w"]
-                            )
-                            edge_losses.append(separator.heterophily_loss(batch_scores, sign_labels))
-                        else:
-                            edge_losses.append(ad.tensor(0.0))
+                        positions, signs = edge_batches[ri]
+                        scores = separator.edge_scores(h, sources[positions], targets[positions], edge_w)
+                        edge_losses.append(separator.heterophily_loss(scores, signs))
                 per_rel_z.append(self._relation_embedding(rel, h, partition, rows))
                 out_partitions.append(partition)
-                out_scores.append(scores)
 
             logits = classify(per_rel_z, p["classifier/w"], p["classifier/b"])
 
@@ -286,7 +273,6 @@ class DualChannelModel:
                 probs=ad.tensor(ad.softmax(logits.data)),
                 embeddings=per_rel_z,
                 partitions=out_partitions,
-                edge_scores=out_scores,
                 edge_losses=edge_losses,
             )
             if training:

@@ -9,8 +9,6 @@ the sign, which the detached pre-activation already has.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import autodiff as ad
@@ -88,11 +86,11 @@ def edge_label_signs(sources, targets, labels, train_mask) -> tuple[np.ndarray, 
 def heterophily_loss(scores: TensorValue, sign_labels) -> TensorValue:
     """Mean hinge max(1 - score * sign, 0) over a batch of labeled edges.
 
-    An empty batch is degenerate and contributes 0 (with a warning).
+    An empty batch, drawn for a relation whose training edges lack one sign,
+    gives the constant 0: no loss and no gradient.
     """
     signs = np.asarray(sign_labels, dtype=np.float64).reshape(-1, 1)
     if signs.size == 0:
-        warnings.warn("heterophily loss over an empty edge batch, treating as 0", stacklevel=2)
         return ad.tensor(0.0)
     if scores.shape != signs.shape:
         raise ValueError(f"{scores.shape[0]} scores for {signs.shape[0]} edge labels")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamStore, backward
-from .graphs import MultiRelationGraph, RelationAdjacency
+from .graphs import MultiRelationGraph
 from .metrics import MetricsReport, accuracy, evaluate
 from .model import ConfigError, DualChannelModel, TrainConfig
 from .separator import edge_label_signs
@@ -81,8 +81,8 @@ def balanced_node_sample(train_idx, labels, rng: np.random.Generator) -> np.ndar
 def balanced_edge_sample(positions, sign_labels, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Equal-count sample of same-label and different-label training edges.
 
-    When either side is absent the batch is empty and that relation's edge
-    loss is skipped for the epoch.
+    An empty batch is normal: a relation whose training edges lack one sign
+    draws one every epoch, and its edge loss is then the constant 0.
     """
     positions = np.asarray(positions, dtype=np.int64)
     sign_labels = np.asarray(sign_labels, dtype=np.float64)
@@ -94,13 +94,27 @@ def balanced_edge_sample(positions, sign_labels, rng: np.random.Generator) -> tu
     return positions[pick], sign_labels[pick]
 
 
-def training_edge_sets(
-    relations: list[RelationAdjacency], labels: np.ndarray, train_mask: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per relation: positions and sign labels of edges with both endpoints in train."""
-    return [
-        edge_label_signs(rel.edge_sources, rel.targets, labels, train_mask) for rel in relations
-    ]
+def training_edge_sets(model: DualChannelModel) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Per relation: positions and sign labels of the edges inside the train split.
+
+    None for a model without a separator, which trains no edge loss.
+    """
+    if not model.has_separator:
+        return None
+    graph = model.graph
+    mask = graph.split.train_mask(graph.num_nodes)
+    return [edge_label_signs(rel.edge_sources, rel.targets, graph.labels, mask) for rel in graph.relations]
+
+
+def epoch_batches(graph: MultiRelationGraph, labeled_edges, rng: np.random.Generator):
+    """One epoch's class-balanced node batch, then a sign-balanced edge batch per relation.
+
+    The edge batches are None when ``labeled_edges`` (:func:`training_edge_sets`) is.
+    """
+    node_batch = balanced_node_sample(graph.split.train, graph.labels, rng)
+    if labeled_edges is None:
+        return node_batch, None
+    return node_batch, [balanced_edge_sample(pos, signs, rng) for pos, signs in labeled_edges]
 
 
 @dataclass
@@ -125,11 +139,11 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     """Train one model per the configured schedule.
 
     Every epoch re-scores and re-partitions each relation's edges, runs the
-    active channels, takes one Adam step on the joint loss over balanced
-    node/edge batches, and evaluates the validation split. The evaluation
-    forward computes only the train and validation rows, which is all the
-    log reads (validation metrics and train accuracy); like every evaluation
-    pass it records no tape and builds no loss. The parameters
+    ablation's channels, takes one Adam step on the joint loss over the
+    batches of :func:`epoch_batches`, and evaluates the validation split.
+    The evaluation forward computes only the train and validation rows, which
+    is all the log reads (validation metrics and train accuracy); like every
+    evaluation pass it records no tape and builds no loss. The parameters
     with the best validation AUC are restored before returning; training
     stops early after ``patience`` epochs without improvement. A validation
     split without both classes has no AUC to select on and raises
@@ -148,12 +162,7 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     eval_labels = graph.labels[eval_rows]
     train_pos = np.searchsorted(eval_rows, train_idx)
     val_pos = np.searchsorted(eval_rows, val_idx)
-    train_mask = graph.split.train_mask(graph.num_nodes)
-    labeled_edges = (
-        training_edge_sets(graph.relations, graph.labels, train_mask)
-        if config.ablation != "sep"
-        else None
-    )
+    labeled_edges = training_edge_sets(model)
 
     optimizer = Adam(model.params, config.learning_rate, config.weight_decay)
     log: list[dict] = []
@@ -163,11 +172,7 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     stale = 0
 
     for epoch in range(1, config.epochs + 1):
-        node_batch = balanced_node_sample(train_idx, graph.labels, rng)
-        edge_batches = None
-        if labeled_edges is not None:
-            edge_batches = [balanced_edge_sample(pos, signs, rng) for pos, signs in labeled_edges]
-
+        node_batch, edge_batches = epoch_batches(graph, labeled_edges, rng)
         model.params.zero_grads()
         out = model.forward(training=True, rng=rng, node_batch=node_batch, edge_batches=edge_batches)
         loss_value = out.loss_total.item()

@@ -121,17 +121,18 @@ def edge_sign_accuracy(model, graph) -> float:
     held_mask = np.zeros(graph.num_nodes, dtype=bool)
     held_mask[graph.split.test] = True
     correct = total = 0
-    for rel, scores in zip(graph.relations, out.edge_scores):
+    for rel, part in zip(graph.relations, out.partitions):
         src, tgt = rel.edge_sources, rel.targets
         held = held_mask[src] & held_mask[tgt]
         actual = graph.labels[src[held]] != graph.labels[tgt[held]]
-        correct += int(((scores[held] >= 0) == actual).sum())
+        correct += int((part.hetero_mask[held] == actual).sum())
         total += int(held.sum())
     return correct / total
 
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason=(
         "Information-theoretically unattainable at the stated operating point: with "
         "class-mean separation 3.0 and unit noise the per-node sufficient statistic has "

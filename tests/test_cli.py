@@ -68,9 +68,10 @@ class TestSynth:
             ("--fraud-ratio", "nan", "fraud_ratio must be finite, got nan"),
             ("--separation", "-inf", "separation must be finite, got -inf"),
             ("--noise", "inf", "noise must be finite, got inf"),
+            ("--seed", "-1", "seed must be non-negative, got -1"),
         ],
         ids=["mean-degree-nan", "mean-degree-inf", "mean-degree-1e30", "mean-degree-num-nodes",
-             "fraud-ratio-nan", "separation-minus-inf", "noise-inf"],
+             "fraud-ratio-nan", "separation-minus-inf", "noise-inf", "seed-negative"],
     )
     def test_bad_float_exits_one_with_error_line(self, tmp_path, capsys, flag, value, message):
         assert main(["synth", "--out", str(tmp_path / "ds"), "--nodes", "50", f"{flag}={value}"]) == 1
@@ -141,8 +142,9 @@ class TestTrain:
         [
             ("learning_rate 0.1\nbogus 3\n", "line 2: unknown config key 'bogus'"),
             ("# overrides\nepochs abc\n", "line 2: epochs must be int, got 'abc'"),
+            ("learning_rate 0.1\nlearning_rate 0.5\n", "line 2: learning_rate given twice"),
         ],
-        ids=["unknown-key", "unparsable-value"],
+        ids=["unknown-key", "unparsable-value", "repeated-key"],
     )
     def test_config_error_names_its_line(self, dataset, tmp_path, capsys, content, message):
         cfg = tmp_path / "overrides.txt"
@@ -265,6 +267,13 @@ class TestBadInput:
         assert main(train_args(dataset, tmp_path / "run") + [flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{field} must be finite" in err
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_negative_seed_exits_one(self, dataset, tmp_path, capsys, command):
+        args = train_args(dataset, tmp_path / "run") if command == "train" else ["gradcheck"]
+        assert main(args + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "file", ["manifest.txt", "features.csv", "labels.csv", "splits.txt", "edges_rel0.csv", "config.txt"]
@@ -399,8 +408,10 @@ class TestCheckpointInput:
             lambda cfg: cfg.update(momentum=0.9),
             lambda cfg: cfg.pop("dropout"),
             lambda cfg: cfg.update(learning_rate="abc"),
+            lambda cfg: cfg.update(seed=-1),
         ],
-        ids=["plain-fusion", "filter-activation", "non-bool-flag", "unknown-key", "missing-key", "mistyped-value"],
+        ids=["plain-fusion", "filter-activation", "non-bool-flag", "unknown-key", "missing-key", "mistyped-value",
+             "negative-seed"],
     )
     def test_unsupported_settings_exit_one(self, dataset, trained, tmp_path, capsys, edit):
         path = resave_with_config(trained / "checkpoint.bin", tmp_path / "ckpt.bin", edit)

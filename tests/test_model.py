@@ -13,6 +13,7 @@ from dualmp.model import (
     classify,
     total_loss,
 )
+from dualmp.separator import edge_score_values, project_features
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +221,12 @@ class TestForward:
             assert part.homo.edge_count + part.hetero.edge_count == rel.edge_count
 
     def test_edge_scores_drive_partition(self, small_graph):
-        out = make_model(small_graph).forward(training=False)
-        for part, scores in zip(out.partitions, out.edge_scores):
+        model = make_model(small_graph)
+        out = model.forward(training=False)
+        for rel, part in zip(small_graph.relations, out.partitions):
+            p = lambda key: model.params[f"{rel.name}/{key}"]
+            h = project_features(model.features, p("proj_w"), p("proj_b"))
+            scores = edge_score_values(h.data, rel.edge_sources, rel.targets, p("edge_w").data)
             assert np.array_equal(part.hetero_mask, scores >= 0)
 
     def test_frozen_partition_is_reused(self, small_graph):
@@ -236,8 +241,7 @@ class TestForward:
 
         model = make_model(small_graph)
         node_batch = small_graph.split.train[:4]
-        mask = small_graph.split.train_mask(small_graph.num_nodes)
-        edge_batches = training_edge_sets(small_graph.relations, small_graph.labels, mask)
+        edge_batches = training_edge_sets(model)
         out = model.forward(training=False, node_batch=node_batch, edge_batches=edge_batches)
         assert out.loss_total is None and out.loss_cls is None and out.edge_losses == []
         out = model.forward(training=True, node_batch=node_batch, edge_batches=edge_batches)
@@ -246,7 +250,6 @@ class TestForward:
     def test_sep_ablation_reports_no_scores(self, small_graph):
         out = make_model(small_graph, ablation="sep").forward(training=False)
         assert out.partitions == [None, None]
-        assert out.edge_scores == [None, None]
 
     def test_nan_projection_weight_reaches_the_training_loss(self, small_graph):
         # relu passes the NaN on, so fit sees a non-finite loss instead of training on zeros
@@ -263,11 +266,8 @@ class TestForward:
         )
         model = make_model(graph, dropout=0.1)
         rng = np.random.default_rng(11)
-        from dualmp.training import balanced_edge_sample, balanced_node_sample, training_edge_sets
-        node_batch = balanced_node_sample(graph.split.train, graph.labels, rng)
-        mask = graph.split.train_mask(graph.num_nodes)
-        batches = [balanced_edge_sample(p, s, rng)
-                   for p, s in training_edge_sets(graph.relations, graph.labels, mask)]
+        from dualmp.training import epoch_batches, training_edge_sets
+        node_batch, batches = epoch_batches(graph, training_edge_sets(model), rng)
         model.params.zero_grads()
         out = model.forward(training=True, rng=rng, node_batch=node_batch, edge_batches=batches)
         backward(out.loss_total)

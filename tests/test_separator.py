@@ -141,10 +141,11 @@ class TestHeterophilyLoss:
     def test_hand_value(self):
         assert heterophily_loss(tensor([[0.5]]), [-1.0]).item() == pytest.approx(1.5)
 
-    def test_empty_batch_warns_and_returns_zero(self):
-        with pytest.warns(UserWarning, match="empty edge batch"):
-            loss = heterophily_loss(tensor(np.zeros((0, 1))), [])
-        assert loss.item() == 0.0
+    @pytest.mark.filterwarnings("error")
+    def test_empty_batch_returns_zero(self):
+        # a relation whose training edges lack one sign draws an empty batch every epoch
+        loss = heterophily_loss(tensor(np.zeros((0, 1))), [])
+        assert loss.item() == 0.0 and not loss._parents
 
     def test_strictly_positive_on_tanh_scores(self):
         # |score| < 1 through tanh, so the hinge can never reach zero

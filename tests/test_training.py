@@ -11,6 +11,7 @@ from dualmp.training import (
     NumericalError,
     balanced_edge_sample,
     balanced_node_sample,
+    epoch_batches,
     evaluate_split,
     fit,
     training_edge_sets,
@@ -183,10 +184,30 @@ class TestFit:
             fit(one_class, quick_config())
 
     def test_training_edge_sets_stay_in_train(self, graph):
+        model = DualChannelModel(graph, quick_config(), np.random.default_rng(0))
         mask = graph.split.train_mask(graph.num_nodes)
-        for rel, (pos, _) in zip(graph.relations, training_edge_sets(graph.relations, graph.labels, mask)):
+        for rel, (pos, _) in zip(graph.relations, training_edge_sets(model)):
             src, tgt = rel.edge_sources, rel.targets
             assert mask[src[pos]].all() and mask[tgt[pos]].all()
+
+    def test_no_edge_batches_without_a_separator(self, graph):
+        model = DualChannelModel(graph, quick_config(ablation="sep"), np.random.default_rng(0))
+        assert training_edge_sets(model) is None
+        node_batch, edge_batches = epoch_batches(graph, None, np.random.default_rng(0))
+        assert edge_batches is None
+        expected = balanced_node_sample(graph.split.train, graph.labels, np.random.default_rng(0))
+        assert np.array_equal(node_batch, expected)
+
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_gradcheck_recipe_is_the_first_training_loss(self, graph, ablation):
+        # dualmp gradcheck builds its loss this way; it must be the loss fit trains on
+        config = quick_config(ablation=ablation, dropout=0.0, epochs=1, patience=1)
+        rng = np.random.default_rng(config.seed)
+        model = DualChannelModel(graph, config, rng)
+        partitions = model.forward(training=False).partitions
+        node_batch, edge_batches = epoch_batches(model.graph, training_edge_sets(model), rng)
+        out = model.forward(training=True, node_batch=node_batch, edge_batches=edge_batches, partitions=partitions)
+        assert out.loss_total.item() == fit(graph, config).log[0]["loss_total"]
 
     @pytest.mark.parametrize("ablation", ["full", "homo", "heter", "rel"])
     def test_training_and_evaluation_build_no_view(self, graph, ablation, monkeypatch):

@@ -5,14 +5,14 @@ Covers exactly the primitives the fraud model uses, listed with their users:
 weight blocks of the edge scorer and the fusion, the residuals, the contrast
 filter h - hW, the classifier's sum over relations and the total loss;
 ``scale`` the residual mix and the edge-loss weight; ``add_const``,
-``mul_const`` and ``mean_all`` the edge-sign hinge; ``relu`` the projection,
+``mul_const`` and ``mean_all`` the edge-sign hinge, and ``mul_const`` the
+projection's dropout factor; ``relu`` the projection,
 the contrast filter and the hinge; ``leaky_relu`` the channel gates and the
 fusion; ``tanh`` the edge scorer; ``row_blocks`` the weight blocks of the edge
 scorer, the fusion and the classifier; ``gather_rows`` the edge endpoints,
 and a pass's rows and their senders;
 ``sparse_matmul`` the degree-rescaled aggregation, over scipy CSR;
-``layer_norm`` the fusion; ``dropout`` the projection; ``cross_entropy``
-the classification loss.
+``layer_norm`` the fusion; ``cross_entropy`` the classification loss.
 ``gather_rows``' backward is the module's one scatter: the transposed 0/1
 selection matrix times the gradient, the product ``sparse_matmul``'s rule
 runs, so repeated indices add up in index order. ``relu`` is max(x, 0) and
@@ -350,23 +350,6 @@ def layer_norm(x: TensorValue, gain: TensorValue, bias: TensorValue, eps: float 
             _accumulate(x, dx)
 
     return _result(xhat * gain.data + bias.data, (x, gain, bias), rule)
-
-
-def dropout(x: TensorValue, rate: float, training: bool, rng: np.random.Generator | None = None) -> TensorValue:
-    """Zero entries with probability ``rate`` and rescale survivors; identity in eval mode."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
-    keep = rng.random(x.shape) >= rate
-    factor = keep / (1.0 - rate)
-
-    def rule(g):
-        _accumulate(x, g * factor)
-
-    return _result(x.data * factor, (x,), rule)
 
 
 def mean_all(x: TensorValue) -> TensorValue:

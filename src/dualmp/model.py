@@ -19,6 +19,7 @@ from . import autodiff as ad
 from . import propagation, separator
 from .autodiff import ParamStore, TensorValue
 from .graphs import EdgePartition, MultiRelationGraph, merge_relations, partition_subgraphs
+from .propagation import BatchAdjacency
 
 # The channels each ablation runs, in run order; two outputs are fused. Only
 # ``sep`` has no separator, so its smoothing channel reads the whole relation.
@@ -188,18 +189,13 @@ class DualChannelModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _relation_embedding(self, rel, h, partition, rows):
-        """Run the ablation's channels over one relation for ``rows`` and fuse two outputs.
+    def _relation_embedding(self, name: str, h: TensorValue, blocks: dict[str, BatchAdjacency]) -> TensorValue:
+        """Run the ablation's channels over one relation and fuse two outputs.
 
-        Each channel computes messages only for the neighbors the rows read.
+        ``blocks`` holds each channel's block, indexing the rows of ``h``;
+        each channel computes messages only for its block's senders.
         """
         p, cfg = self.params, self.config
-        name = rel.name
-        if partition is None:
-            blocks = {"smooth": propagation.batch_adjacency(rel, rows)}
-        else:
-            homo, hetero = propagation.channel_adjacencies(rel, partition, rows)
-            blocks = {"smooth": homo, "contrast": hetero}
         outputs = []
         for side in CHANNELS[cfg.ablation]:
             batch = blocks[side]
@@ -223,35 +219,39 @@ class DualChannelModel:
     ) -> ForwardResult:
         """One pass over the rows ``node_batch``, or over all N nodes without one.
 
-        The projection, edge scoring and partition cover the whole graph;
-        aggregation, fusion and the classifier run only for the rows. Edge
-        partitions are recomputed from the sign of the current edge scores
-        unless frozen ones are passed in (gradient checking does that); no
-        pass builds a partition's views. A training pass
-        records the tape and builds the classification loss over its rows,
-        plus one edge loss per relation when ``edge_batches`` holds
-        per-relation (edge positions, sign labels). An evaluation pass
-        (``training=False``) runs under :func:`autodiff.no_tape` and builds no
-        loss, so every array is freed after its last use.
+        The projection, edge scoring and partition cover the whole graph,
+        untaped; aggregation, fusion and the classifier run only for the
+        rows. Edge partitions are recomputed from the sign of the current
+        edge scores unless frozen ones are passed in (gradient checking does
+        that); no pass builds a partition's views, and only the blocks of
+        the ablation's channels are cut. A training pass builds the
+        classification loss over its rows, plus one edge loss per relation
+        when ``edge_batches`` holds per-relation (edge positions, sign
+        labels). It tapes a second projection, with the same dropout factor,
+        over only the nodes a gradient reaches: the rows, the senders of
+        their blocks and the edge batch's endpoints. Those rows of the two
+        projections are equal, so the forward values are those of one
+        whole-graph projection. An evaluation pass (``training=False``) runs
+        under :func:`autodiff.no_tape` and builds no loss, so every array is
+        freed after its last use.
         """
         p, cfg = self.params, self.config
-        rows = np.arange(self.graph.num_nodes) if node_batch is None else node_batch
+        num_nodes = self.graph.num_nodes
+        rows = np.arange(num_nodes) if node_batch is None else node_batch
         rows = np.asarray(rows, dtype=np.int64)
+        channels = CHANNELS[cfg.ablation]
         with nullcontext() if training else ad.no_tape():
             per_rel_z: list[TensorValue] = []
             out_partitions: list[EdgePartition | None] = []
             edge_losses: list[TensorValue] = []
 
             for ri, rel in enumerate(self.graph.relations):
-                h = separator.project_features(
-                    self.features,
-                    p[f"{rel.name}/proj_w"],
-                    p[f"{rel.name}/proj_b"],
-                    dropout_rate=cfg.dropout,
-                    training=training,
-                    rng=rng,
-                )
+                projection = p[f"{rel.name}/proj_w"], p[f"{rel.name}/proj_b"]
+                factor = separator.dropout_factor((num_nodes, cfg.hidden_dim), cfg.dropout, training, rng)
+                with ad.no_tape():
+                    h = separator.project_features(self.features, *projection, factor)
                 partition = None
+                hinge = None
                 if self.has_separator:
                     sources, targets = rel.edge_sources, rel.targets
                     edge_w = p[f"{rel.name}/edge_w"]
@@ -260,11 +260,24 @@ class DualChannelModel:
                     partition = partitions[ri] if partitions is not None else partition_subgraphs(
                         rel, separator.edge_score_values(h.data, sources, targets, edge_w.data)
                     )
+                    blocks = propagation.channel_adjacencies(rel, partition, rows, channels)
                     if training and edge_batches is not None:
                         positions, signs = edge_batches[ri]
-                        scores = separator.edge_scores(h, sources[positions], targets[positions], edge_w)
+                        hinge = [sources[positions], targets[positions]]
+                else:
+                    blocks = {"smooth": propagation.batch_adjacency(rel, rows)}
+                if training:
+                    reach, place = propagation.distinct_nodes(
+                        num_nodes, rows, *(b.senders for b in blocks.values()), *(hinge or ())
+                    )
+                    blocks = {side: b.relabel(place) for side, b in blocks.items()}
+                    h = separator.project_features(
+                        ad.tensor(self.features.data[reach]), *projection, None if factor is None else factor[reach]
+                    )
+                    if hinge is not None:
+                        scores = separator.edge_scores(h, place[hinge[0]], place[hinge[1]], edge_w)
                         edge_losses.append(separator.heterophily_loss(scores, signs))
-                per_rel_z.append(self._relation_embedding(rel, h, partition, rows))
+                per_rel_z.append(self._relation_embedding(rel.name, h, blocks))
                 out_partitions.append(partition)
 
             logits = classify(per_rel_z, p["classifier/w"], p["classifier/b"])

@@ -13,7 +13,9 @@ batch, the rows an evaluation reads, or ``np.arange(N)`` for the whole
 graph), the rescaled adjacency is cut down to those rows
 (:func:`channel_adjacencies` for a partitioned relation, straight from the
 relation and its edge mask; :func:`batch_adjacency` for a whole one), and
-messages are computed only for the senders they read.
+messages are computed only for the senders they read. A training pass
+holds embeddings only for the nodes it reaches (:func:`distinct_nodes`)
+and relabels its blocks to them (:meth:`BatchAdjacency.relabel`).
 """
 
 from __future__ import annotations
@@ -61,11 +63,36 @@ class BatchAdjacency:
     ``matrix`` has one row per entry of ``rows``, in that order, and one
     column per sender: column k holds the coefficients of node
     ``senders[k]``. A whole-graph pass takes ``rows = np.arange(N)``.
+    ``rows`` and ``senders`` index the rows of the embedding the block is
+    applied to: node numbers as cut, embedding positions after
+    :meth:`relabel`.
     """
 
     rows: np.ndarray
     senders: np.ndarray  # sorted distinct neighbors of the rows in the subgraph
     matrix: sparse.csr_array  # (len(rows), len(senders))
+
+    def relabel(self, place: np.ndarray) -> BatchAdjacency:
+        """The same block over an embedding whose row ``place[u]`` holds node u.
+
+        ``place`` must be increasing on the nodes it maps, as
+        :func:`distinct_nodes` gives it, so the senders stay sorted.
+        """
+        return BatchAdjacency(rows=place[self.rows], senders=place[self.senders], matrix=self.matrix)
+
+
+def distinct_nodes(num_nodes: int, *indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct nodes in ``indices``, and for each node its place among them.
+
+    A length-N presence mask and its running count give the arrays of
+    ``np.unique(np.concatenate(indices), return_inverse=True)`` without
+    concatenating or sorting; ``place`` has length N and is only meaningful
+    at the nodes present.
+    """
+    present = np.zeros(num_nodes, dtype=bool)
+    for index in indices:
+        present[index] = True
+    return np.flatnonzero(present), np.cumsum(present) - 1
 
 
 def _batch_rows(rows, num_nodes: int) -> np.ndarray:
@@ -85,17 +112,13 @@ def _row_positions(offsets: np.ndarray, rows: np.ndarray, counts: np.ndarray) ->
 def _cut(rows: np.ndarray, counts: np.ndarray, neighbors: np.ndarray, degrees: np.ndarray) -> BatchAdjacency:
     """The block whose rows hold ``counts`` entries each, reading ``neighbors`` row after row.
 
-    The senders and their column numbers come from a length-N presence mask
-    and its running count, which gives the arrays of
-    ``np.unique(neighbors, return_inverse=True)`` without sorting the
-    neighbors.
+    The senders are the distinct neighbors, and a neighbor's column is its
+    place among them (:func:`distinct_nodes`).
     """
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    present = np.zeros(len(degrees), dtype=bool)
-    present[neighbors] = True
-    senders = np.flatnonzero(present)
-    columns = (np.cumsum(present) - 1)[neighbors]
+    senders, place = distinct_nodes(len(degrees), neighbors)
+    columns = place[neighbors]
     deg = degrees.astype(np.float64)
     coefficients = 1.0 / np.sqrt(1.0 + np.repeat(deg[rows], counts) * deg[neighbors])
     matrix = sparse.csr_array((coefficients, columns, offsets), shape=(len(rows), len(senders)))
@@ -121,12 +144,14 @@ def batch_adjacency(subgraph: RelationAdjacency, rows) -> BatchAdjacency:
 
 
 def channel_adjacencies(
-    relation: RelationAdjacency, partition: EdgePartition, rows
-) -> tuple[BatchAdjacency, BatchAdjacency]:
-    """The (homophilic, heterophilic) blocks for ``rows``, cut straight from the relation.
+    relation: RelationAdjacency, partition: EdgePartition, rows, channels
+) -> dict[str, BatchAdjacency]:
+    """The block for ``rows`` of each of ``channels``, cut straight from the relation.
 
-    Equal, array for array, to :func:`batch_adjacency` of ``partition.homo``
-    and ``partition.hetero``, without building either view: the storage
+    ``"smooth"`` reads the homophilic side and ``"contrast"`` the
+    heterophilic one; a side no listed channel reads is not cut. Each block
+    equals, array for array, :func:`batch_adjacency` of ``partition.homo``
+    or ``partition.hetero``, without building either view: the storage
     positions of the rows' edges are found once in the relation, the
     partition's mask taken there splits their neighbors, which keeps each
     row's entries in storage order, and each side's degrees come from the
@@ -137,11 +162,12 @@ def channel_adjacencies(
     positions = _row_positions(offsets, rows, offsets[rows + 1] - offsets[rows])
     neighbors = relation.targets[positions]
     hetero_at = partition.hetero_mask[positions]
-
-    def cut(degrees: np.ndarray, side: np.ndarray) -> BatchAdjacency:
-        return _cut(rows, degrees[rows], neighbors[side], degrees)
-
-    return cut(partition.homo_degrees, ~hetero_at), cut(partition.hetero_degrees, hetero_at)
+    sides = {"smooth": (partition.homo_degrees, ~hetero_at), "contrast": (partition.hetero_degrees, hetero_at)}
+    blocks = {}
+    for channel in channels:
+        degrees, side = sides[channel]
+        blocks[channel] = _cut(rows, degrees[rows], neighbors[side], degrees)
+    return blocks
 
 
 def residual_aggregate(h: TensorValue, sender_messages: TensorValue, batch: BatchAdjacency) -> TensorValue:

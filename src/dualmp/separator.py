@@ -15,23 +15,38 @@ from . import autodiff as ad
 from .autodiff import TensorValue
 
 
+def dropout_factor(shape, rate: float, training: bool, rng: np.random.Generator | None = None) -> np.ndarray | None:
+    """The inverted-dropout factor over ``shape``: 0 where an entry drops, 1 / (1 - rate) where it survives.
+
+    None, and no draw from ``rng``, outside training or at rate 0. The keep
+    mask is ``rng.random(shape) >= rate``.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("training-mode dropout needs an rng")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
 def project_features(
-    x: TensorValue,
-    proj_w: TensorValue,
-    proj_b: TensorValue,
-    dropout_rate: float = 0.0,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
+    x: TensorValue, proj_w: TensorValue, proj_b: TensorValue, factor: np.ndarray | None = None
 ) -> TensorValue:
-    """ReLU(x @ proj_w + proj_b), with dropout in training mode.
+    """ReLU(x @ proj_w + proj_b), times the dropout ``factor`` when one is given.
 
     This projection is the single shared entry point: the same output feeds
-    the edge scorer and both propagation channels, dropout mask included, so
-    the per-epoch edge partition inherits the mask's jitter (which acts as a
-    mild edge-dropout regularizer).
+    the edge scorer and both propagation channels, dropout factor included,
+    so the per-epoch edge partition inherits the mask's jitter (which acts
+    as a mild edge-dropout regularizer). A training pass runs it twice per
+    relation with one factor (:func:`dropout_factor`): over all N rows
+    untaped, for the scores and the partition, and taped over the rows a
+    gradient reaches, ``x`` and ``factor`` cut to those rows. On the BLAS
+    the tests check, a row of a product of two or more rows into the hidden
+    width does not depend on the other rows, so both give the same rows.
     """
     h = ad.relu(ad.add_bias(ad.matmul(x, proj_w), proj_b))
-    return ad.dropout(h, dropout_rate, training=training, rng=rng)
+    return h if factor is None else ad.mul_const(h, factor)
 
 
 # With edge_w split into blocks [W_u; W_v; W_d], W [h_u || h_v || h_u - h_v]

@@ -383,34 +383,6 @@ class TestCrossEntropy:
             ad.cross_entropy(tensor(np.zeros((3, 3))), labels)
 
 
-class TestDropout:
-    def test_rate_zero_identity(self):
-        x = tensor([[1.0, 2.0]])
-        assert ad.dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
-
-    def test_eval_mode_identity(self):
-        x = tensor([[1.0, 2.0]])
-        assert ad.dropout(x, 0.1, training=False) is x
-
-    def test_survival_statistics(self):
-        rng = np.random.default_rng(11)
-        x = tensor(np.ones((1000, 1000)))
-        out = ad.dropout(x, 0.5, training=True, rng=rng).data
-        surviving = (out != 0).mean()
-        assert abs(surviving - 0.5) < 0.01
-        assert abs(out.mean() - 1.0) < 0.01  # rescaling preserves the mean
-
-    def test_gradient_uses_mask(self):
-        store = ParamStore()
-        x = store.add("x", np.random.default_rng(12).normal(size=(5, 4)))
-        mask_rng_state = np.random.default_rng(13)
-        out = ad.dropout(x, 0.5, training=True, rng=mask_rng_state)
-        factor = out.data / np.where(x.data == 0, 1, x.data)  # recovers mask/(1-rate)
-        x.grad = np.zeros_like(x.data)
-        backward(ad.mean_all(out))
-        assert np.allclose(x.grad, factor / x.data.size)
-
-
 class TestScalarOps:
     def test_mean_all(self):
         assert ad.mean_all(tensor([[1.0, 3.0]])).item() == 2.0

@@ -237,7 +237,8 @@ def test_channel_blocks_equal_view_blocks(case, mode, seed):
     signs = {"random": np.random.default_rng(seed).uniform(-1, 1, size=adj.edge_count),
              "all-homo": -np.ones(adj.edge_count), "all-hetero": np.zeros(adj.edge_count)}[mode]
     part = partition_subgraphs(adj, signs)
-    for block, view in zip(channel_adjacencies(adj, part, rows), (part.homo, part.hetero), strict=True):
+    blocks = channel_adjacencies(adj, part, rows, ("smooth", "contrast"))
+    for block, view in ((blocks["smooth"], part.homo), (blocks["contrast"], part.hetero)):
         expected = batch_adjacency(view, rows)
         assert np.array_equal(block.rows, expected.rows)
         assert np.array_equal(block.senders, expected.senders)
@@ -252,7 +253,7 @@ def test_channel_blocks_check_rows_first():
     part = partition_subgraphs(adj, [0.5, -0.5])
     for rows in ([3], [-1], [[0, 1]]):
         with pytest.raises(ValueError, match="batch rows"):
-            channel_adjacencies(adj, part, rows)
+            channel_adjacencies(adj, part, rows, ("smooth", "contrast"))
 
 
 class TestDenseOracle:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import dualmp.autodiff as ad
-from dualmp.autodiff import tensor
+from dualmp.autodiff import ParamStore, backward, tensor
 from dualmp.separator import (
+    dropout_factor,
     edge_label_signs,
     edge_score_values,
     edge_scores,
@@ -30,10 +31,44 @@ class TestProjectFeatures:
         rng = np.random.default_rng(0)
         x = tensor(np.ones((50, 20)))
         w, b = tensor(np.eye(20)), tensor(np.zeros((1, 20)))
-        eval_h = project_features(x, w, b, dropout_rate=0.5, training=False)
-        train_h = project_features(x, w, b, dropout_rate=0.5, training=True, rng=rng)
+        eval_h = project_features(x, w, b, dropout_factor(x.shape, 0.5, training=False))
+        train_h = project_features(x, w, b, dropout_factor(x.shape, 0.5, training=True, rng=rng))
         assert (eval_h.data == 1.0).all()
         assert (train_h.data == 0.0).any()
+
+
+class TestDropoutFactor:
+    def test_rate_zero_identity(self):
+        # no factor, and no draw: the rng stream is left as it was
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert dropout_factor((1, 2), 0.0, training=True, rng=rng) is None
+        assert rng.bit_generator.state == state
+
+    def test_eval_mode_identity(self):
+        assert dropout_factor((1, 2), 0.1, training=False) is None
+
+    def test_survival_statistics(self):
+        factor = dropout_factor((1000, 1000), 0.5, training=True, rng=np.random.default_rng(11))
+        keep = np.random.default_rng(11).random((1000, 1000)) >= 0.5
+        assert np.array_equal(factor, keep * 2.0)  # survivors scaled by 1 / (1 - rate)
+        assert abs(keep.mean() - 0.5) < 0.01
+        assert abs(factor.mean() - 1.0) < 0.01  # rescaling preserves the mean
+
+    def test_gradient_uses_mask(self):
+        store = ParamStore()
+        x = store.add("x", np.abs(np.random.default_rng(12).normal(size=(5, 4))))
+        factor = dropout_factor(x.shape, 0.5, training=True, rng=np.random.default_rng(13))
+        out = project_features(x, tensor(np.eye(4)), tensor(np.zeros((1, 4))), factor)
+        assert np.array_equal(out.data, x.data * factor)
+        x.grad = np.zeros_like(x.data)
+        backward(ad.mean_all(out))
+        assert np.array_equal(x.grad, factor / x.data.size)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, np.nan])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match="dropout rate"):
+            dropout_factor((1, 2), rate, training=False)
 
 
 class TestEdgeScores:

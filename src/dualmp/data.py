@@ -2,7 +2,10 @@
 
 Datasets live in a plain text schema: a key-value manifest pointing at
 comma-separated feature/label/edge files and an optional split file.
-numpy reads and writes those three tables (``np.loadtxt`` / ``np.savetxt``).
+numpy reads and writes those three tables (``np.loadtxt`` / ``np.savetxt``):
+a table is parsed straight from its file, and only a file that numpy cannot
+read under the schema's line rules goes through Python lines. Split
+sections are converted to int64 one section at a time.
 Checkpoints are binary (magic ``DHMP``) for exact round-trips.
 """
 
@@ -90,7 +93,27 @@ def _parse_int(token: str, where: str) -> int:
 
 
 def _read_table(path: Path, width: int, dtype) -> np.ndarray:
-    """The comma-separated rows of a table file as a ``(rows, width)`` array; blank lines are skipped."""
+    """The comma-separated rows of a table file as a ``(rows, width)`` array; blank lines are skipped.
+
+    ``np.loadtxt`` parses the file itself when it holds no ``\\r`` byte and is not blank: numpy
+    would end a line at a lone ``\\r``. Such a file, and any file numpy rejects or reads to
+    another width (a byte that is not UTF-8 or a whitespace-only line fails there), goes
+    through :func:`_read_table_lines`, which gives the array or the error of the schema's rules.
+    """
+    blob = path.read_bytes()
+    if blob and not blob.isspace() and b"\r" not in blob:
+        try:
+            table = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2, comments=None, encoding="utf-8")
+        except ValueError:
+            pass
+        else:
+            if table.shape[1] == width:
+                return table
+    return _read_table_lines(path, width, dtype)
+
+
+def _read_table_lines(path: Path, width: int, dtype) -> np.ndarray:
+    """:func:`_read_table` through :func:`read_lines`: the rows are ``\\n``-separated, stripped lines."""
     lines = read_lines(path)
     rows = [line for line in lines if line]
     if not rows:
@@ -130,6 +153,11 @@ def _read_labels(path: Path, num_nodes: int) -> np.ndarray:
 
 
 def _read_splits(path: Path) -> NodeSplit:
+    """The ``train:``, ``val:`` and ``test:`` index sections of a split file, each given once.
+
+    A section's tokens become int64 in one ``np.array`` call, which takes what ``int()`` takes;
+    only when that fails does :func:`_parse_int` go through them to name the bad token.
+    """
     parts: dict[str, np.ndarray] = {}
     for line in read_lines(path):
         if not line:
@@ -140,8 +168,13 @@ def _read_splits(path: Path) -> NodeSplit:
             raise DatasetError(f"{path}: unknown split section {key!r}")
         if key in parts:
             raise DatasetError(f"{path}: split section {key!r} given twice")
-        where = f"{path}: {key}"
-        parts[key] = np.asarray([_parse_int(v, where) for v in rest.split()], dtype=np.int64)
+        tokens = rest.split()
+        try:
+            parts[key] = np.array(tokens, dtype=np.int64)
+        except (ValueError, OverflowError):
+            for token in tokens:
+                _parse_int(token, f"{path}: {key}")
+            raise
     missing = {"train", "val", "test"} - parts.keys()
     if missing:
         raise DatasetError(f"{path}: missing split sections {sorted(missing)}")
@@ -158,7 +191,7 @@ def load_dataset(manifest_path, split_seed: int = 0, force_symmetrize: bool = Fa
     if not manifest_path.exists():
         raise DatasetError(f"manifest not found: {manifest_path}")
     base = manifest_path.parent
-    num_nodes = feature_dim = None
+    sizes: dict[str, int] = {}
     relation_files: list[tuple[str, Path]] = []
     paths: dict[str, Path] = {}
     do_symmetrize = False
@@ -184,10 +217,10 @@ def load_dataset(manifest_path, split_seed: int = 0, force_symmetrize: bool = Fa
             raise DatasetError(f"{where}: {key} given twice")
         seen.add(key)
         (value,) = values
-        if key == "num_nodes":
-            num_nodes = _parse_int(value, f"{where}: num_nodes")
-        elif key == "feature_dim":
-            feature_dim = _parse_int(value, f"{where}: feature_dim")
+        if key in ("num_nodes", "feature_dim"):
+            sizes[key] = _parse_int(value, f"{where}: {key}")
+            if sizes[key] < 1:
+                raise DatasetError(f"{where}: {key} must be at least 1, got {sizes[key]}")
         elif key == "symmetrize":
             if value not in ("true", "false"):
                 raise DatasetError(f"{where}: symmetrize must be true or false, got {value!r}")
@@ -195,8 +228,9 @@ def load_dataset(manifest_path, split_seed: int = 0, force_symmetrize: bool = Fa
         else:
             paths[key] = base / value
 
-    if num_nodes is None or feature_dim is None:
+    if len(sizes) < 2:
         raise DatasetError(f"{manifest_path}: num_nodes and feature_dim are required")
+    num_nodes, feature_dim = sizes["num_nodes"], sizes["feature_dim"]
     if not relation_files:
         raise DatasetError(f"{manifest_path}: at least one relation is required")
     for key in ("features", "labels"):

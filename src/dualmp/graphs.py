@@ -177,11 +177,18 @@ class EdgePartition:
         return RelationAdjacency(rel.name + ":hetero", self.hetero_offsets, rel.targets[self.hetero_mask])
 
 
-def _dedupe_pairs(pairs: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Remove duplicate (src, dst) pairs, keeping the first occurrence in input order."""
-    keys = pairs[:, 0] * np.int64(num_nodes) + pairs[:, 1]
-    _, first = np.unique(keys, return_index=True)
-    return pairs[np.sort(first)]
+def _first_occurrences(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Positions of the first occurrence of each distinct (src, dst) pair, in input order.
+
+    One stable argsort of the pair keys puts each pair's first occurrence at the head of its run.
+    """
+    keys = src * np.int64(num_nodes) + dst
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    head = np.empty(len(keys), dtype=bool)
+    head[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+    return np.sort(order[head])
 
 
 def build_csr(edges, num_nodes: int, name: str = "relation") -> RelationAdjacency:
@@ -189,25 +196,30 @@ def build_csr(edges, num_nodes: int, name: str = "relation") -> RelationAdjacenc
 
     Self-loops are dropped and duplicates removed; within a source node,
     targets keep their input order. Raises :class:`GraphFormatError` for
-    endpoint indices outside ``0..num_nodes - 1``.
+    endpoint indices outside ``0..num_nodes - 1``, naming the first such
+    edge in input order. Works on the source and target columns: the first
+    occurrences of the pairs are kept, then sorted stably by source.
     """
     pairs = np.asarray(edges, dtype=np.int64)
     if pairs.size == 0:
         pairs = np.empty((0, 2), dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise GraphFormatError(f"edge list must be pairs, got shape {pairs.shape}")
-    bad = (pairs < 0) | (pairs >= num_nodes)
+    src, dst = pairs[:, 0], pairs[:, 1]
+    bad = (src < 0) | (src >= num_nodes) | (dst < 0) | (dst >= num_nodes)
     if bad.any():
-        u, v = pairs[bad.any(axis=1)][0]
+        u, v = pairs[np.argmax(bad)]
         raise GraphFormatError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    if len(pairs):
-        pairs = _dedupe_pairs(pairs, num_nodes)
-        pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    counts = np.bincount(pairs[:, 0], minlength=num_nodes)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    if len(src):
+        first = _first_occurrences(src, dst, num_nodes)
+        src, dst = src[first], dst[first]
+        dst = dst[np.argsort(src, kind="stable")]
+    counts = np.bincount(src, minlength=num_nodes)
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return RelationAdjacency(name=name, offsets=offsets, targets=pairs[:, 1].copy())
+    return RelationAdjacency(name=name, offsets=offsets, targets=dst)
 
 
 def symmetrize(edges) -> np.ndarray:
@@ -217,7 +229,7 @@ def symmetrize(edges) -> np.ndarray:
         return np.empty((0, 2), dtype=np.int64)
     both = np.concatenate([pairs, pairs[:, ::-1]])
     top = int(both.max()) + 1
-    return _dedupe_pairs(both, top)
+    return both[_first_occurrences(both[:, 0], both[:, 1], top)]
 
 
 def partition_subgraphs(adj: RelationAdjacency, edge_signs) -> EdgePartition:

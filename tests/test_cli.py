@@ -290,6 +290,18 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and file in err and "byte 4 is not UTF-8 text" in err
 
+    def test_zero_nodes_exits_one(self, tmp_path, capsys):
+        for table in ("features.csv", "labels.csv", "edges.csv"):
+            (tmp_path / table).write_text("")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(
+            "num_nodes 0\nfeature_dim 2\nfeatures features.csv\nlabels labels.csv\nrelation net edges.csv\n"
+        )
+        assert main(train_args(manifest, tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "manifest.txt: line 1: num_nodes must be at least 1, got 0" in err
+        assert not (tmp_path / "run").exists()
+
     def test_empty_test_split_exits_one_before_training(self, dataset, tmp_path, capsys):
         manifest = copy_dataset(dataset, tmp_path / "data")
         rewrite(manifest.parent / "splits.txt", lambda rows: [r for r in rows if not r.startswith("test:")] + ["test:"])

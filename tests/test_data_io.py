@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualmp import data as data_module
 from dualmp.autodiff import ParamStore
 from dualmp.data import (
     CHECKPOINT_MAGIC,
     CheckpointError,
     DatasetError,
     SyntheticSpec,
+    _read_table,
+    _read_table_lines,
     export_embeddings,
     generate_synthetic,
     load_checkpoint,
     load_dataset,
+    read_lines,
     restore_into,
     save_checkpoint,
     stratified_split,
@@ -126,20 +130,27 @@ class TestLoadDataset:
             ("features features.csv labels.csv", "line 5: features takes one value, got 2"),
             ("num_nodes 3", "line 5: num_nodes given twice"),
             ("labels labels.csv", "line 5: labels given twice"),
+            ("num_nodes 0", "line 1: num_nodes must be at least 1, got 0"),
+            ("num_nodes -3", "line 1: num_nodes must be at least 1, got -3"),
+            ("feature_dim -2", "line 2: feature_dim must be at least 1, got -2"),
         ],
         ids=["symmetrize-yes", "symmetrize-capital", "symmetrize-two-values", "num-nodes-two-values",
-             "path-two-values", "num-nodes-twice", "labels-twice"],
+             "path-two-values", "num-nodes-twice", "labels-twice", "num-nodes-zero", "num-nodes-negative",
+             "feature-dim-negative"],
     )
     def test_malformed_manifest_line_rejected(self, tmp_path, line, message):
+        manifest_lines = [
+            "num_nodes 3", "feature_dim 2", "features features.csv",
+            "labels labels.csv", "symmetrize false", "relation net edges.csv",
+        ]
+        # the bad line takes the place of the manifest line its message names
+        manifest_lines[int(message.split(":")[0].removeprefix("line ")) - 1] = line
         manifest = write_fixture(
             tmp_path,
             features=["1.0,2.0", "3.0,4.0", "5.0,6.0"],
             labels=["0", "1", "0"],
             edges=["0,1"],
-            manifest_lines=[
-                "num_nodes 3", "feature_dim 2", "features features.csv",
-                "labels labels.csv", line, "relation net edges.csv",
-            ],
+            manifest_lines=manifest_lines,
         )
         with pytest.raises(DatasetError, match=f"manifest.txt: {message}$"):
             load_dataset(manifest)
@@ -258,6 +269,43 @@ class TestTables:
         with pytest.raises(DatasetError, match="edges.csv") as err:
             load_dataset(manifest)
         assert message in str(err.value)
+
+    def test_crlf_twin_loads_to_the_same_arrays(self, tmp_path):
+        graph = generate_synthetic(
+            SyntheticSpec(num_nodes=60, fraud_ratio=0.2, num_relations=2, mean_degree=3.0, seed=4)
+        )
+        lf = write_dataset(graph, tmp_path / "lf").parent
+        crlf = tmp_path / "crlf"
+        crlf.mkdir()
+        for path in lf.iterdir():
+            (crlf / path.name).write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert_same_graph(load_dataset(lf / "manifest.txt"), load_dataset(crlf / "manifest.txt"))
+
+    def test_written_tables_are_parsed_without_python_lines(self, tmp_path, monkeypatch):
+        graph = generate_synthetic(
+            SyntheticSpec(num_nodes=60, fraud_ratio=0.2, num_relations=2, mean_degree=3.0, seed=4)
+        )
+        manifest = write_dataset(graph, tmp_path / "ds")
+        read = []
+
+        def counting_read_lines(path, *args, **kwargs):
+            read.append(path.name)
+            return read_lines(path, *args, **kwargs)
+
+        monkeypatch.setattr(data_module, "read_lines", counting_read_lines)
+        load_dataset(manifest)
+        assert read == ["manifest.txt", "splits.txt"]
+
+
+def assert_same_graph(a, b):
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.labels.tobytes() == b.labels.tobytes()
+    assert [rel.name for rel in a.relations] == [rel.name for rel in b.relations]
+    for x, y in zip(a.relations, b.relations):
+        assert x.offsets.tobytes() == y.offsets.tobytes()
+        assert x.targets.tobytes() == y.targets.tobytes()
+    for part in ("train", "val", "test"):
+        assert getattr(a.split, part).tobytes() == getattr(b.split, part).tobytes()
 
 
 class TestStratifiedSplit:
@@ -536,6 +584,41 @@ def test_single_byte_change_loads_or_raises_dataset_error(dataset_files, tmp_pat
             load_dataset(root / "manifest.txt")
         except (DatasetError, GraphFormatError):
             pass
+
+
+TABLES = {"features.csv": (2, np.float64), "labels.csv": (1, np.int64), "edges_rel0.csv": (2, np.int64)}
+# line ends, whitespace that Python strips and numpy may not, the separator, a sign, an
+# exponent, a digit separator that int() takes, and a byte that is not UTF-8
+TABLE_TELLING_BYTES = b"\r\n\x0b\t ,-e_\xff"
+
+
+def table_outcome(reader, path, width, dtype):
+    try:
+        table = reader(path, width, dtype)
+    except DatasetError as exc:
+        return str(exc)
+    return table.dtype, table.shape, table.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_table_reader_equals_line_reader(dataset_files, tmp_path_factory, name, data):
+    width, dtype = TABLES[name]
+    blob = bytearray(dataset_files[name])
+    byte = st.one_of(st.sampled_from(TABLE_TELLING_BYTES), st.integers(0, 255))
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        edit = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="edit")
+        position = data.draw(st.integers(0, len(blob)), label="position")
+        if edit == "insert":
+            blob[position:position] = bytes([data.draw(byte, label="byte")])
+        elif position < len(blob) and edit == "replace":
+            blob[position] = data.draw(byte, label="byte")
+        elif position < len(blob):
+            del blob[position]
+    path = tmp_path_factory.getbasetemp() / f"mutated_{name}"
+    path.write_bytes(bytes(blob))
+    assert table_outcome(_read_table, path, width, dtype) == table_outcome(_read_table_lines, path, width, dtype)
 
 
 class TestEmbeddings:

@@ -237,3 +237,51 @@ def test_symmetrize_closure(case):
     pairs = set(map(tuple, out.tolist()))
     for u, v in pairs:
         assert (v, u) in pairs
+
+
+def reference_csr(edges, n):
+    """build_csr in plain Python: the first occurrence of each pair in input order, grouped stably by source."""
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge ({u}, {v}) out of range for {n} nodes")
+    kept = list(dict.fromkeys((u, v) for u, v in edges if u != v))
+    targets = [v for node in range(n) for u, v in kept if u == node]
+    degrees = [sum(u == node for u, _ in kept) for node in range(n)]
+    return np.array([0, *np.cumsum(degrees)], dtype=np.int64), np.array(targets, dtype=np.int64)
+
+
+# endpoints mostly in range, sometimes just outside it
+wild_edge_lists = st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(*[st.one_of(st.integers(0, n - 1), st.integers(-2, n + 1))] * 2), min_size=0, max_size=40
+        ),
+    )
+)
+
+
+@given(wild_edge_lists)
+@settings(max_examples=300, deadline=None)
+def test_build_csr_equals_plain_reference(case):
+    n, edges = case
+    try:
+        offsets, targets = reference_csr(edges, n)
+    except GraphFormatError as expected:
+        with pytest.raises(GraphFormatError) as err:
+            build_csr(edges, n)
+        assert str(err.value) == str(expected)
+        return
+    adj = build_csr(edges, n)
+    assert adj.offsets.tobytes() == offsets.tobytes()
+    assert adj.targets.tobytes() == targets.tobytes()
+
+
+@given(edge_lists)
+@settings(max_examples=100, deadline=None)
+def test_symmetrize_equals_plain_reference(case):
+    _, edges = case
+    expected = list(dict.fromkeys([*edges, *((v, u) for u, v in edges)]))
+    out = symmetrize(edges)
+    assert out.dtype == np.int64 and out.shape == (len(expected), 2)
+    assert list(map(tuple, out.tolist())) == expected

@@ -132,7 +132,7 @@ def _evaluated_split(graph, name: str, data_path) -> np.ndarray:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = build_config(args)
-    graph = load_dataset(args.data, split_seed=config.seed, force_symmetrize=args.symmetrize)
+    graph = load_dataset(args.data, split_seed=config.seed)
     test_idx = _evaluated_split(graph, "test", args.data)
     check_validation_split(graph)
     out_dir = Path(args.out)
@@ -203,17 +203,17 @@ def _checkpoint_config(meta, path: str) -> TrainConfig:
     return config
 
 
-def _rebuild_model(data_path: str, checkpoint_path: str, symmetrize: bool) -> DualChannelModel:
+def _rebuild_model(data_path: str, checkpoint_path: str) -> DualChannelModel:
     params, meta = load_checkpoint(checkpoint_path)
     config = _checkpoint_config(meta, checkpoint_path)
-    graph = load_dataset(data_path, split_seed=config.seed, force_symmetrize=symmetrize)
+    graph = load_dataset(data_path, split_seed=config.seed)
     model = DualChannelModel(graph, config, np.random.default_rng(config.seed))
     restore_into(model.params, params)
     return model
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    model = _rebuild_model(args.data, args.checkpoint, args.symmetrize)
+    model = _rebuild_model(args.data, args.checkpoint)
     report = evaluate_split(model, _evaluated_split(model.graph, args.split, args.data))
     print(f"{args.split} split:")
     _print_report(report)
@@ -291,8 +291,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration problem: usage and an ``error:`` line, exit code 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dualmp", description="dual-channel message-passing fraud detection"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -300,7 +308,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model and write log, checkpoint and metrics")
     p_train.add_argument("--data", required=True, help="dataset manifest path")
     p_train.add_argument("--out", required=True, help="output directory")
-    p_train.add_argument("--symmetrize", action="store_true", help="force reverse edges on load")
     _add_config_flags(p_train)
     p_train.set_defaults(func=cmd_train)
 
@@ -308,7 +315,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p_eval.add_argument("--symmetrize", action="store_true")
     p_eval.add_argument("--export-embeddings", default=None, help="write fused embeddings CSV here")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -191,6 +191,15 @@ def _first_occurrences(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.n
     return np.sort(order[head])
 
 
+def check_edge_range(pairs: np.ndarray, num_nodes: int) -> None:
+    """Raise :class:`GraphFormatError` for the first (src, dst) row with an endpoint outside ``0..num_nodes - 1``."""
+    src, dst = pairs[:, 0], pairs[:, 1]
+    bad = (src < 0) | (src >= num_nodes) | (dst < 0) | (dst >= num_nodes)
+    if bad.any():
+        u, v = pairs[np.argmax(bad)]
+        raise GraphFormatError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
+
+
 def build_csr(edges, num_nodes: int, name: str = "relation") -> RelationAdjacency:
     """Build a CSR adjacency from (src, dst) pairs.
 
@@ -205,11 +214,8 @@ def build_csr(edges, num_nodes: int, name: str = "relation") -> RelationAdjacenc
         pairs = np.empty((0, 2), dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise GraphFormatError(f"edge list must be pairs, got shape {pairs.shape}")
+    check_edge_range(pairs, num_nodes)
     src, dst = pairs[:, 0], pairs[:, 1]
-    bad = (src < 0) | (src >= num_nodes) | (dst < 0) | (dst >= num_nodes)
-    if bad.any():
-        u, v = pairs[np.argmax(bad)]
-        raise GraphFormatError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
     keep = src != dst
     src, dst = src[keep], dst[keep]
     if len(src):
@@ -228,8 +234,8 @@ def symmetrize(edges) -> np.ndarray:
     if pairs.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     both = np.concatenate([pairs, pairs[:, ::-1]])
-    top = int(both.max()) + 1
-    return both[_first_occurrences(both[:, 0], both[:, 1], top)]
+    low = both.min()  # keys from 0, so a negative endpoint collides with no other pair
+    return both[_first_occurrences(both[:, 0] - low, both[:, 1] - low, int(both.max() - low) + 1)]
 
 
 def partition_subgraphs(adj: RelationAdjacency, edge_signs) -> EdgePartition:

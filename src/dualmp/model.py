@@ -22,7 +22,8 @@ from .graphs import EdgePartition, MultiRelationGraph, merge_relations, partitio
 from .propagation import BatchAdjacency
 
 # The channels each ablation runs, in run order; two outputs are fused. Only
-# ``sep`` has no separator, so its smoothing channel reads the whole relation.
+# ``sep`` has no separator: its smoothing channel reads the whole relation,
+# cut like every other block from a partition, one with no heterophilic edge.
 CHANNELS = {
     "full": ("smooth", "contrast"),
     "sep": ("smooth",),
@@ -154,6 +155,9 @@ class DualChannelModel:
         self.config = config
         self.params = ParamStore()
         self.features = ad.tensor(graph.features)
+        self._unsplit = None if self.has_separator else [
+            EdgePartition(np.zeros(rel.edge_count, dtype=bool), relation=rel) for rel in graph.relations
+        ]
         self._init_params(rng)
 
     # -- parameter construction -------------------------------------------
@@ -260,12 +264,11 @@ class DualChannelModel:
                     partition = partitions[ri] if partitions is not None else partition_subgraphs(
                         rel, separator.edge_score_values(h.data, sources, targets, edge_w.data)
                     )
-                    blocks = propagation.channel_adjacencies(rel, partition, rows, channels)
                     if training and edge_batches is not None:
                         positions, signs = edge_batches[ri]
                         hinge = [sources[positions], targets[positions]]
-                else:
-                    blocks = {"smooth": propagation.batch_adjacency(rel, rows)}
+                cut = partition if self.has_separator else self._unsplit[ri]
+                blocks = propagation.channel_adjacencies(rel, cut, rows, channels)
                 if training:
                     reach, place = propagation.distinct_nodes(
                         num_nodes, rows, *(b.senders for b in blocks.values()), *(hinge or ())

@@ -10,12 +10,13 @@ difference.
 
 Aggregation has one path: every pass names the rows it computes (a training
 batch, the rows an evaluation reads, or ``np.arange(N)`` for the whole
-graph), the rescaled adjacency is cut down to those rows
-(:func:`channel_adjacencies` for a partitioned relation, straight from the
-relation and its edge mask; :func:`batch_adjacency` for a whole one), and
-messages are computed only for the senders they read. A training pass
-holds embeddings only for the nodes it reaches (:func:`distinct_nodes`)
-and relabels its blocks to them (:meth:`BatchAdjacency.relabel`).
+graph), :func:`channel_adjacencies` cuts each channel's rescaled adjacency
+down to those rows, straight from the relation and its edge partition, and
+messages are computed only for the senders they read. A relation that is
+not split (the ``sep`` ablation) is cut through a partition that puts every
+edge on the homophilic side. A training pass holds embeddings only for the
+nodes it reaches (:func:`distinct_nodes`) and relabels its blocks to them
+(:meth:`BatchAdjacency.relabel`).
 """
 
 from __future__ import annotations
@@ -95,20 +96,6 @@ def distinct_nodes(num_nodes: int, *indices: np.ndarray) -> tuple[np.ndarray, np
     return np.flatnonzero(present), np.cumsum(present) - 1
 
 
-def _batch_rows(rows, num_nodes: int) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= num_nodes)):
-        raise ValueError(f"batch rows must be a flat index into {num_nodes} nodes")
-    return rows
-
-
-def _row_positions(offsets: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Storage positions of the entries of ``rows`` (``counts`` each), the rows laid end to end."""
-    starts = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    return np.repeat(offsets[rows] - starts[:-1], counts) + np.arange(starts[-1])
-
-
 def _cut(rows: np.ndarray, counts: np.ndarray, neighbors: np.ndarray, degrees: np.ndarray) -> BatchAdjacency:
     """The block whose rows hold ``counts`` entries each, reading ``neighbors`` row after row.
 
@@ -125,41 +112,29 @@ def _cut(rows: np.ndarray, counts: np.ndarray, neighbors: np.ndarray, degrees: n
     return BatchAdjacency(rows=rows, senders=senders, matrix=matrix)
 
 
-def batch_adjacency(subgraph: RelationAdjacency, rows) -> BatchAdjacency:
-    """Cut the rescaled adjacency down to ``rows`` and the senders they read.
-
-    Row u holds 1 / sqrt(1 + d_u * d_v) for each neighbor v, with degrees
-    taken inside the subgraph, and keeps its stored entries in storage
-    order, so a row of the aggregate comes out bit for bit the same
-    whichever other rows are computed with it. The model runs this on a
-    whole relation (the ``sep`` ablation); the channels of a partitioned
-    relation take :func:`channel_adjacencies`, which gives the blocks this
-    function gives for the partition's views.
-    """
-    rows = _batch_rows(rows, subgraph.num_nodes)
-    degrees = subgraph.degrees()
-    counts = degrees[rows]
-    positions = _row_positions(subgraph.offsets, rows, counts)
-    return _cut(rows, counts, subgraph.targets[positions], degrees)
-
-
 def channel_adjacencies(
     relation: RelationAdjacency, partition: EdgePartition, rows, channels
 ) -> dict[str, BatchAdjacency]:
     """The block for ``rows`` of each of ``channels``, cut straight from the relation.
 
     ``"smooth"`` reads the homophilic side and ``"contrast"`` the
-    heterophilic one; a side no listed channel reads is not cut. Each block
-    equals, array for array, :func:`batch_adjacency` of ``partition.homo``
-    or ``partition.hetero``, without building either view: the storage
+    heterophilic one; a side no listed channel reads is not cut. Row u of a
+    block holds 1 / sqrt(1 + d_u * d_v) for each neighbor v on its side,
+    with degrees counted on that side, and keeps its entries in storage
+    order, so a row of the aggregate comes out bit for bit the same whichever
+    other rows are cut with it. No side is built as a view: the storage
     positions of the rows' edges are found once in the relation, the
-    partition's mask taken there splits their neighbors, which keeps each
-    row's entries in storage order, and each side's degrees come from the
-    partition's running counts.
+    partition's mask taken there splits their neighbors, and each side's
+    degrees come from the partition's running counts.
     """
-    rows = _batch_rows(rows, relation.num_nodes)
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= relation.num_nodes)):
+        raise ValueError(f"batch rows must be a flat index into {relation.num_nodes} nodes")
     offsets = relation.offsets
-    positions = _row_positions(offsets, rows, offsets[rows + 1] - offsets[rows])
+    counts = offsets[rows + 1] - offsets[rows]
+    starts = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    positions = np.repeat(offsets[rows] - starts[:-1], counts) + np.arange(starts[-1])
     neighbors = relation.targets[positions]
     hetero_at = partition.hetero_mask[positions]
     sides = {"smooth": (partition.homo_degrees, ~hetero_at), "contrast": (partition.hetero_degrees, hetero_at)}

@@ -26,13 +26,30 @@ def dataset(tmp_path_factory):
     return root / "manifest.txt"
 
 
-@pytest.fixture(scope="module")
-def trained(dataset, tmp_path_factory):
+def train_run(manifest, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
-    code = main(["train", "--data", str(dataset), "--out", str(out),
+    code = main(["train", "--data", str(manifest), "--out", str(out),
                  "--seed", "5", "--epochs", "8", "--patience", "8"])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def trained(dataset, tmp_path_factory):
+    return train_run(dataset, tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def symmetric_dataset(dataset, tmp_path_factory):
+    """The same files with reverse edges added by the manifest's ``symmetrize`` key."""
+    manifest = copy_dataset(dataset, tmp_path_factory.mktemp("data") / "symmetric")
+    rewrite(manifest, lambda rows: [row.replace("symmetrize false", "symmetrize true") for row in rows])
+    return manifest
+
+
+@pytest.fixture(scope="module")
+def trained_symmetric(symmetric_dataset, tmp_path_factory):
+    return train_run(symmetric_dataset, tmp_path_factory)
 
 
 class TestSynth:
@@ -156,12 +173,19 @@ class TestTrain:
 
 
 class TestEval:
-    def test_matches_training_metrics(self, dataset, trained, capsys):
-        assert main(["eval", "--data", str(dataset), "--checkpoint",
-                     str(trained / "checkpoint.bin")]) == 0
-        printed = capsys.readouterr().out
-        stored = read_metrics(trained / "metrics.txt")
-        assert f"auc={float(stored['auc']):.4f}" in printed
+    def test_matches_training_metrics(self, dataset, trained, symmetric_dataset, trained_symmetric, capsys):
+        from dualmp.data import load_dataset
+
+        # reverse edges come from the manifest alone, so eval reads the graph train read
+        edges = [load_dataset(m).relations[0].edge_count for m in (dataset, symmetric_dataset)]
+        assert edges[1] > edges[0]
+        for manifest, run in ((dataset, trained), (symmetric_dataset, trained_symmetric)):
+            assert main(["eval", "--data", str(manifest), "--checkpoint", str(run / "checkpoint.bin")]) == 0
+            printed = capsys.readouterr().out
+            m = read_metrics(run / "metrics.txt")
+            rates = " ".join(f"{key}={float(m[key]):.4f}" for key in ("auc", "recall", "f1_macro", "gmean"))
+            counts = " ".join(f"{key}={m[key]}" for key in ("tp", "fp", "tn", "fn"))
+            assert printed == f"test split:\n{rates} confusion {counts}\n"
 
     def test_val_split_flag(self, dataset, trained, capsys):
         assert main(["eval", "--data", str(dataset), "--checkpoint",
@@ -189,7 +213,7 @@ class TestEval:
         out = tmp_path / "emb.csv"
         assert main(["eval", "--data", str(dataset), "--checkpoint",
                      str(trained / "checkpoint.bin"), "--export-embeddings", str(out)]) == 0
-        model = _rebuild_model(str(dataset), str(trained / "checkpoint.bin"), symmetrize=False)
+        model = _rebuild_model(str(dataset), str(trained / "checkpoint.bin"))
         model.config.dropout = 0.0  # so a training pass computes the evaluation numbers
         taped = model.forward(training=True).embeddings
         assert all(z._parents for z in taped)  # the reference did record a tape
@@ -222,6 +246,27 @@ def train_args(manifest, out):
 
 
 class TestBadInput:
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("train", ["--ablation", "nope"]), ("train", ["--epochs", "abc"]), ("train", ["--symmetrize"]),
+         ("eval", ["--symmetrize"])],
+        ids=["unknown-ablation", "non-integer-epochs", "train-symmetrize", "eval-symmetrize"],
+    )
+    def test_usage_error_exits_one(self, dataset, trained, tmp_path, capsys, command, extra):
+        args = {"train": ["--out", str(tmp_path / "run")], "eval": ["--checkpoint", str(trained / "checkpoint.bin")]}
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--data", str(dataset), *args[command], *extra])
+        assert stop.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dualmp ") and "\nerror: " in err
+        assert not (tmp_path / "run").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["train", "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dualmp train ")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_exits_one(self, dataset, tmp_path, capsys, value):
         manifest = copy_dataset(dataset, tmp_path / "data")

@@ -120,6 +120,23 @@ class TestLoadDataset:
         graph = load_dataset(manifest)
         assert graph.relations[0].edge_count == 2
 
+    @pytest.mark.parametrize("symmetrize", ["true", "false"])
+    def test_edge_out_of_range_named_as_written(self, tmp_path, symmetrize):
+        # the range is checked before reverse edges are added, so the error names
+        # the file's pair, not its reverse (whose key once collided with (0, 1))
+        manifest = write_fixture(
+            tmp_path,
+            features=["0.0", "1.0", "2.0", "3.0", "4.0"],
+            labels=["0", "1", "0", "1", "0"],
+            edges=["0,1", "0,2", "1,-2"],
+            manifest_lines=[
+                "num_nodes 5", "feature_dim 1", "features features.csv",
+                "labels labels.csv", f"symmetrize {symmetrize}", "relation net edges.csv",
+            ],
+        )
+        with pytest.raises(DatasetError, match=r"edges\.csv: edge \(1, -2\) out of range for 5 nodes$"):
+            load_dataset(manifest)
+
     @pytest.mark.parametrize(
         "line, message",
         [

@@ -66,6 +66,11 @@ class TestSymmetrize:
     def test_empty(self):
         assert symmetrize([]).shape == (0, 2)
 
+    def test_negative_endpoint_drops_no_pair(self):
+        # keyed from the smallest endpoint, (1, -2) cannot collide with (0, 1)
+        out = symmetrize([(0, 1), (0, 2), (1, -2)])
+        assert out.tolist() == [[0, 1], [0, 2], [1, -2], [1, 0], [2, 0], [-2, 1]]
+
 
 class TestDegrees:
     def test_from_offsets(self):

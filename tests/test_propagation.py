@@ -2,18 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import dualmp.autodiff as ad
 from dualmp.autodiff import tensor
-from dualmp.graphs import build_csr, partition_subgraphs
+from dualmp.graphs import EdgePartition, build_csr, partition_subgraphs
 from dualmp.propagation import (
-    batch_adjacency,
+    BatchAdjacency,
     channel_adjacencies,
     channel_messages,
     frequency_fuse,
     residual_aggregate,
 )
-from whole_graph import whole_graph_aggregate
+from whole_graph import block_differences, reference_block, whole_graph_aggregate
+
+
+def whole_relation_block(adj, rows):
+    """The block the model cuts for ``rows`` of a relation it does not split (the ``sep`` ablation)."""
+    unsplit = EdgePartition(np.zeros(adj.edge_count, dtype=bool), relation=adj)
+    return channel_adjacencies(adj, unsplit, rows, ("smooth",))["smooth"]
 
 
 def dense_channel_reference(h, filter_w, filter_b, gate_w, gate_b, mix, adj_bool, complement, filter_act="none"):
@@ -132,7 +139,7 @@ class TestResidualAggregate:
         k = 5
         edges = [(0, i) for i in range(1, k + 1)] + [(i, 0) for i in range(1, k + 1)]
         adj = build_csr(edges, k + 1)
-        coeff = batch_adjacency(adj, np.arange(adj.num_nodes)).matrix.data  # storage order
+        coeff = whole_relation_block(adj, np.arange(adj.num_nodes)).matrix.data  # storage order
         sources = adj.edge_sources
         # eachedge from the center to a leaf carries 1/sqrt(1 + k*1)
         assert np.allclose(coeff[sources == 0], 1.0 / np.sqrt(1 + k))
@@ -142,7 +149,7 @@ class TestResidualAggregate:
         pairs = rng.integers(0, 8, size=(30, 2))
         pairs = np.concatenate([pairs, pairs[:, ::-1]])  # ensure both directions exist
         adj = build_csr(pairs, 8)
-        coeff = batch_adjacency(adj, np.arange(adj.num_nodes)).matrix.data  # storage order
+        coeff = whole_relation_block(adj, np.arange(adj.num_nodes)).matrix.data  # storage order
         lookup = {(u, v): c for (u, v), c in zip(adj.edge_pairs().tolist(), coeff)}
         for (u, v), c in lookup.items():
             assert c == pytest.approx(lookup[(v, u)])
@@ -157,13 +164,18 @@ class TestResidualAggregate:
 
 
 class TestBatchRows:
-    """A batch's rows of the aggregate match the dense oracle, and the whole-graph rows bit for bit."""
+    """A batch's rows of the aggregate match the dense oracle, and the whole-graph rows bit for bit.
+
+    The batch is cut as the model cuts a relation it does not split, and its
+    block is the reference block, byte for byte.
+    """
 
     def check_rows(self, adj, rows, seed=15):
         rng = np.random.default_rng(seed)
         h = tensor(rng.normal(size=(adj.num_nodes, 3)))
         messages = tensor(rng.normal(size=(adj.num_nodes, 3)))
-        batch = batch_adjacency(adj, rows)
+        batch = whole_relation_block(adj, rows)
+        assert not block_differences(batch, reference_block(adj, rows))
         part = residual_aggregate(h, ad.gather_rows(messages, batch.senders), batch).data
         adj_bool = np.zeros((adj.num_nodes, adj.num_nodes), dtype=bool)
         for u, v in adj.edge_pairs():
@@ -195,7 +207,7 @@ class TestBatchRows:
         adj = build_csr([(0, 1)], 3)
         for rows in ([3], [-1], [[0, 1]]):
             with pytest.raises(ValueError, match="batch rows"):
-                batch_adjacency(adj, rows)
+                whole_relation_block(adj, rows)
 
 
 # a random CSR graph (nodes without edges, or no edges at all, are common)
@@ -216,7 +228,7 @@ batch_cases = st.integers(min_value=1, max_value=12).flatmap(
 def test_batch_senders_equal_unique_of_neighbors(case):
     n, edges, rows = case
     adj = build_csr(edges, n)
-    batch = batch_adjacency(adj, rows)
+    batch = whole_relation_block(adj, rows)
     read = [adj.targets[adj.offsets[u]:adj.offsets[u + 1]] for u in rows]
     senders, columns = np.unique(np.concatenate([np.empty(0, np.int64), *read]), return_inverse=True)
     assert np.array_equal(batch.senders, senders)
@@ -230,8 +242,8 @@ def test_batch_senders_equal_unique_of_neighbors(case):
 @example((4, [(0, 1), (1, 2)], []), "all-hetero", 0)  # no rows
 @settings(max_examples=120, deadline=None)
 def test_channel_blocks_equal_view_blocks(case, mode, seed):
-    # the model's blocks, cut from the relation and its mask, are the blocks
-    # of the eager views, which the dense oracle (A2) checks, bit for bit
+    # the model's blocks, cut from the relation and its mask, are the reference
+    # blocks of the eager views, which the dense oracle (A2) checks, bit for bit
     n, edges, rows = case
     adj = build_csr(edges, n)
     signs = {"random": np.random.default_rng(seed).uniform(-1, 1, size=adj.edge_count),
@@ -239,13 +251,29 @@ def test_channel_blocks_equal_view_blocks(case, mode, seed):
     part = partition_subgraphs(adj, signs)
     blocks = channel_adjacencies(adj, part, rows, ("smooth", "contrast"))
     for block, view in ((blocks["smooth"], part.homo), (blocks["contrast"], part.hetero)):
-        expected = batch_adjacency(view, rows)
-        assert np.array_equal(block.rows, expected.rows)
-        assert np.array_equal(block.senders, expected.senders)
-        assert block.matrix.shape == expected.matrix.shape
-        for attr in ("indices", "indptr", "data"):
-            got, want = getattr(block.matrix, attr), getattr(expected.matrix, attr)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+        assert not block_differences(block, reference_block(view, rows))
+
+
+def test_block_comparison_catches_a_flipped_mask_entry_and_a_changed_coefficient():
+    rng = np.random.default_rng(21)
+    adj = build_csr(rng.integers(0, 12, size=(50, 2)), 12)
+    part = partition_subgraphs(adj, rng.uniform(-1, 1, size=adj.edge_count))
+    rows = np.arange(adj.num_nodes)
+    views = {"smooth": part.homo, "contrast": part.hetero}
+    flipped = part.hetero_mask.copy()
+    flipped[adj.edge_count // 2] ^= True
+    # one edge on the wrong side moves an entry between the two blocks' rows
+    wrong = channel_adjacencies(adj, EdgePartition(flipped, relation=adj), rows, tuple(views))
+    for side, view in views.items():
+        assert "indptr" in block_differences(wrong[side], reference_block(view, rows))
+    # one coefficient one ulp off, all else equal
+    block = channel_adjacencies(adj, part, rows, ("smooth",))["smooth"]
+    data = block.matrix.data.copy()
+    data[len(data) // 2] = np.nextafter(data[len(data) // 2], 2.0)
+    matrix = sparse.csr_array((data, block.matrix.indices, block.matrix.indptr), shape=block.matrix.shape)
+    changed = BatchAdjacency(rows=block.rows, senders=block.senders, matrix=matrix)
+    assert not block_differences(block, reference_block(part.homo, rows))
+    assert block_differences(changed, reference_block(part.homo, rows)) == ["data"]
 
 
 def test_channel_blocks_check_rows_first():

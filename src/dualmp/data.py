@@ -436,6 +436,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         name = section["name"]
         if not isinstance(name, str):
             raise CheckpointError(f"{path}: section name {name!r} is not a string")
+        if name in params:
+            raise CheckpointError(f"{path}: section {name!r} appears more than once")
         sizes = [section[key] for key in ("rows", "cols", "offset")]
         # bool is an int subclass, and JSON true must not pass for 1
         if not all(type(v) is int and v >= 0 for v in sizes):

@@ -143,7 +143,11 @@ class DualChannelModel:
     Under the ``rel`` ablation the relations are merged into a single union
     graph at construction; ``CHANNELS`` names the channels each ablation
     runs. Parameters that an ablation cannot reach are never created, so the
-    store size doubles as the active-parameter count.
+    store size doubles as the active-parameter count. The node features are
+    fixed at construction: their array is made read-only, so each
+    relation's whole-graph projection depends only on its ``proj_w`` and
+    ``proj_b``, and the model keeps it while their bytes are unchanged
+    (:meth:`_projection`).
     """
 
     def __init__(self, graph: MultiRelationGraph, config: TrainConfig, rng: np.random.Generator):
@@ -155,9 +159,12 @@ class DualChannelModel:
         self.config = config
         self.params = ParamStore()
         self.features = ad.tensor(graph.features)
+        self.features.data.flags.writeable = False  # the kept projections read it: a write must raise, not go unseen
         self._unsplit = None if self.has_separator else [
             EdgePartition(np.zeros(rel.edge_count, dtype=bool), relation=rel) for rel in graph.relations
         ]
+        # per relation: (bytes of proj_w and proj_b, read-only untaped projection)
+        self._projections: dict[str, tuple[tuple[bytes, bytes], TensorValue]] = {}
         self._init_params(rng)
 
     # -- parameter construction -------------------------------------------
@@ -193,6 +200,26 @@ class DualChannelModel:
 
     # -- forward -----------------------------------------------------------
 
+    def _projection(self, name: str) -> TensorValue:
+        """ReLU(x @ proj_w + proj_b) over all N nodes, untaped, rebuilt only when its weights change.
+
+        The key is the bytes of ``proj_w`` and ``proj_b``, so every in-place
+        writer (the optimiser, a restore, a gradient probe) is seen without a
+        hook, and so is a flip between 0.0 and -0.0 that value equality
+        misses. The array is read-only: a pass that wrote into it would
+        corrupt the next one.
+        """
+        proj_w, proj_b = self.params[f"{name}/proj_w"], self.params[f"{name}/proj_b"]
+        key = (proj_w.data.tobytes(), proj_b.data.tobytes())
+        if name in self._projections and self._projections[name][0] == key:
+            return self._projections[name][1]
+        self._projections.pop(name, None)  # so two projections are never held at once
+        with ad.no_tape():
+            h = separator.project_features(self.features, proj_w, proj_b)
+        h.data.flags.writeable = False
+        self._projections[name] = key, h
+        return h
+
     def _relation_embedding(self, name: str, h: TensorValue, blocks: dict[str, BatchAdjacency]) -> TensorValue:
         """Run the ablation's channels over one relation and fuse two outputs.
 
@@ -225,19 +252,22 @@ class DualChannelModel:
 
         The projection, edge scoring and partition cover the whole graph,
         untaped; aggregation, fusion and the classifier run only for the
-        rows. Edge partitions are recomputed from the sign of the current
-        edge scores unless frozen ones are passed in (gradient checking does
-        that); no pass builds a partition's views, and only the blocks of
-        the ablation's channels are cut. A training pass builds the
-        classification loss over its rows, plus one edge loss per relation
-        when ``edge_batches`` holds per-relation (edge positions, sign
-        labels). It tapes a second projection, with the same dropout factor,
-        over only the nodes a gradient reaches: the rows, the senders of
-        their blocks and the edge batch's endpoints. Those rows of the two
+        rows. The features are fixed at construction, so the untaped
+        projection is kept from pass to pass while ``proj_w`` and ``proj_b``
+        are unchanged (:meth:`_projection`); a training pass multiplies it by
+        its dropout factor. Edge partitions are recomputed from the sign of
+        the current edge scores unless frozen ones are passed in (gradient
+        checking does that); no pass builds a partition's views, and only
+        the blocks of the ablation's channels are cut. A training pass builds
+        the classification loss over its rows, plus one edge loss per
+        relation when ``edge_batches`` holds per-relation (edge positions,
+        sign labels). It tapes a second projection, with the same dropout
+        factor, over only the nodes a gradient reaches: the rows, the senders
+        of their blocks and the edge batch's endpoints. Those rows of the two
         projections are equal, so the forward values are those of one
         whole-graph projection. An evaluation pass (``training=False``) runs
-        under :func:`autodiff.no_tape` and builds no loss, so every array is
-        freed after its last use.
+        under :func:`autodiff.no_tape` and builds no loss, so every array but
+        the kept projection is freed after its last use.
         """
         p, cfg = self.params, self.config
         num_nodes = self.graph.num_nodes
@@ -252,8 +282,9 @@ class DualChannelModel:
             for ri, rel in enumerate(self.graph.relations):
                 projection = p[f"{rel.name}/proj_w"], p[f"{rel.name}/proj_b"]
                 factor = separator.dropout_factor((num_nodes, cfg.hidden_dim), cfg.dropout, training, rng)
-                with ad.no_tape():
-                    h = separator.project_features(self.features, *projection, factor)
+                h = self._projection(rel.name)
+                if factor is not None:  # the kept projection is a constant, so this records nothing
+                    h = ad.mul_const(h, factor)
                 partition = None
                 hinge = None
                 if self.has_separator:

@@ -38,12 +38,14 @@ def project_features(
     This projection is the single shared entry point: the same output feeds
     the edge scorer and both propagation channels, dropout factor included,
     so the per-epoch edge partition inherits the mask's jitter (which acts
-    as a mild edge-dropout regularizer). A training pass runs it twice per
-    relation with one factor (:func:`dropout_factor`): over all N rows
-    untaped, for the scores and the partition, and taped over the rows a
-    gradient reaches, ``x`` and ``factor`` cut to those rows. On the BLAS
-    the tests check, a row of a product of two or more rows into the hidden
-    width does not depend on the other rows, so both give the same rows.
+    as a mild edge-dropout regularizer). The model runs it untaped over all
+    N rows without a factor and keeps that result while ``proj_w`` and
+    ``proj_b`` are unchanged; a training pass multiplies the kept rows by
+    its factor (:func:`dropout_factor`) for the scores and the partition,
+    and runs it taped over the rows a gradient reaches, ``x`` and ``factor``
+    cut to those rows. On the BLAS the tests check, a row of a product of
+    two or more rows into the hidden width does not depend on the other
+    rows, so both give the same rows.
     """
     h = ad.relu(ad.add_bias(ad.matmul(x, proj_w), proj_b))
     return h if factor is None else ad.mul_const(h, factor)

@@ -432,6 +432,19 @@ class TestCheckpointInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-negative int rows" in err
 
+    def test_repeated_section_exits_one(self, dataset, trained, tmp_path, capsys):
+        blob = (trained / "checkpoint.bin").read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + header_len])
+        sections = header["sections"]
+        sections[1]["name"] = sections[0]["name"]
+        encoded = json.dumps(header).encode()
+        path = tmp_path / "checkpoint.bin"
+        path.write_bytes(blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + header_len :])
+        assert main(["eval", "--data", str(dataset), "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"section {sections[0]['name']!r} appears more than once" in err
+
     def test_non_finite_parameter_exits_one(self, dataset, trained, tmp_path, capsys):
         params, meta = load_checkpoint(trained / "checkpoint.bin")
         store = ParamStore()

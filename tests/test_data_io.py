@@ -503,6 +503,16 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="ckpt.bin"):
             load_checkpoint(path)
 
+    def test_repeated_section_rejected(self, tmp_path):
+        # two sections named "a" over the values 1 and 2: neither may silently win
+        header = (b'{"meta": {}, "sections": [{"name": "a", "rows": 1, "cols": 1, "offset": 0}, '
+                  b'{"name": "a", "rows": 1, "cols": 1, "offset": 8}]}')
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header
+                         + np.array([1.0, 2.0], dtype="<f8").tobytes())
+        with pytest.raises(CheckpointError, match="ckpt.bin: section 'a' appears more than once"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_rejected(self, tmp_path, value):
         store = random_store()

@@ -398,3 +398,140 @@ def test_eval_forward_records_no_tape_and_builds_no_loss(small_graph, ablation):
         model.forward(training=False, node_batch=[small_graph.num_nodes])
     w = model.params["classifier/w"]
     assert ad.add(w, w)._parents
+
+
+def sparse_graph():
+    # the batch, its senders and the edge batch's endpoints are fewer than N nodes
+    return generate_synthetic(
+        SyntheticSpec(num_nodes=300, fraud_ratio=0.2, num_relations=2, mean_degree=2.0, feature_dim=5, seed=6)
+    )
+
+
+def count_whole_graph_projections(monkeypatch, num_nodes):
+    """Record each call to ``separator.project_features`` that covers all ``num_nodes`` rows."""
+    from dualmp import separator
+
+    calls = []
+    project = separator.project_features
+
+    def counted(x, *args):
+        if x.shape[0] == num_nodes:
+            calls.append(1)
+        return project(x, *args)
+
+    monkeypatch.setattr(separator, "project_features", counted)
+    return calls
+
+
+def training_pass(model, seed=9):
+    from dualmp.training import epoch_batches, training_edge_sets
+
+    rng = np.random.default_rng(seed)
+    node_batch, edge_batches = epoch_batches(model.graph, training_edge_sets(model), rng)
+    return model.forward(training=True, rng=rng, node_batch=node_batch, edge_batches=edge_batches)
+
+
+def pass_bits(out):
+    """The bytes of a pass's probabilities and edge splits, and of its loss when it has one."""
+    bits = [out.probs.data.tobytes(), *(p.hetero_mask.tobytes() for p in out.partitions)]
+    return bits + ([out.loss_total.data.tobytes()] if out.loss_total is not None else [])
+
+
+def adam_step(model, other):
+    from dualmp.training import Adam
+
+    model.params.zero_grads()
+    backward(training_pass(model, seed=4).loss_total)
+    Adam(model.params, 0.01).step()
+
+
+def store_restore(model, other):
+    model.params.restore(other.params.snapshot())
+
+
+def checkpoint_restore(model, other):
+    from dualmp.data import restore_into
+
+    restore_into(model.params, other.params.snapshot())
+
+
+def probe_writes(model, other):
+    # what grad_check's central difference writes, into both projection weights
+    for key in ("proj_w", "proj_b"):
+        p = model.params[f"{model.graph.relations[0].name}/{key}"]
+        p.data.flat[3] = p.data.flat[3] + 1e-3
+
+
+def nan_weight(model, other):
+    model.params[f"{model.graph.relations[0].name}/proj_w"].data[0, 0] = np.nan
+
+
+class TestKeptProjection:
+    """Each relation's untaped whole-graph projection is built once per value of proj_w and proj_b."""
+
+    def test_a_training_pass_reuses_the_evaluation_pass_projection(self, monkeypatch):
+        from dualmp.training import Adam
+
+        model = make_model(sparse_graph(), dropout=0.1)
+        relations = model.graph.num_relations
+        calls = count_whole_graph_projections(monkeypatch, model.graph.num_nodes)
+        model.forward(training=False)
+        out = training_pass(model)
+        assert len(calls) == relations
+        backward(out.loss_total)
+        Adam(model.params, 0.01).step()
+        model.forward(training=False)
+        training_pass(model)
+        assert len(calls) == 2 * relations
+
+    def test_repeated_scoring_projects_once(self, monkeypatch):
+        from dualmp.training import evaluate_split
+
+        model = make_model(sparse_graph())
+        calls = count_whole_graph_projections(monkeypatch, model.graph.num_nodes)
+        reports = [evaluate_split(model, model.graph.split.test) for _ in range(3)]
+        assert len(calls) == model.graph.num_relations
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_sign_flip_of_a_zero_weight_rebuilds(self, monkeypatch):
+        # np.array_equal(0.0, -0.0) holds; the bytes differ
+        model = make_model(sparse_graph())
+        calls = count_whole_graph_projections(monkeypatch, model.graph.num_nodes)
+        model.forward(training=False)
+        proj_b = model.params[f"{model.graph.relations[0].name}/proj_b"]
+        assert proj_b.data[0, 0] == 0.0 and not np.signbit(proj_b.data[0, 0])
+        proj_b.data[0, 0] = -0.0
+        model.forward(training=False)
+        assert len(calls) == model.graph.num_relations + 1
+
+    @pytest.mark.parametrize(
+        "write", [adam_step, store_restore, checkpoint_restore, probe_writes, nan_weight],
+        ids=["adam", "restore", "restore_into", "probe", "nan"],
+    )
+    @pytest.mark.parametrize("first", ["eval", "train"])
+    def test_pass_after_an_in_place_write_equals_a_fresh_model(self, write, first):
+        graph = sparse_graph()
+        model = make_model(graph, dropout=0.1)
+        model.forward(training=False)
+        training_pass(model, seed=1)  # the kept projection is now the one before the write
+        write(model, DualChannelModel(graph, model.config, np.random.default_rng(5)))
+        fresh = DualChannelModel(graph, model.config, np.random.default_rng(1))
+        fresh.params.restore(model.params.snapshot())
+        order = [False, True] if first == "eval" else [True, False]
+        for training in order:
+            got, want = ((training_pass(m) if training else m.forward(training=False)) for m in (model, fresh))
+            assert pass_bits(got) == pass_bits(want)
+            if training and write is nan_weight:
+                assert not np.isfinite(got.loss_total.item())
+
+    def test_the_kept_projection_and_the_features_are_read_only(self):
+        graph = sparse_graph()
+        model = make_model(graph)
+        model.forward(training=False)
+        for rel in model.graph.relations:
+            h = model._projection(rel.name)
+            with pytest.raises(ValueError, match="read-only"):
+                h.data[0, 0] = 1.0
+        # the projection would not see a write into the features the model was built on
+        with pytest.raises(ValueError, match="read-only"):
+            graph.features[0, 0] = 1.0

@@ -1,25 +1,24 @@
 """Reverse-mode automatic differentiation over dense 2-D float64 arrays.
 
 Covers exactly the primitives the fraud model uses, listed with their users:
-``matmul`` and ``add_bias`` every linear layer; ``add`` and ``sub`` the
-weight blocks of the edge scorer and the fusion, the residuals, the contrast
-filter h - hW, the classifier's sum over relations and the total loss;
-``scale`` the residual mix and the edge-loss weight; ``add_const``,
-``mul_const`` and ``mean_all`` the edge-sign hinge, and ``mul_const`` the
-projection's dropout factor; ``relu`` the projection,
-the contrast filter and the hinge; ``leaky_relu`` the channel gates and the
-fusion; ``tanh`` the edge scorer; ``row_blocks`` the weight blocks of the edge
-scorer, the fusion and the classifier; ``gather_rows`` the edge endpoints,
-and a pass's rows and their senders;
+``matmul`` and ``add_bias`` every linear layer; ``add`` and ``sub`` the weight
+blocks of the edge scorer and the fusion, the residuals, the contrast filter
+h - hW, the classifier's sum over relations and the total loss; ``scale`` the
+residual mix and the edge-loss weight; ``add_const``, ``mul_const`` and
+``mean_all`` the edge-sign hinge, and ``mul_const`` the projection's dropout
+factor; ``relu`` the projection, the contrast filter and the hinge;
+``relu_linear_rows`` the projection rows a training pass tapes; ``leaky_relu``
+the channel gates and the fusion; ``tanh`` the edge scorer; ``row_blocks`` the
+weight blocks of the edge scorer, the fusion and the classifier;
+``gather_rows`` the edge endpoints, and a pass's rows and their senders;
 ``sparse_matmul`` the degree-rescaled aggregation, over scipy CSR;
 ``layer_norm`` the fusion; ``cross_entropy`` the classification loss.
 ``gather_rows``' backward is the module's one scatter: the transposed 0/1
 selection matrix times the gradient, the product ``sparse_matmul``'s rule
 runs, so repeated indices add up in index order. ``relu`` is max(x, 0) and
-passes a NaN on, so a NaN pre-activation reaches the loss instead of
-turning into 0.
-``softmax`` takes a plain array and records nothing: it gives the class
-probabilities and ``cross_entropy``'s gradient. Inside ``no_tape()`` no
+passes a NaN on, so a NaN pre-activation reaches the loss instead of turning
+into 0. ``softmax`` takes a plain array and records nothing: it gives the
+class probabilities and ``cross_entropy``'s gradient. Inside ``no_tape()`` no
 operation records anything; the model's evaluation pass runs there, since no
 backward reads it, and builds no loss. No broadcasting beyond row-vector
 biases, no tensors of rank above 2, no GPU.
@@ -237,6 +236,23 @@ def relu(x: TensorValue) -> TensorValue:
     return _result(np.maximum(x.data, 0.0), (x,), rule)
 
 
+def relu_linear_rows(x: np.ndarray, w: TensorValue, b: TensorValue, out: np.ndarray, active, index) -> TensorValue:
+    """Rows ``index`` of relu(x @ w + b), read from ``out``, that layer computed once without a tape.
+
+    ``active`` is where x @ w + b >= 0. The rows are ``out``'s bit for bit on any
+    BLAS; the backward rule is the one ``relu(add_bias(matmul(x[index], w), b))`` runs.
+    """
+
+    def rule(g):
+        dpre = g * active[index]
+        if _needs(b):
+            _accumulate(b, dpre.sum(axis=0, keepdims=True))
+        if _needs(w):
+            _accumulate(w, x[index].T @ dpre)
+
+    return _result(out[index], (w, b), rule)
+
+
 def leaky_relu(x: TensorValue) -> TensorValue:
     """max(x, LEAKY_SLOPE * x), the same value as x where x >= 0 and LEAKY_SLOPE * x below."""
     out = LEAKY_SLOPE * x.data
@@ -432,9 +448,6 @@ class ParamStore:
 
     def decays(self, name: str) -> bool:
         return self._decay[name]
-
-    def num_values(self) -> int:
-        return sum(p.data.size for p in self._params.values())
 
     def zero_grads(self) -> None:
         for p in self._params.values():

@@ -163,8 +163,8 @@ class DualChannelModel:
         self._unsplit = None if self.has_separator else [
             EdgePartition(np.zeros(rel.edge_count, dtype=bool), relation=rel) for rel in graph.relations
         ]
-        # per relation: (bytes of proj_w and proj_b, read-only untaped projection)
-        self._projections: dict[str, tuple[tuple[bytes, bytes], TensorValue]] = {}
+        # per relation: (bytes of proj_w and proj_b, read-only untaped projection, where its pre-activation >= 0)
+        self._projections: dict[str, tuple[tuple[bytes, bytes], TensorValue, np.ndarray]] = {}
         self._init_params(rng)
 
     # -- parameter construction -------------------------------------------
@@ -200,25 +200,24 @@ class DualChannelModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _projection(self, name: str) -> TensorValue:
-        """ReLU(x @ proj_w + proj_b) over all N nodes, untaped, rebuilt only when its weights change.
+    def _projection(self, name: str) -> tuple[TensorValue, np.ndarray]:
+        """:func:`separator.project_features` over all N nodes, untaped, rebuilt only when its weights change.
 
         The key is the bytes of ``proj_w`` and ``proj_b``, so every in-place
         writer (the optimiser, a restore, a gradient probe) is seen without a
         hook, and so is a flip between 0.0 and -0.0 that value equality
-        misses. The array is read-only: a pass that wrote into it would
+        misses. Both arrays are read-only: a pass that wrote into them would
         corrupt the next one.
         """
         proj_w, proj_b = self.params[f"{name}/proj_w"], self.params[f"{name}/proj_b"]
         key = (proj_w.data.tobytes(), proj_b.data.tobytes())
-        if name in self._projections and self._projections[name][0] == key:
-            return self._projections[name][1]
-        self._projections.pop(name, None)  # so two projections are never held at once
-        with ad.no_tape():
-            h = separator.project_features(self.features, proj_w, proj_b)
-        h.data.flags.writeable = False
-        self._projections[name] = key, h
-        return h
+        if self._projections.get(name, (None,))[0] != key:
+            self._projections.pop(name, None)  # so two projections are never held at once
+            with ad.no_tape():
+                h, active = separator.project_features(self.features, proj_w, proj_b)
+            h.data.flags.writeable = active.flags.writeable = False
+            self._projections[name] = key, h, active
+        return self._projections[name][1:]
 
     def _relation_embedding(self, name: str, h: TensorValue, blocks: dict[str, BatchAdjacency]) -> TensorValue:
         """Run the ablation's channels over one relation and fuse two outputs.
@@ -261,13 +260,12 @@ class DualChannelModel:
         the blocks of the ablation's channels are cut. A training pass builds
         the classification loss over its rows, plus one edge loss per
         relation when ``edge_batches`` holds per-relation (edge positions,
-        sign labels). It tapes a second projection, with the same dropout
-        factor, over only the nodes a gradient reaches: the rows, the senders
-        of their blocks and the edge batch's endpoints. Those rows of the two
-        projections are equal, so the forward values are those of one
-        whole-graph projection. An evaluation pass (``training=False``) runs
-        under :func:`autodiff.no_tape` and builds no loss, so every array but
-        the kept projection is freed after its last use.
+        sign labels). It tapes the kept projection's rows at the nodes a
+        gradient reaches (the rows, their blocks' senders and the edge batch's
+        endpoints) with :func:`autodiff.relu_linear_rows`: the rows the scores
+        read, bit for bit. An evaluation pass (``training=False``) runs under
+        :func:`autodiff.no_tape` and builds no loss, so every array but the
+        kept projection is freed after its last use.
         """
         p, cfg = self.params, self.config
         num_nodes = self.graph.num_nodes
@@ -282,9 +280,8 @@ class DualChannelModel:
             for ri, rel in enumerate(self.graph.relations):
                 projection = p[f"{rel.name}/proj_w"], p[f"{rel.name}/proj_b"]
                 factor = separator.dropout_factor((num_nodes, cfg.hidden_dim), cfg.dropout, training, rng)
-                h = self._projection(rel.name)
-                if factor is not None:  # the kept projection is a constant, so this records nothing
-                    h = ad.mul_const(h, factor)
+                kept, active = self._projection(rel.name)
+                h = kept if factor is None else ad.mul_const(kept, factor)  # of a constant: records nothing
                 partition = None
                 hinge = None
                 if self.has_separator:
@@ -305,9 +302,8 @@ class DualChannelModel:
                         num_nodes, rows, *(b.senders for b in blocks.values()), *(hinge or ())
                     )
                     blocks = {side: b.relabel(place) for side, b in blocks.items()}
-                    h = separator.project_features(
-                        ad.tensor(self.features.data[reach]), *projection, None if factor is None else factor[reach]
-                    )
+                    h = ad.relu_linear_rows(self.features.data, *projection, kept.data, active, reach)
+                    h = h if factor is None else ad.mul_const(h, factor[reach])
                     if hinge is not None:
                         scores = separator.edge_scores(h, place[hinge[0]], place[hinge[1]], edge_w)
                         edge_losses.append(separator.heterophily_loss(scores, signs))

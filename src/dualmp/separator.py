@@ -30,25 +30,15 @@ def dropout_factor(shape, rate: float, training: bool, rng: np.random.Generator 
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def project_features(
-    x: TensorValue, proj_w: TensorValue, proj_b: TensorValue, factor: np.ndarray | None = None
-) -> TensorValue:
-    """ReLU(x @ proj_w + proj_b), times the dropout ``factor`` when one is given.
+def project_features(x: TensorValue, proj_w: TensorValue, proj_b: TensorValue) -> tuple[TensorValue, np.ndarray]:
+    """ReLU(x @ proj_w + proj_b), and where x @ proj_w + proj_b >= 0, the entries relu's backward passes.
 
-    This projection is the single shared entry point: the same output feeds
-    the edge scorer and both propagation channels, dropout factor included,
-    so the per-epoch edge partition inherits the mask's jitter (which acts
-    as a mild edge-dropout regularizer). The model runs it untaped over all
-    N rows without a factor and keeps that result while ``proj_w`` and
-    ``proj_b`` are unchanged; a training pass multiplies the kept rows by
-    its factor (:func:`dropout_factor`) for the scores and the partition,
-    and runs it taped over the rows a gradient reaches, ``x`` and ``factor``
-    cut to those rows. On the BLAS the tests check, a row of a product of
-    two or more rows into the hidden width does not depend on the other
-    rows, so both give the same rows.
+    The same output feeds the edge scorer and both propagation channels, a
+    training pass's dropout factor included, so the per-epoch edge partition
+    inherits the mask's jitter (a mild edge-dropout regularizer).
     """
-    h = ad.relu(ad.add_bias(ad.matmul(x, proj_w), proj_b))
-    return h if factor is None else ad.mul_const(h, factor)
+    pre = ad.add_bias(ad.matmul(x, proj_w), proj_b)
+    return ad.relu(pre), pre.data >= 0
 
 
 # With edge_w split into blocks [W_u; W_v; W_d], W [h_u || h_v || h_u - h_v]

@@ -209,6 +209,7 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
                 break
 
     model.params.restore(best_snapshot)
+    model._projections.clear()  # built for the last epoch's weights, which no later pass has
     return FitResult(model=model, log=log, best_epoch=best_epoch, best_val_auc=float(best_auc))
 
 

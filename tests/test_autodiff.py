@@ -111,6 +111,39 @@ class TestActivations:
         assert np.isnan(out[0, 0]) and out[0, 1:].tolist() == [0.0, 2.0]
 
 
+class TestReluLinearRows:
+    def chain_and_rows(self, seed, b_needs_grad=True):
+        rng = np.random.default_rng(seed)
+        x, c = rng.normal(size=(40, 5)), rng.normal(size=(12, 3))
+        index = np.sort(rng.choice(40, size=12, replace=False))
+        store = ParamStore()
+        w = store.add("w", rng.normal(size=(5, 3)))
+        b = store.add("b", rng.normal(size=(1, 3))) if b_needs_grad else tensor(rng.normal(size=(1, 3)))
+        with ad.no_tape():
+            pre = ad.add_bias(ad.matmul(tensor(x), w), b)
+        out, active = np.maximum(pre.data, 0.0), pre.data >= 0
+
+        def grads(h):
+            w.grad = None
+            b.grad = None
+            backward(ad.mean_all(ad.mul_const(h, c)))
+            return w.grad, b.grad
+
+        rows = ad.relu_linear_rows(x, w, b, out, active, index)
+        assert np.array_equal(rows.data, out[index])
+        return grads(ad.relu(ad.add_bias(ad.matmul(tensor(x[index]), w), b))), grads(rows)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_are_the_chains_bit_for_bit(self, seed):
+        (chain_w, chain_b), (rows_w, rows_b) = self.chain_and_rows(seed)
+        assert np.array_equal(rows_w.view(np.int64), chain_w.view(np.int64))
+        assert np.array_equal(rows_b.view(np.int64), chain_b.view(np.int64))
+
+    def test_constant_bias_gets_no_gradient(self):
+        (_, chain_b), (_, rows_b) = self.chain_and_rows(0, b_needs_grad=False)
+        assert chain_b is None and rows_b is None
+
+
 class TestRowBlocks:
     def test_blocks_are_consecutive_row_slices(self):
         w = tensor(np.arange(12.0).reshape(6, 2))

@@ -1,10 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 import dualmp.autodiff as ad
 from dualmp.autodiff import backward, tensor
 from dualmp.data import SyntheticSpec, generate_synthetic
-from dualmp.graphs import partition_subgraphs
+from dualmp.graphs import MultiRelationGraph, partition_subgraphs
 from dualmp.model import (
     ConfigError,
     DualChannelModel,
@@ -156,7 +158,7 @@ class TestAblations:
         model = make_model(small_graph, ablation=ablation)
         relations = 1 if ablation == "rel" else small_graph.num_relations
         expected = expected_param_count(small_graph.feature_dim, 8, relations, ablation)
-        assert model.params.num_values() == expected
+        assert sum(p.data.size for _, p in model.params.items()) == expected
 
     def test_sep_drops_edge_scorer_and_one_channel(self, small_graph):
         full = make_model(small_graph, ablation="full")
@@ -225,7 +227,7 @@ class TestForward:
         out = model.forward(training=False)
         for rel, part in zip(small_graph.relations, out.partitions):
             p = lambda key: model.params[f"{rel.name}/{key}"]
-            h = project_features(model.features, p("proj_w"), p("proj_b"))
+            h, _ = project_features(model.features, p("proj_w"), p("proj_b"))
             scores = edge_score_values(h.data, rel.edge_sources, rel.targets, p("edge_w").data)
             assert np.array_equal(part.hetero_mask, scores >= 0)
 
@@ -358,19 +360,19 @@ def test_a_pass_cuts_only_the_blocks_its_channels_read(small_graph, monkeypatch,
     assert len(calls) == cuts * model.graph.num_relations
 
 
-@pytest.mark.parametrize(("inner", "width"), [(5, 8), (16, 8), (32, 8), (8, 2)])
+@pytest.mark.parametrize(("inner", "width"), [(8, 8), (8, 2)])
 def test_matmul_rows_do_not_depend_on_the_other_rows(inner, width):
     """A row of x[R] @ W is bit for bit that row of x @ W, for R of two or more rows.
 
-    A training pass relies on it: its taped projection over the nodes a
-    gradient reaches must give the rows of the whole-graph projection the
-    partition read. The shapes are the model's: features of the test and
-    benchmark fixtures into the hidden width 8, and a width-8 embedding
-    into the 2 classes. On OpenBLAS 0.3.31 it does not hold for a product
-    with one row or one column, which goes through gemv: a width-1
+    A pass over some rows relies on it to give those rows of a whole-graph
+    pass: it runs the channel filter, the channel gates and the fusion
+    (width 8 into width 8) and the classifier (width 8 into the 2 classes)
+    only on the rows it reaches. On OpenBLAS 0.3.31 it does not hold for a
+    product with one row or one column, which goes through gemv: a width-1
     product (the hinge's per-node scores) can round its last row
     differently, so the hinge may move by 1 ulp after epoch 1. Nor does it
-    hold for every shape: a 16-wide input into width 2 differs often.
+    hold for every shape: a 16-wide input into width 2 differs often, which
+    is why a training pass takes its projection rows from the kept product.
     """
     rng = np.random.default_rng(inner * width)
     for _ in range(60):
@@ -529,9 +531,105 @@ class TestKeptProjection:
         model = make_model(graph)
         model.forward(training=False)
         for rel in model.graph.relations:
-            h = model._projection(rel.name)
-            with pytest.raises(ValueError, match="read-only"):
-                h.data[0, 0] = 1.0
+            h, active = model._projection(rel.name)
+            for array in (h.data, active):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 1.0
         # the projection would not see a write into the features the model was built on
         with pytest.raises(ValueError, match="read-only"):
             graph.features[0, 0] = 1.0
+
+
+def record_calls(monkeypatch, module, name):
+    """Record (arguments, result) of each call to ``module.name``."""
+    calls, original = [], getattr(module, name)
+
+    def recorded(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("hidden_dim", [2, 3, 8])
+def test_reached_rows_are_the_rows_the_split_reads(monkeypatch, hidden_dim):
+    """A training pass runs one projection product, and tapes its reached rows from it bit for bit.
+
+    The pass is ``fit``'s first on the A4 fixture with seed 2, so the scores
+    and the split read that product times the dropout factor. A second
+    product over the reached rows would not do: on OpenBLAS 0.3.31, 1 of its
+    1,359 rows at width 2 and 2 of its 1,382 rows at width 3 differ from the
+    whole-graph product's.
+    """
+    from test_acceptance import A4_SPEC
+
+    from dualmp import propagation, separator
+    from dualmp.training import epoch_batches, training_edge_sets
+
+    graph = generate_synthetic(SyntheticSpec(seed=2, **A4_SPEC))
+    rng = np.random.default_rng(2)
+    model = DualChannelModel(graph, TrainConfig(seed=2, hidden_dim=hidden_dim), rng)
+    node_batch, edge_batches = epoch_batches(model.graph, training_edge_sets(model), rng)
+    products = record_calls(monkeypatch, separator, "project_features")
+    factors = record_calls(monkeypatch, separator, "dropout_factor")
+    reaches = record_calls(monkeypatch, propagation, "distinct_nodes")
+    aggregates = record_calls(monkeypatch, propagation, "residual_aggregate")
+    model.forward(training=True, rng=rng, node_batch=node_batch, edge_batches=edge_batches)
+
+    [((x, *_), (whole, _))] = products
+    assert x.shape[0] == graph.num_nodes
+    [(_, factor)] = factors
+    # the block cuts pass one index array each; the reach set takes the rows and the senders too
+    [(_, (reach, _))] = [call for call in reaches if len(call[0]) > 2]
+    taped = aggregates[0][0][0]
+    assert np.array_equal(taped.data.view(np.int64), (whole.data * factor)[reach].view(np.int64))
+
+
+def test_zero_pre_activation_passes_the_gradient_as_the_plain_chain_does(monkeypatch):
+    """With all-zero features and ``proj_b`` at 0 the pre-activation is exactly 0.
+
+    relu's rule passes the gradient there, so ``proj_b`` gets one; a mask
+    taken from the projection (``h > 0``) would drop it. The projection
+    gradients equal those of the plain taped chain over the reached rows.
+    """
+    base = sparse_graph()
+    graph = MultiRelationGraph(np.zeros_like(base.features), base.labels, base.relations, base.split)
+    model = make_model(graph, dropout=0.1)
+    names = [f"{rel.name}/{key}" for rel in model.graph.relations for key in ("proj_w", "proj_b")]
+
+    def projection_grads():
+        model.params.zero_grads()
+        backward(training_pass(model).loss_total)
+        return [model.params[name].grad.view(np.int64).copy() for name in names]
+
+    got = projection_grads()
+    monkeypatch.setattr(
+        ad, "relu_linear_rows",
+        lambda x, w, b, out, active, index: ad.relu(ad.add_bias(ad.matmul(tensor(x[index]), w), b)),
+    )
+    want = projection_grads()
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    assert all(model.params[name].grad.any() for name in names[1::2])
+
+
+@pytest.mark.parametrize("ablation", ["full", "sep", "homo", "heter", "rel"])
+def test_projection_gradcheck_at_hidden_width_3(monkeypatch, ablation):
+    """``dualmp gradcheck``'s recipe (dropout 0, frozen partitions) at width 3, for the projection's rule.
+
+    At width 3 some rows of the projection are all zero (2 and 7 of 30 under
+    ``full``), so the channel biases (``*_b1``, ``*_b2``, which start at 0)
+    sit exactly on a relu or leaky-relu kink there. Central differences
+    straddle it at every probe size, so those parameters' errors reach
+    0.005-0.75 however the projection is taped. This test checks the
+    projection's parameters, whose backward rule is written by hand.
+    """
+    from dualmp import cli
+
+    monkeypatch.setattr(cli, "TrainConfig", functools.partial(TrainConfig, hidden_dim=3))
+    models = record_calls(monkeypatch, cli, "DualChannelModel")
+    errors = cli.gradcheck_model(ablation, seed=7, probe=1e-3)
+    assert [args[1].hidden_dim for args, _ in models] == [3]
+    projection = {name: err for name, err in errors.items() if name.endswith(("/proj_w", "/proj_b"))}
+    assert len(projection) == 2 * models[0][1].graph.num_relations
+    assert max(projection.values()) < cli.GRADCHECK_TOLERANCE

@@ -16,25 +16,36 @@ from dualmp.separator import (
 class TestProjectFeatures:
     def test_identity_on_nonnegative(self):
         x = tensor([[1.0, 2.0], [0.0, 3.0]])
-        h = project_features(x, tensor(np.eye(2)), tensor(np.zeros((1, 2))))
+        h, active = project_features(x, tensor(np.eye(2)), tensor(np.zeros((1, 2))))
         assert np.array_equal(h.data, x.data)
+        assert active.all()  # a pre-activation of exactly 0 counts as active
 
     def test_zero_input_passes_relu_bias(self):
-        h = project_features(tensor(np.zeros((2, 2))), tensor(np.eye(2)), tensor([[-1.0, 2.0]]))
+        h, active = project_features(tensor(np.zeros((2, 2))), tensor(np.eye(2)), tensor([[-1.0, 2.0]]))
         assert np.array_equal(h.data, [[0.0, 2.0], [0.0, 2.0]])
+        assert active.tolist() == [[False, True], [False, True]]
 
     def test_hand_value(self):
-        h = project_features(tensor([[1.0, -1.0]]), tensor(np.eye(2)), tensor(np.zeros((1, 2))))
+        h, active = project_features(tensor([[1.0, -1.0]]), tensor(np.eye(2)), tensor(np.zeros((1, 2))))
         assert h.data.tolist() == [[1.0, 0.0]]
+        assert active.tolist() == [[True, False]]
+
+    def test_active_is_where_relu_passes_the_gradient(self):
+        # the mask is what relu's backward reads: pre >= 0, so 0 passes and NaN does not
+        store = ParamStore()
+        w, b = store.add("w", np.eye(4)), store.add("b", [[0.0, -1.0, 2.0, np.nan]])
+        h, active = project_features(tensor(np.zeros((1, 4))), w, b)
+        b.grad = np.zeros((1, 4))
+        backward(ad.mean_all(h))
+        assert active.tolist() == [[True, False, True, False]]
+        assert np.array_equal(b.grad != 0, active)
 
     def test_dropout_only_in_training(self):
-        rng = np.random.default_rng(0)
-        x = tensor(np.ones((50, 20)))
-        w, b = tensor(np.eye(20)), tensor(np.zeros((1, 20)))
-        eval_h = project_features(x, w, b, dropout_factor(x.shape, 0.5, training=False))
-        train_h = project_features(x, w, b, dropout_factor(x.shape, 0.5, training=True, rng=rng))
-        assert (eval_h.data == 1.0).all()
+        h = tensor(np.ones((50, 20)))
+        assert dropout_factor(h.shape, 0.5, training=False) is None
+        train_h = ad.mul_const(h, dropout_factor(h.shape, 0.5, training=True, rng=np.random.default_rng(0)))
         assert (train_h.data == 0.0).any()
+        assert set(np.unique(train_h.data)) == {0.0, 2.0}
 
 
 class TestDropoutFactor:
@@ -59,7 +70,8 @@ class TestDropoutFactor:
         store = ParamStore()
         x = store.add("x", np.abs(np.random.default_rng(12).normal(size=(5, 4))))
         factor = dropout_factor(x.shape, 0.5, training=True, rng=np.random.default_rng(13))
-        out = project_features(x, tensor(np.eye(4)), tensor(np.zeros((1, 4))), factor)
+        h, _ = project_features(x, tensor(np.eye(4)), tensor(np.zeros((1, 4))))
+        out = ad.mul_const(h, factor)
         assert np.array_equal(out.data, x.data * factor)
         x.grad = np.zeros_like(x.data)
         backward(ad.mean_all(out))
@@ -235,7 +247,7 @@ def test_hinge_gradient_reaches_projection():
     signs = rng.choice([-1.0, 1.0], size=10)
 
     def forward():
-        h = project_features(x, proj_w, proj_b)
+        h, _ = project_features(x, proj_w, proj_b)
         return heterophily_loss(edge_scores(h, src, tgt, edge_w), signs)
 
     errors = ad.grad_check(forward, store)

@@ -224,6 +224,13 @@ class TestFit:
         assert part.hetero.edge_count + part.homo.edge_count == result.model.graph.relations[0].edge_count
         assert len(built) == 2
 
+    def test_fit_keeps_no_projection_of_the_last_epoch(self):
+        # best epoch 16 of 20: the restore replaces the weights the kept projections were built for
+        graph = generate_synthetic(SyntheticSpec(num_nodes=200, num_relations=2, seed=5))
+        result = fit(graph, TrainConfig(epochs=20, patience=20, seed=5))
+        assert result.best_epoch < len(result.log)
+        assert result.model._projections == {}
+
     def test_log_records_have_expected_fields(self, graph):
         result = fit(graph, quick_config(epochs=2, patience=2))
         record = result.log[0]

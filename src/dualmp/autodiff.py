@@ -1,17 +1,17 @@
 """Reverse-mode automatic differentiation over dense 2-D float64 arrays.
 
 Covers exactly the primitives the fraud model uses, listed with their users:
-``matmul`` and ``add_bias`` every linear layer; ``add`` and ``sub`` the weight
-blocks of the edge scorer and the fusion, the residuals, the contrast filter
-h - hW, the classifier's sum over relations and the total loss; ``scale`` the
-residual mix and the edge-loss weight; ``add_const``, ``mul_const`` and
-``mean_all`` the edge-sign hinge, and ``mul_const`` the projection's dropout
-factor; ``relu`` the projection, the contrast filter and the hinge;
-``relu_linear_rows`` the projection rows a training pass tapes; ``leaky_relu``
-the channel gates and the fusion; ``tanh`` the edge scorer; ``row_blocks`` the
-weight blocks of the edge scorer, the fusion and the classifier;
-``gather_rows`` the edge endpoints, and a pass's rows and their senders;
-``sparse_matmul`` the degree-rescaled aggregation, over scipy CSR;
+``matmul`` and ``add_bias`` every linear layer, and ``add_bias`` the hinge's
+constant 1; ``add`` and ``sub`` the weight blocks of the edge scorer and the
+fusion, the residuals, the contrast filter h - hW, the classifier's sum over
+relations and the total loss; ``scale`` the residual mix and the edge-loss
+weight; ``mul_const`` and ``mean_all`` the edge-sign hinge, and ``mul_const``
+the projection's dropout factor; ``relu`` the projection, the contrast filter
+and the hinge; ``relu_linear_rows`` the projection rows a training pass tapes;
+``leaky_relu`` the channel gates and the fusion; ``tanh`` the edge scorer;
+``row_blocks`` the weight blocks of the edge scorer, the fusion and the
+classifier; ``gather_rows`` the edge endpoints, and a pass's rows and their
+senders; ``sparse_matmul`` the degree-rescaled aggregation, over scipy CSR;
 ``layer_norm`` the fusion; ``cross_entropy`` the classification loss.
 ``gather_rows``' backward is the module's one scatter: the transposed 0/1
 selection matrix times the gradient, the product ``sparse_matmul``'s rule
@@ -206,13 +206,6 @@ def scale(x: TensorValue, s: float) -> TensorValue:
         _accumulate(x, s * g)
 
     return _result(s * x.data, (x,), rule)
-
-
-def add_const(x: TensorValue, c: float) -> TensorValue:
-    def rule(g):
-        _accumulate(x, g)
-
-    return _result(x.data + float(c), (x,), rule)
 
 
 def mul_const(x: TensorValue, c) -> TensorValue:
@@ -479,8 +472,11 @@ def grad_check(
     can straddle a slope change and corrupt the difference quotient. Entries
     that disagree on the first probe are re-measured with windows shrunk by
     100x and 10000x (floored where float64 cancellation noise takes over)
-    and the best agreement is kept: a kink artifact disappears as the window
-    shrinks, a real gradient bug disagrees at every size.
+    and the best agreement is kept: a kink artifact near a point disappears
+    as the window shrinks, a real gradient bug disagrees at every size. A
+    point exactly on a kink fails at every size too, so it reads as a bug:
+    at hidden width 3 the model's zero-initialised channel biases sit on a
+    relu kink where a projection row is all zero.
     """
     if rng is None:
         rng = np.random.default_rng(0)

@@ -44,24 +44,27 @@ from .training import (
 GRADCHECK_TOLERANCE = 1e-4
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--config", default=None, help="key-value overrides file")
-    parser.add_argument("--ablation", choices=ABLATIONS, default=None)
-    parser.add_argument("--lr", dest="learning_rate", type=float, default=None)
-    parser.add_argument("--lambda", dest="edge_loss_weight", type=float, default=None)
-    parser.add_argument("--epsilon", dest="residual_mix", type=float, default=None)
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--patience", type=int, default=None)
-    parser.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
-    parser.add_argument("--dropout", type=float, default=None)
-    parser.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-
-
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 _FIELD_PARSERS = {"int": int, "float": float, "str": str}
 # settings that checkpoints of earlier versions record, at the one value the model still implements
 _RETIRED_CONFIG = {"homo_filter_activation": "none", "plain_fusion": False}
+# flags whose historical names are not their field's name with dashes
+_FLAG_NAMES = {"learning_rate": "--lr", "edge_loss_weight": "--lambda", "residual_mix": "--epsilon",
+               "num_nodes": "--nodes", "num_relations": "--relations"}
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, settings: type) -> None:
+    """One flag per field of the dataclass ``settings``; each defaults to None, meaning not given."""
+    for f in dataclasses.fields(settings):
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        choices = ABLATIONS if f.name == "ablation" else None
+        parser.add_argument(flag, dest=f.name, type=_FIELD_PARSERS[f.type], choices=choices, default=None)
+
+
+def _given_fields(args: argparse.Namespace, settings: type) -> dict:
+    """The fields of the dataclass ``settings`` that a flag set."""
+    values = vars(args)
+    return {f.name: values[f.name] for f in dataclasses.fields(settings) if values[f.name] is not None}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -85,14 +88,8 @@ def _parse_config_file(path: str) -> dict:
 
 def build_config(args: argparse.Namespace) -> TrainConfig:
     """defaults < config file < explicit command-line flags."""
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_parse_config_file(args.config))
-    for name in _CONFIG_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    config = TrainConfig(**values)
+    values = _parse_config_file(args.config) if args.config else {}
+    config = TrainConfig(**{**values, **_given_fields(args, TrainConfig)})
     config.validate()
     return config
 
@@ -237,8 +234,6 @@ def gradcheck_model(ablation: str, seed: int, probe: float) -> dict[str, float]:
         fraud_homophily=0.4,
         benign_homophily=0.8,
         feature_dim=6,
-        separation=2.0,
-        noise=1.0,
         seed=seed,
     )
     graph = generate_synthetic(spec)
@@ -257,6 +252,8 @@ def gradcheck_model(ablation: str, seed: int, probe: float) -> dict[str, float]:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if not 0 < args.eps < np.inf:
+        raise ConfigError(f"--eps must be finite and positive, got {args.eps}")
     ablations = ABLATIONS if args.ablation is None else (args.ablation,)
     seed = 7 if args.seed is None else args.seed
     worst_name, worst_err = "", 0.0
@@ -274,18 +271,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(
-        num_nodes=args.nodes,
-        fraud_ratio=args.fraud_ratio,
-        num_relations=args.relations,
-        mean_degree=args.mean_degree,
-        fraud_homophily=args.fraud_homophily,
-        benign_homophily=args.benign_homophily,
-        feature_dim=args.feature_dim,
-        separation=args.separation,
-        noise=args.noise,
-        seed=0 if args.seed is None else args.seed,
-    )
+    spec = SyntheticSpec(**_given_fields(args, SyntheticSpec))
     manifest = write_dataset(generate_synthetic(spec), args.out)
     print(f"dataset written, manifest at {manifest}")
     return 0
@@ -308,7 +294,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model and write log, checkpoint and metrics")
     p_train.add_argument("--data", required=True, help="dataset manifest path")
     p_train.add_argument("--out", required=True, help="output directory")
-    _add_config_flags(p_train)
+    p_train.add_argument("--config", default=None, help="key-value overrides file")
+    _add_field_flags(p_train, TrainConfig)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
@@ -326,16 +313,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic camouflage dataset")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--nodes", type=int, default=1000)
-    p_synth.add_argument("--fraud-ratio", dest="fraud_ratio", type=float, default=0.1)
-    p_synth.add_argument("--relations", type=int, default=1)
-    p_synth.add_argument("--mean-degree", dest="mean_degree", type=float, default=10.0)
-    p_synth.add_argument("--fraud-homophily", dest="fraud_homophily", type=float, default=0.5)
-    p_synth.add_argument("--benign-homophily", dest="benign_homophily", type=float, default=0.9)
-    p_synth.add_argument("--feature-dim", dest="feature_dim", type=int, default=16)
-    p_synth.add_argument("--separation", type=float, default=2.0)
-    p_synth.add_argument("--noise", type=float, default=1.0)
-    p_synth.add_argument("--seed", type=int, default=None)
+    _add_field_flags(p_synth, SyntheticSpec)
     p_synth.set_defaults(func=cmd_synth)
     return parser
 

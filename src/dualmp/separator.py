@@ -101,5 +101,5 @@ def heterophily_loss(scores: TensorValue, sign_labels) -> TensorValue:
         return ad.tensor(0.0)
     if scores.shape != signs.shape:
         raise ValueError(f"{scores.shape[0]} scores for {signs.shape[0]} edge labels")
-    margins = ad.add_const(ad.mul_const(scores, -signs), 1.0)
+    margins = ad.add_bias(ad.mul_const(scores, -signs), ad.tensor(1.0))
     return ad.mean_all(ad.relu(margins))

@@ -217,8 +217,12 @@ def evaluate_split(model: DualChannelModel, node_idx) -> MetricsReport:
     """Metrics of the current parameters over one node set.
 
     The evaluation forward computes only the rows of ``node_idx``, in its
-    order and with any duplicates, which gives the same metrics as scoring
-    the whole graph and indexing it. It records no tape and builds no loss.
+    order and with any duplicates. That gives the whole graph's metrics only
+    where the channel and classifier products are row-stable, as tests check
+    for the (8, 8) and (8, 2) products of the default width; on OpenBLAS
+    0.3.31 the (16, 2) and (32, 2) products of widths 16 and 32 differ from
+    the whole-graph rows in most random cuts. It records no tape and builds
+    no loss.
     """
     node_idx = np.asarray(node_idx, dtype=np.int64)
     if node_idx.size == 0:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 import shutil
 import struct
 
@@ -6,8 +8,17 @@ import numpy as np
 import pytest
 
 from dualmp.autodiff import ParamStore
-from dualmp.cli import _rebuild_model, main
-from dualmp.data import export_embeddings, load_checkpoint, save_checkpoint
+from dualmp import cli
+from dualmp.cli import _rebuild_model, build_config, main, make_parser
+from dualmp.data import (
+    SyntheticSpec,
+    export_embeddings,
+    generate_synthetic,
+    load_checkpoint,
+    save_checkpoint,
+    write_dataset,
+)
+from dualmp.model import TrainConfig
 
 
 def read_metrics(path):
@@ -71,6 +82,14 @@ class TestSynth:
         assert main(["synth", "--out", str(tmp_path), "--nodes", "50", "--relations", "3"]) == 0
         for r in range(3):
             assert (tmp_path / f"edges_rel{r}.csv").exists()
+
+    def test_default_flags_write_the_default_spec(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
+        write_dataset(generate_synthetic(SyntheticSpec()), tmp_path / "spec")
+        names = sorted(path.name for path in (tmp_path / "spec").iterdir())
+        assert sorted(path.name for path in (tmp_path / "cli").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "spec" / name).read_bytes()
 
     def test_invalid_probability_exits_one(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--fraud-homophily", "1.5"]) == 1
@@ -226,10 +245,70 @@ class TestGradcheck:
         assert main(["gradcheck", "--ablation", "sep"]) == 0
         assert "gradcheck passed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1e-3"])
+    def test_bad_probe_exits_one_before_any_model(self, monkeypatch, capsys, eps):
+        monkeypatch.setattr(cli, "gradcheck_model", lambda *args: pytest.fail("a model was built"))
+        assert main(["gradcheck", "--ablation", "sep", f"--eps={eps}"]) == 1
+        assert capsys.readouterr().err == f"error: --eps must be finite and positive, got {float(eps)}\n"
+
     def test_reports_per_parameter(self, capsys):
         assert main(["gradcheck", "--ablation", "heter"]) == 0
         out = capsys.readouterr().out
         assert "[heter]" in out and "filter_w" in out
+
+
+# each setting's one flag, and a value other than its default
+TRAIN_FLAGS = {
+    "learning_rate": ("--lr", 0.02),
+    "weight_decay": ("--weight-decay", 0.001),
+    "epochs": ("--epochs", 500),
+    "patience": ("--patience", 30),
+    "edge_loss_weight": ("--lambda", 0.5),
+    "residual_mix": ("--epsilon", 0.25),
+    "hidden_dim": ("--hidden-dim", 4),
+    "dropout": ("--dropout", 0.2),
+    "seed": ("--seed", 9),
+    "ablation": ("--ablation", "sep"),
+}
+SYNTH_FLAGS = {
+    "num_nodes": ("--nodes", 50),
+    "fraud_ratio": ("--fraud-ratio", 0.2),
+    "num_relations": ("--relations", 2),
+    "mean_degree": ("--mean-degree", 5.0),
+    "fraud_homophily": ("--fraud-homophily", 0.3),
+    "benign_homophily": ("--benign-homophily", 0.8),
+    "feature_dim": ("--feature-dim", 4),
+    "separation": ("--separation", 1.5),
+    "noise": ("--noise", 0.5),
+    "seed": ("--seed", 3),
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command, flags, others",
+        [("train", TRAIN_FLAGS, {"--data", "--out", "--config"}), ("synth", SYNTH_FLAGS, {"--out"})],
+    )
+    def test_help_lists_one_flag_per_setting(self, capsys, command, flags, others):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert set(re.findall(r"--[a-z-]+", usage)) == others | {flag for flag, _ in flags.values()}
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+    def test_train_flag_sets_its_field_only(self, field):
+        flag, value = TRAIN_FLAGS[field]
+        args = make_parser().parse_args(["train", "--data", "d", "--out", "o", flag, str(value)])
+        assert build_config(args) == dataclasses.replace(TrainConfig(), **{field: value})
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SyntheticSpec)])
+    def test_synth_flag_sets_its_field_only(self, monkeypatch, field):
+        specs = []
+        monkeypatch.setattr(cli, "generate_synthetic", specs.append)
+        monkeypatch.setattr(cli, "write_dataset", lambda graph, out: out)
+        flag, value = SYNTH_FLAGS[field]
+        assert main(["synth", "--out", "o", flag, str(value)]) == 0
+        assert specs == [dataclasses.replace(SyntheticSpec(), **{field: value})]
 
 
 def copy_dataset(manifest, dest):

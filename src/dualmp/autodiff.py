@@ -4,21 +4,17 @@ Covers exactly the primitives the fraud model uses, listed with their users:
 ``matmul`` and ``add_bias`` every linear layer, and ``add_bias`` the hinge's
 constant 1; ``add`` and ``sub`` the weight blocks of the edge scorer and the
 fusion, the residuals, the contrast filter h - hW, the classifier's sum over
-relations and the total loss; ``scale`` the residual mix and the edge-loss
-weight; ``mul_const`` and ``mean_all`` the edge-sign hinge, and ``mul_const``
-the projection's dropout factor; ``relu`` the projection, the contrast filter
-and the hinge; ``relu_linear_rows`` the projection rows a training pass tapes;
-``leaky_relu`` the channel gates and the fusion; ``tanh`` the edge scorer;
-``row_blocks`` the weight blocks of the edge scorer, the fusion and the
-classifier; ``gather_rows`` the edge endpoints, and a pass's rows and their
-senders; ``sparse_matmul`` the degree-rescaled aggregation, over scipy CSR;
-``layer_norm`` the fusion; ``cross_entropy`` the classification loss.
-``gather_rows``' backward is the module's one scatter: the transposed 0/1
-selection matrix times the gradient, the product ``sparse_matmul``'s rule
-runs, so repeated indices add up in index order. ``relu`` is max(x, 0) and
-passes a NaN on, so a NaN pre-activation reaches the loss instead of turning
-into 0. ``softmax`` takes a plain array and records nothing: it gives the
-class probabilities and ``cross_entropy``'s gradient. Inside ``no_tape()`` no
+relations and the total loss; ``mul_const`` the residual mix, the edge-loss
+weight and the edge-sign hinge; ``mean_all`` the hinge; ``relu`` the
+projection, the contrast filter and the hinge; ``relu_linear_rows`` every
+row of the projection a pass reads; ``leaky_relu`` the channel gates and
+the fusion; ``tanh`` the edge scorer; ``row_blocks`` the weight blocks of
+the edge scorer, the fusion and the classifier; ``sparse_matmul`` the
+degree-rescaled aggregation, over scipy CSR; ``layer_norm`` the fusion;
+``cross_entropy`` the classification loss. ``relu`` is max(x, 0) and passes
+a NaN on, so a NaN pre-activation reaches the loss instead of turning into
+0. ``softmax`` takes a plain array and records nothing: it gives the class
+probabilities and ``cross_entropy``'s gradient. Inside ``no_tape()`` no
 operation records anything; the model's evaluation pass runs there, since no
 backward reads it, and builds no loss. No broadcasting beyond row-vector
 biases, no tensors of rank above 2, no GPU.
@@ -36,7 +32,6 @@ import functools
 from contextlib import contextmanager
 
 import numpy as np
-from scipy import sparse
 
 LEAKY_SLOPE = 0.01  # negative-side slope of leaky_relu
 
@@ -199,19 +194,10 @@ def add_bias(x: TensorValue, bias: TensorValue) -> TensorValue:
     return _result(x.data + bias.data, (x, bias), rule)
 
 
-def scale(x: TensorValue, s: float) -> TensorValue:
-    s = float(s)
-
-    def rule(g):
-        _accumulate(x, s * g)
-
-    return _result(s * x.data, (x,), rule)
-
-
 def mul_const(x: TensorValue, c) -> TensorValue:
-    """Entrywise product with a fixed array; no gradient flows into ``c``."""
+    """Entrywise product with a fixed float or an array of x's shape; no gradient flows into ``c``."""
     c = np.asarray(c, dtype=np.float64)
-    if c.shape != x.data.shape:
+    if c.shape not in ((), x.shape):
         raise ValueError(f"constant shape {c.shape} does not match {x.shape}")
 
     def rule(g):
@@ -229,15 +215,18 @@ def relu(x: TensorValue) -> TensorValue:
     return _result(np.maximum(x.data, 0.0), (x,), rule)
 
 
-def relu_linear_rows(x: np.ndarray, w: TensorValue, b: TensorValue, out: np.ndarray, active, index) -> TensorValue:
-    """Rows ``index`` of relu(x @ w + b), read from ``out``, that layer computed once without a tape.
+def relu_linear_rows(x: np.ndarray, w: TensorValue, b: TensorValue, out: np.ndarray, passes, index) -> TensorValue:
+    """Rows ``index`` of ``out`` = relu(x @ w + b) times a constant factor, computed once without a tape.
 
-    ``active`` is where x @ w + b >= 0. The rows are ``out``'s bit for bit on any
-    BLAS; the backward rule is the one ``relu(add_bias(matmul(x[index], w), b))`` runs.
+    ``passes`` is d out / d pre for pre = x @ w + b: the factor where
+    pre >= 0 and 0 elsewhere, or the bool mask pre >= 0 without a factor.
+    The rows are ``out``'s bit for bit on any BLAS; the backward rule is the
+    one ``mul_const(relu(add_bias(matmul(x[index], w), b)), factor[index])``
+    runs.
     """
 
     def rule(g):
-        dpre = g * active[index]
+        dpre = g * passes[index]
         if _needs(b):
             _accumulate(b, dpre.sum(axis=0, keepdims=True))
         if _needs(w):
@@ -270,37 +259,13 @@ def tanh(x: TensorValue) -> TensorValue:
     return _result(out, (x,), rule)
 
 
-def gather_rows(x: TensorValue, index) -> TensorValue:
-    """Select rows by index; the backward pass scatter-adds, duplicates in index order.
-
-    The scatter is ``selection.T @ g`` for the (len(index) x N) 0/1 selection
-    CSR with one entry per row, the CSC product :func:`sparse_matmul`'s rule
-    runs: it adds each gradient row into its source row in index order.
-    """
-    index = np.asarray(index, dtype=np.int64)
-    if index.ndim != 1:
-        raise ValueError("gather_rows index must be one-dimensional")
-    if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
-        raise ValueError(f"gather index out of range for {x.shape[0]} rows")
-
-    def rule(g):
-        # built directly as the CSC that the selection CSR's .T is, which saves
-        # a second scipy constructor on every call
-        k = len(index)
-        selection_t = sparse.csc_array((np.ones(k), index, np.arange(k + 1)), shape=(x.shape[0], k))
-        _accumulate(x, selection_t @ g)
-
-    return _result(x.data[index], (x,), rule)
-
-
 def row_blocks(w: TensorValue, k: int) -> list[TensorValue]:
     """The rows of ``w`` cut into ``k`` equal blocks, top to bottom.
 
     [a_1 || ... || a_k] @ w equals the sum of a_i @ block_i, which lets a
     layer over stacked inputs skip the concatenation. A block is the row
     slice ``w[lo:hi]``; its backward writes the gradient into those rows of
-    a zero array, the values the scatter of :func:`gather_rows` would give
-    for indices without repeats.
+    a zero array.
     """
     rows = w.shape[0]
     if k < 1 or rows % k:

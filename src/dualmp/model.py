@@ -129,7 +129,7 @@ def total_loss(loss_cls: TensorValue, edge_losses: list[TensorValue], weight: fl
         raise ValueError("edge loss weight must be non-negative")
     if not edge_losses:
         return loss_cls
-    return ad.add(loss_cls, ad.scale(functools.reduce(ad.add, edge_losses), weight))
+    return ad.add(loss_cls, ad.mul_const(functools.reduce(ad.add, edge_losses), weight))
 
 
 def _kaiming_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -219,21 +219,22 @@ class DualChannelModel:
             self._projections[name] = key, h, active
         return self._projections[name][1:]
 
-    def _relation_embedding(self, name: str, h: TensorValue, blocks: dict[str, BatchAdjacency]) -> TensorValue:
-        """Run the ablation's channels over one relation and fuse two outputs.
+    def _relation_embedding(self, name: str, take, rows: np.ndarray, blocks: dict[str, BatchAdjacency]) -> TensorValue:
+        """Run the ablation's channels over one relation's ``rows`` and fuse two outputs.
 
-        ``blocks`` holds each channel's block, indexing the rows of ``h``;
+        ``take(index)`` gives the projection's rows at the nodes ``index``;
         each channel computes messages only for its block's senders.
         """
         p, cfg = self.params, self.config
+        h_rows = take(rows)
         outputs = []
         for side in CHANNELS[cfg.ablation]:
             batch = blocks[side]
             weights = (p[f"{name}/{key}"] for key in ("filter_w", f"{side}_gate_w", f"{side}_b1", f"{side}_b2"))
             messages = propagation.channel_messages(
-                ad.gather_rows(h, batch.senders), *weights, cfg.residual_mix, complement=side == "contrast"
+                take(batch.senders), *weights, cfg.residual_mix, complement=side == "contrast"
             )
-            outputs.append(propagation.residual_aggregate(h, messages, batch))
+            outputs.append(propagation.residual_aggregate(h_rows, messages, batch))
         if len(outputs) == 1:
             return outputs[0]
         fusion = (p[f"{name}/{key}"] for key in ("fuse_w", "fuse_b", "norm_gain", "norm_bias"))
@@ -253,19 +254,20 @@ class DualChannelModel:
         untaped; aggregation, fusion and the classifier run only for the
         rows. The features are fixed at construction, so the untaped
         projection is kept from pass to pass while ``proj_w`` and ``proj_b``
-        are unchanged (:meth:`_projection`); a training pass multiplies it by
-        its dropout factor. Edge partitions are recomputed from the sign of
-        the current edge scores unless frozen ones are passed in (gradient
-        checking does that); no pass builds a partition's views, and only
-        the blocks of the ablation's channels are cut. A training pass builds
-        the classification loss over its rows, plus one edge loss per
-        relation when ``edge_batches`` holds per-relation (edge positions,
-        sign labels). It tapes the kept projection's rows at the nodes a
-        gradient reaches (the rows, their blocks' senders and the edge batch's
-        endpoints) with :func:`autodiff.relu_linear_rows`: the rows the scores
-        read, bit for bit. An evaluation pass (``training=False``) runs under
-        :func:`autodiff.no_tape` and builds no loss, so every array but the
-        kept projection is freed after its last use.
+        are unchanged (:meth:`_projection`); a training pass multiplies it,
+        and the mask of where relu passes the gradient, by its dropout
+        factor. Edge partitions are recomputed from the sign of the current
+        edge scores unless frozen ones are passed in (gradient checking does
+        that); no pass builds a partition's views, and only the blocks of the
+        ablation's channels are cut. Each consumer takes its own rows of that
+        projection with :func:`autodiff.relu_linear_rows`: the pass's rows,
+        each block's senders and, in a training pass, the edge batch's
+        endpoints. A training pass builds the classification loss over its
+        rows, plus one edge loss per relation when ``edge_batches`` holds
+        per-relation (edge positions, sign labels). An evaluation pass
+        (``training=False``) runs under :func:`autodiff.no_tape` and builds
+        no loss, so every array but the kept projection is freed after its
+        last use.
         """
         p, cfg = self.params, self.config
         num_nodes = self.graph.num_nodes
@@ -281,33 +283,24 @@ class DualChannelModel:
                 projection = p[f"{rel.name}/proj_w"], p[f"{rel.name}/proj_b"]
                 factor = separator.dropout_factor((num_nodes, cfg.hidden_dim), cfg.dropout, training, rng)
                 kept, active = self._projection(rel.name)
-                h = kept if factor is None else ad.mul_const(kept, factor)  # of a constant: records nothing
+                h, passes = (kept.data, active) if factor is None else (kept.data * factor, active * factor)
+                take = functools.partial(ad.relu_linear_rows, self.features.data, *projection, h, passes)
                 partition = None
-                hinge = None
                 if self.has_separator:
                     sources, targets = rel.edge_sources, rel.targets
                     edge_w = p[f"{rel.name}/edge_w"]
                     # unless frozen, a hard split on the sign of the detached pre-activation;
                     # the separator learns only through the hinge loss below
                     partition = partitions[ri] if partitions is not None else partition_subgraphs(
-                        rel, separator.edge_score_values(h.data, sources, targets, edge_w.data)
+                        rel, separator.edge_score_values(h, sources, targets, edge_w.data)
                     )
                     if training and edge_batches is not None:
                         positions, signs = edge_batches[ri]
-                        hinge = [sources[positions], targets[positions]]
+                        scores = separator.edge_scores(take(sources[positions]), take(targets[positions]), edge_w)
+                        edge_losses.append(separator.heterophily_loss(scores, signs))
                 cut = partition if self.has_separator else self._unsplit[ri]
                 blocks = propagation.channel_adjacencies(rel, cut, rows, channels)
-                if training:
-                    reach, place = propagation.distinct_nodes(
-                        num_nodes, rows, *(b.senders for b in blocks.values()), *(hinge or ())
-                    )
-                    blocks = {side: b.relabel(place) for side, b in blocks.items()}
-                    h = ad.relu_linear_rows(self.features.data, *projection, kept.data, active, reach)
-                    h = h if factor is None else ad.mul_const(h, factor[reach])
-                    if hinge is not None:
-                        scores = separator.edge_scores(h, place[hinge[0]], place[hinge[1]], edge_w)
-                        edge_losses.append(separator.heterophily_loss(scores, signs))
-                per_rel_z.append(self._relation_embedding(rel.name, h, blocks))
+                per_rel_z.append(self._relation_embedding(rel.name, take, rows, blocks))
                 out_partitions.append(partition)
 
             logits = classify(per_rel_z, p["classifier/w"], p["classifier/b"])
@@ -323,4 +316,3 @@ class DualChannelModel:
                 result.loss_cls = classification_loss(logits, self.graph.labels[rows])
                 result.loss_total = total_loss(result.loss_cls, edge_losses, cfg.edge_loss_weight)
             return result
-

@@ -14,9 +14,9 @@ graph), :func:`channel_adjacencies` cuts each channel's rescaled adjacency
 down to those rows, straight from the relation and its edge partition, and
 messages are computed only for the senders they read. A relation that is
 not split (the ``sep`` ablation) is cut through a partition that puts every
-edge on the homophilic side. A training pass holds embeddings only for the
-nodes it reaches (:func:`distinct_nodes`) and relabels its blocks to them
-(:meth:`BatchAdjacency.relabel`).
+edge on the homophilic side. Blocks index nodes by their numbers, so a pass
+takes each consumer's rows straight from the projection: the rows for the
+residual and the senders for the messages.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def channel_messages(
         filtered = ad.relu(ad.add_bias(ad.sub(h, filtered), filter_b))
     else:
         filtered = ad.add_bias(filtered, filter_b)
-    gated = ad.matmul(ad.add(ad.scale(h, residual_mix), filtered), gate_w)
+    gated = ad.matmul(ad.add(ad.mul_const(h, residual_mix), filtered), gate_w)
     return ad.leaky_relu(ad.add_bias(gated, gate_b))
 
 
@@ -61,38 +61,24 @@ def channel_messages(
 class BatchAdjacency:
     """The rows of a subgraph's rescaled adjacency that a set of rows reads.
 
-    ``matrix`` has one row per entry of ``rows``, in that order, and one
-    column per sender: column k holds the coefficients of node
-    ``senders[k]``. A whole-graph pass takes ``rows = np.arange(N)``.
-    ``rows`` and ``senders`` index the rows of the embedding the block is
-    applied to: node numbers as cut, embedding positions after
-    :meth:`relabel`.
+    ``matrix`` has one row per row of the pass, in its order, and one column
+    per sender: column k holds the coefficients of node ``senders[k]``. A
+    whole-graph pass takes the rows ``np.arange(N)``.
     """
 
-    rows: np.ndarray
-    senders: np.ndarray  # sorted distinct neighbors of the rows in the subgraph
+    senders: np.ndarray  # sorted distinct neighbors of the rows in the subgraph, as node numbers
     matrix: sparse.csr_array  # (len(rows), len(senders))
 
-    def relabel(self, place: np.ndarray) -> BatchAdjacency:
-        """The same block over an embedding whose row ``place[u]`` holds node u.
 
-        ``place`` must be increasing on the nodes it maps, as
-        :func:`distinct_nodes` gives it, so the senders stay sorted.
-        """
-        return BatchAdjacency(rows=place[self.rows], senders=place[self.senders], matrix=self.matrix)
+def distinct_nodes(num_nodes: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct nodes in ``index``, and for each node its place among them.
 
-
-def distinct_nodes(num_nodes: int, *indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct nodes in ``indices``, and for each node its place among them.
-
-    A length-N presence mask and its running count give the arrays of
-    ``np.unique(np.concatenate(indices), return_inverse=True)`` without
-    concatenating or sorting; ``place`` has length N and is only meaningful
-    at the nodes present.
+    A length-N presence mask and its running count give them without
+    sorting; ``place`` has length N and is only meaningful at the nodes
+    present.
     """
     present = np.zeros(num_nodes, dtype=bool)
-    for index in indices:
-        present[index] = True
+    present[index] = True
     return np.flatnonzero(present), np.cumsum(present) - 1
 
 
@@ -109,7 +95,7 @@ def _cut(rows: np.ndarray, counts: np.ndarray, neighbors: np.ndarray, degrees: n
     deg = degrees.astype(np.float64)
     coefficients = 1.0 / np.sqrt(1.0 + np.repeat(deg[rows], counts) * deg[neighbors])
     matrix = sparse.csr_array((coefficients, columns, offsets), shape=(len(rows), len(senders)))
-    return BatchAdjacency(rows=rows, senders=senders, matrix=matrix)
+    return BatchAdjacency(senders=senders, matrix=matrix)
 
 
 def channel_adjacencies(
@@ -145,16 +131,17 @@ def channel_adjacencies(
     return blocks
 
 
-def residual_aggregate(h: TensorValue, sender_messages: TensorValue, batch: BatchAdjacency) -> TensorValue:
-    """z_u = h_u + sum over neighbors v of message_v / sqrt(1 + d_u * d_v), for u in ``batch.rows``.
+def residual_aggregate(h_rows: TensorValue, sender_messages: TensorValue, batch: BatchAdjacency) -> TensorValue:
+    """z_u = h_u + sum over neighbors v of message_v / sqrt(1 + d_u * d_v), for each row u of the pass.
 
     Messages depend only on the sending node, so they are computed once per
     sender and summed through the batch's rescaled adjacency rows.
-    ``sender_messages`` holds one row per sender, in the order of
-    ``batch.senders``; the output has one row per batch row, in batch order.
-    A row with no neighbors in the subgraph keeps its own embedding.
+    ``h_rows`` holds the pass's rows of the embedding, in its order, and
+    ``sender_messages`` one row per sender, in the order of
+    ``batch.senders``. A row with no neighbors in the subgraph keeps its own
+    embedding.
     """
-    return ad.add(ad.gather_rows(h, batch.rows), ad.sparse_matmul(batch.matrix, sender_messages))
+    return ad.add(h_rows, ad.sparse_matmul(batch.matrix, sender_messages))
 
 
 def frequency_fuse(

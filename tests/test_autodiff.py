@@ -112,16 +112,18 @@ class TestActivations:
 
 
 class TestReluLinearRows:
-    def chain_and_rows(self, seed, b_needs_grad=True):
+    def chain_and_rows(self, seed, b_needs_grad=True, dropout=False):
+        # unsorted rows with repeats, as a pass's rows and an edge batch's endpoints come
         rng = np.random.default_rng(seed)
         x, c = rng.normal(size=(40, 5)), rng.normal(size=(12, 3))
-        index = np.sort(rng.choice(40, size=12, replace=False))
+        index = rng.integers(0, 40, size=12)
         store = ParamStore()
         w = store.add("w", rng.normal(size=(5, 3)))
         b = store.add("b", rng.normal(size=(1, 3))) if b_needs_grad else tensor(rng.normal(size=(1, 3)))
+        factor = (rng.random((40, 3)) >= 0.3) / 0.7 if dropout else np.ones((40, 3))
         with ad.no_tape():
             pre = ad.add_bias(ad.matmul(tensor(x), w), b)
-        out, active = np.maximum(pre.data, 0.0), pre.data >= 0
+        out, passes = np.maximum(pre.data, 0.0) * factor, (pre.data >= 0) * factor
 
         def grads(h):
             w.grad = None
@@ -129,13 +131,20 @@ class TestReluLinearRows:
             backward(ad.mean_all(ad.mul_const(h, c)))
             return w.grad, b.grad
 
-        rows = ad.relu_linear_rows(x, w, b, out, active, index)
+        rows = ad.relu_linear_rows(x, w, b, out, passes, index)
         assert np.array_equal(rows.data, out[index])
-        return grads(ad.relu(ad.add_bias(ad.matmul(tensor(x[index]), w), b))), grads(rows)
+        chain = ad.mul_const(ad.relu(ad.add_bias(ad.matmul(tensor(x[index]), w), b)), factor[index])
+        return grads(chain), grads(rows)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_are_the_chains_bit_for_bit(self, seed):
         (chain_w, chain_b), (rows_w, rows_b) = self.chain_and_rows(seed)
+        assert np.array_equal(rows_w.view(np.int64), chain_w.view(np.int64))
+        assert np.array_equal(rows_b.view(np.int64), chain_b.view(np.int64))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_dropout_factor_in_passes_is_the_chains_factor(self, seed):
+        (chain_w, chain_b), (rows_w, rows_b) = self.chain_and_rows(seed, dropout=True)
         assert np.array_equal(rows_w.view(np.int64), chain_w.view(np.int64))
         assert np.array_equal(rows_b.view(np.int64), chain_b.view(np.int64))
 
@@ -231,34 +240,6 @@ class TestSegmentWeightedSum:
         matrix = segment_matrix([0, 2, 2, 1, 0, 3], [0.5, -1.0, 2.0, 0.0, 1.5, 3.0], 5)
         loss = lambda: ad.mean_all(ad.tanh(ad.sparse_matmul(matrix, msgs)))
         assert np.allclose(tape_gradient(loss, msgs), fd_gradient(loss, msgs), atol=1e-8)
-
-
-@given(
-    st.integers(min_value=0, max_value=2**31 - 1),
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=0, max_value=30),
-    st.sampled_from([1, 8]),
-    st.booleans(),
-)
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_gather_rows_gradient_is_the_add_at_scatter(seed, rows, k, width, fan_out):
-    # unsorted indices with repeats (or none at all); with fan_out, x also
-    # reaches the loss through a second path and sums both gradients
-    rng = np.random.default_rng(seed)
-    x = tensor(rng.normal(size=(rows, width)), requires_grad=True)
-    index = rng.integers(0, rows, size=k)
-    gathered = ad.gather_rows(x, index)
-    head = ad.sparse_matmul(sparse.csr_array(rng.normal(size=(1, k))), gathered)
-    direct_weights = sparse.csr_array(rng.normal(size=(1, rows)))
-    if fan_out:
-        direct = ad.sparse_matmul(direct_weights, x)
-        head = ad.add(head, direct)
-    backward(ad.mean_all(ad.tanh(head)))
-    expected = np.zeros((rows, width))
-    np.add.at(expected, index, gathered.grad)
-    if fan_out:
-        expected = expected + direct_weights.T @ direct.grad
-    assert np.array_equal(x.grad.view(np.int64), expected.view(np.int64))
 
 
 class TestLayerNorm:
@@ -420,6 +401,18 @@ class TestScalarOps:
     def test_mean_all(self):
         assert ad.mean_all(tensor([[1.0, 3.0]])).item() == 2.0
 
+    def test_mul_const_by_a_float_is_the_product_both_ways(self):
+        x = tensor(np.random.default_rng(16).normal(size=(4, 3)), requires_grad=True)
+        out = ad.mul_const(x, 0.1)
+        g = np.random.default_rng(17).normal(size=(4, 3))
+        backward(ad.mean_all(ad.mul_const(out, g)))
+        assert np.array_equal(out.data, 0.1 * x.data)
+        assert np.array_equal(x.grad, 0.1 * out.grad)
+
+    def test_mul_const_rejects_a_constant_of_another_shape(self):
+        with pytest.raises(ValueError, match="constant shape"):
+            ad.mul_const(tensor(np.ones((4, 3))), np.ones((4, 1)))
+
 
 class TestBackward:
     def test_linear_gradient_structure(self):
@@ -436,7 +429,7 @@ class TestBackward:
         used = store.add("used", np.ones((1, 1)))
         unused = store.add("unused", np.ones((1, 1)))
         store.zero_grads()
-        backward(ad.mean_all(ad.scale(used, 2.0)))
+        backward(ad.mean_all(ad.mul_const(used, 2.0)))
         assert unused.grad == 0.0
         assert used.grad == 2.0
 
@@ -445,7 +438,7 @@ class TestBackward:
         store = ParamStore()
         h = store.add("h", np.array([[1.0]]))
         store.zero_grads()
-        backward(ad.mean_all(ad.add(ad.scale(h, 2.0), ad.scale(h, 3.0))))
+        backward(ad.mean_all(ad.add(ad.mul_const(h, 2.0), ad.mul_const(h, 3.0))))
         assert h.grad[0, 0] == 5.0
 
     def test_non_scalar_loss_rejected(self):
@@ -465,7 +458,7 @@ class TestAccumulation:
 
     def test_one_tensor_feeding_two_ops(self):
         x = tensor([[0.3, -0.7]], requires_grad=True)
-        backward(ad.mean_all(ad.add(ad.scale(x, 2.0), ad.tanh(x))))
+        backward(ad.mean_all(ad.add(ad.mul_const(x, 2.0), ad.tanh(x))))
         assert np.allclose(x.grad, (2.0 + 1.0 - np.tanh(x.data) ** 2) / 2, rtol=0, atol=1e-15)
 
     def test_leaf_gradients_are_not_shared(self):
@@ -534,7 +527,7 @@ class TestGradCheck:
         store = ParamStore()
         used = store.add("used", np.ones((1, 1)))
         store.add("unused", np.ones((1, 1)))
-        errors = grad_check(lambda: ad.mean_all(ad.scale(used, 3.0)), store)
+        errors = grad_check(lambda: ad.mean_all(ad.mul_const(used, 3.0)), store)
         assert errors["unused"] == 0.0
 
 
@@ -558,12 +551,13 @@ def test_composed_forward_matches_finite_differences(seed, rows, cols):
     seg = rng.integers(0, rows, size=rows + 2)
     coeff = rng.normal(size=rows + 2)
     segments = segment_matrix(seg, coeff, rows)
+    selection = sparse.csr_array((np.ones(len(idx)), idx, np.arange(len(idx) + 1)), shape=(len(idx), rows))
 
     labels = rng.integers(0, 2 * cols, size=rows)
 
     def forward():
         hidden = ad.tanh(ad.add_bias(ad.matmul(x, w1), b1))
-        gathered = ad.gather_rows(hidden, idx)
+        gathered = ad.sparse_matmul(selection, hidden)
         summed = ad.sparse_matmul(segments, gathered)
         # w2 [hidden || hidden - summed], one product per row block of w2
         top, bottom = ad.row_blocks(w2, 2)

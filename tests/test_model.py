@@ -2,12 +2,14 @@ import functools
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import dualmp.autodiff as ad
 from dualmp.autodiff import backward, tensor
 from dualmp.data import SyntheticSpec, generate_synthetic
 from dualmp.graphs import MultiRelationGraph, partition_subgraphs
 from dualmp.model import (
+    CHANNELS,
     ConfigError,
     DualChannelModel,
     TrainConfig,
@@ -91,7 +93,7 @@ class TestClassificationLoss:
 
     def test_sum_not_mean(self):
         logits = log_probs(np.full((4, 2), 0.5))
-        one = classification_loss(ad.gather_rows(logits, [0]), [1]).item()
+        one = classification_loss(tensor(logits.data[:1]), [1]).item()
         four = classification_loss(logits, [1, 1, 1, 1]).item()
         assert four == pytest.approx(4 * one)
 
@@ -194,13 +196,18 @@ class TestAblations:
         h = tensor(full.graph.features)
         h_proj_full = ad.relu(ad.add_bias(ad.matmul(h, full.params[f"{rel.name}/proj_w"]),
                                           full.params[f"{rel.name}/proj_b"]))
-        blocks = channel_adjacencies(rel, all_homo, np.arange(small_graph.num_nodes), ("smooth", "contrast"))
-        z_full_smooth = full._relation_embedding(rel.name, h_proj_full, blocks)  # heter wiring path
-        z_heter = heter._relation_embedding(rel.name, h_proj_full, blocks)
+        rows = np.arange(small_graph.num_nodes)
+        blocks = channel_adjacencies(rel, all_homo, rows, ("smooth", "contrast"))
+
+        def take(index):
+            return tensor(h_proj_full.data[index])
+
+        z_full_smooth = full._relation_embedding(rel.name, take, rows, blocks)  # heter wiring path
+        z_heter = heter._relation_embedding(rel.name, take, rows, blocks)
         # full wiring runs fusion on top, so compare the shared channel instead
         full.config.ablation = "heter"
         try:
-            z_full_channel = full._relation_embedding(rel.name, h_proj_full, blocks)
+            z_full_channel = full._relation_embedding(rel.name, take, rows, blocks)
         finally:
             full.config.ablation = "full"
         assert np.array_equal(z_full_channel.data, z_heter.data)
@@ -280,10 +287,11 @@ class TestForward:
 @pytest.mark.parametrize("ablation", ["full", "sep", "homo", "heter", "rel"])
 def test_batch_forward_equals_full_forward_at_the_batch(ablation):
     # the batch forward computes only the rows the loss reads and tapes the
-    # projection only over the nodes they and the edge batch reach; with
-    # frozen partitions it must give the losses of the whole-graph forward.
-    # The classification loss is exact; the hinge's per-node scores are
-    # width-1 products, which the BLAS may round differently on fewer rows
+    # projection only at those rows, their senders and the edge batch's
+    # endpoints; with frozen partitions it must give the losses of the
+    # whole-graph forward. The classification loss is exact; the hinge's
+    # per-edge scores are width-1 products, which the BLAS may round
+    # differently on other rows
     from dualmp.training import epoch_batches, training_edge_sets
 
     graph = generate_synthetic(
@@ -299,7 +307,9 @@ def test_batch_forward_equals_full_forward_at_the_batch(ablation):
     model.params.zero_grads()
     full = model.forward(training=True, edge_batches=edge_batches, partitions=partitions)  # dropout is 0
     full_logits = classify(full.embeddings, model.params["classifier/w"], model.params["classifier/b"])
-    reference_cls = classification_loss(ad.gather_rows(full_logits, node_batch), labels[node_batch])
+    k = len(node_batch)
+    selection = sparse.csr_array((np.ones(k), node_batch, np.arange(k + 1)), shape=(k, graph.num_nodes))
+    reference_cls = classification_loss(ad.sparse_matmul(selection, full_logits), labels[node_batch])
     backward(total_loss(reference_cls, full.edge_losses, model.config.edge_loss_weight))
     reference_grads = {name: p.grad for name, p in model.params.items()}
 
@@ -321,18 +331,17 @@ def test_batch_forward_equals_full_forward_at_the_batch(ablation):
 @pytest.mark.parametrize("ablation", ["full", "sep", "homo", "heter", "rel"])
 def test_training_tape_holds_only_reached_rows(ablation):
     # on a graph where the batch, its senders and the edge batch's endpoints
-    # are fewer than N nodes, no tensor on the tape from the loss has N rows
+    # are fewer than N nodes, no tensor on the tape from the loss has N rows:
+    # each consumer takes only its own rows of the projection
     from dualmp.training import epoch_batches, training_edge_sets
 
-    graph = generate_synthetic(
-        SyntheticSpec(num_nodes=300, fraud_ratio=0.2, num_relations=2, mean_degree=2.0, feature_dim=5, seed=6)
-    )
+    graph = sparse_graph()
     model = make_model(graph, ablation=ablation, dropout=0.1)
     rng = np.random.default_rng(7)
     node_batch, edge_batches = epoch_batches(model.graph, training_edge_sets(model), rng)
     out = model.forward(training=True, rng=rng, node_batch=node_batch, edge_batches=edge_batches)
     projections = {id(model.params[f"{rel.name}/proj_w"]) for rel in model.graph.relations}
-    projected_rows = []
+    takes = []
     seen, stack = set(), [out.loss_total]
     while stack:
         node = stack.pop()
@@ -341,10 +350,13 @@ def test_training_tape_holds_only_reached_rows(ablation):
         seen.add(id(node))
         assert node.shape[0] != graph.num_nodes, node
         if any(id(parent) in projections for parent in node._parents):
-            projected_rows.append(node.shape[0])
+            takes.append(node.shape[0])
         stack.extend(node._parents)
-    assert len(projected_rows) == model.graph.num_relations
-    assert all(len(node_batch) < rows < graph.num_nodes for rows in projected_rows)
+    # per relation: the rows, each channel's senders, and the hinge's sources and targets
+    per_relation = 1 + len(CHANNELS[ablation]) + 2 * model.has_separator
+    assert len(takes) == per_relation * model.graph.num_relations
+    assert takes.count(len(node_batch)) >= model.graph.num_relations
+    assert all(0 < rows < graph.num_nodes for rows in takes)
 
 
 @pytest.mark.parametrize(("ablation", "cuts"), [("full", 2), ("rel", 2), ("homo", 1), ("heter", 1), ("sep", 1)])
@@ -554,17 +566,17 @@ def record_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("hidden_dim", [2, 3, 8])
 def test_reached_rows_are_the_rows_the_split_reads(monkeypatch, hidden_dim):
-    """A training pass runs one projection product, and tapes its reached rows from it bit for bit.
+    """A training pass runs one projection product, and each take is its rows times the dropout factor, bit for bit.
 
     The pass is ``fit``'s first on the A4 fixture with seed 2, so the scores
     and the split read that product times the dropout factor. A second
-    product over the reached rows would not do: on OpenBLAS 0.3.31, 1 of its
-    1,359 rows at width 2 and 2 of its 1,382 rows at width 3 differ from the
-    whole-graph product's.
+    product over the taken rows would not do: on OpenBLAS 0.3.31 a subset's
+    rows of a width-2 or width-3 projection can differ from the whole-graph
+    product's.
     """
     from test_acceptance import A4_SPEC
 
-    from dualmp import propagation, separator
+    from dualmp import separator
     from dualmp.training import epoch_batches, training_edge_sets
 
     graph = generate_synthetic(SyntheticSpec(seed=2, **A4_SPEC))
@@ -573,17 +585,22 @@ def test_reached_rows_are_the_rows_the_split_reads(monkeypatch, hidden_dim):
     node_batch, edge_batches = epoch_batches(model.graph, training_edge_sets(model), rng)
     products = record_calls(monkeypatch, separator, "project_features")
     factors = record_calls(monkeypatch, separator, "dropout_factor")
-    reaches = record_calls(monkeypatch, propagation, "distinct_nodes")
-    aggregates = record_calls(monkeypatch, propagation, "residual_aggregate")
+    splits = record_calls(monkeypatch, separator, "edge_score_values")
+    takes = record_calls(monkeypatch, ad, "relu_linear_rows")
     model.forward(training=True, rng=rng, node_batch=node_batch, edge_batches=edge_batches)
 
     [((x, *_), (whole, _))] = products
     assert x.shape[0] == graph.num_nodes
     [(_, factor)] = factors
-    # the block cuts pass one index array each; the reach set takes the rows and the senders too
-    [(_, (reach, _))] = [call for call in reaches if len(call[0]) > 2]
-    taped = aggregates[0][0][0]
-    assert np.array_equal(taped.data.view(np.int64), (whole.data * factor)[reach].view(np.int64))
+    dropped = whole.data * factor
+    [((split_h, *_), _)] = splits
+    assert np.array_equal(split_h.view(np.int64), dropped.view(np.int64))
+    # the rows, the two channels' senders, and the hinge's sources and targets
+    assert len(takes) == 5
+    assert any(np.array_equal(index, node_batch) for (*_, index), _ in takes)
+    for (*_, index), taken in takes:
+        assert len(index) < graph.num_nodes
+        assert np.array_equal(taken.data.view(np.int64), dropped[index].view(np.int64))
 
 
 def test_zero_pre_activation_passes_the_gradient_as_the_plain_chain_does(monkeypatch):
@@ -591,12 +608,16 @@ def test_zero_pre_activation_passes_the_gradient_as_the_plain_chain_does(monkeyp
 
     relu's rule passes the gradient there, so ``proj_b`` gets one; a mask
     taken from the projection (``h > 0``) would drop it. The projection
-    gradients equal those of the plain taped chain over the reached rows.
+    gradients equal those of the plain taped chain over each take's rows,
+    dropout factor included.
     """
+    from dualmp import separator
+
     base = sparse_graph()
     graph = MultiRelationGraph(np.zeros_like(base.features), base.labels, base.relations, base.split)
     model = make_model(graph, dropout=0.1)
     names = [f"{rel.name}/{key}" for rel in model.graph.relations for key in ("proj_w", "proj_b")]
+    factors = record_calls(monkeypatch, separator, "dropout_factor")
 
     def projection_grads():
         model.params.zero_grads()
@@ -604,10 +625,12 @@ def test_zero_pre_activation_passes_the_gradient_as_the_plain_chain_does(monkeyp
         return [model.params[name].grad.view(np.int64).copy() for name in names]
 
     got = projection_grads()
-    monkeypatch.setattr(
-        ad, "relu_linear_rows",
-        lambda x, w, b, out, active, index: ad.relu(ad.add_bias(ad.matmul(tensor(x[index]), w), b)),
-    )
+
+    def chain(x, w, b, out, passes, index):
+        factor = factors[-1][1]  # the factor of the relation being taken
+        return ad.mul_const(ad.relu(ad.add_bias(ad.matmul(tensor(x[index]), w), b)), factor[index])
+
+    monkeypatch.setattr(ad, "relu_linear_rows", chain)
     want = projection_grads()
     assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
     assert all(model.params[name].grad.any() for name in names[1::2])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import dualmp.autodiff as ad
 from dualmp.autodiff import ParamStore, backward, tensor
@@ -83,22 +84,28 @@ class TestDropoutFactor:
             dropout_factor((1, 2), rate, training=False)
 
 
+def rows_of(h, index):
+    """The rows ``index`` of ``h`` as a taped product with a 0/1 selection matrix, so a gradient reaches ``h``."""
+    k = len(index)
+    return ad.sparse_matmul(sparse.csr_array((np.ones(k), index, np.arange(k + 1)), shape=(k, h.shape[0])), h)
+
+
 class TestEdgeScores:
     def test_difference_only_weight_gives_zero_on_equal_embeddings(self):
         h = tensor([[1.0, 2.0], [1.0, 2.0]])
         w = tensor(np.array([[0.0], [0.0], [0.0], [0.0], [1.0], [1.0]]))
-        scores = edge_scores(h, [0], [1], w)
+        scores = edge_scores(rows_of(h, [0]), rows_of(h, [1]), w)
         assert scores.data.tolist() == [[0.0]]
 
     def test_zero_weight_gives_zero(self):
         h = tensor(np.random.default_rng(1).normal(size=(4, 3)))
-        scores = edge_scores(h, [0, 1, 2], [1, 2, 3], tensor(np.zeros((9, 1))))
+        scores = edge_scores(rows_of(h, [0, 1, 2]), rows_of(h, [1, 2, 3]), tensor(np.zeros((9, 1))))
         assert not scores.data.any()
 
     def test_hand_value(self):
         h = tensor([[1.0], [0.0]])
         w = tensor(np.array([[0.0], [0.0], [1.0]]))
-        scores = edge_scores(h, [0], [1], w)
+        scores = edge_scores(rows_of(h, [0]), rows_of(h, [1]), w)
         assert scores.data[0, 0] == pytest.approx(np.tanh(1.0))
 
     def test_batched_matches_plain_twin(self):
@@ -107,7 +114,7 @@ class TestEdgeScores:
         w = rng.normal(size=(12, 1))
         src = rng.integers(0, 10, size=15)
         tgt = rng.integers(0, 10, size=15)
-        taped = edge_scores(tensor(h), src, tgt, tensor(w)).data.reshape(-1)
+        taped = edge_scores(tensor(h[src]), tensor(h[tgt]), tensor(w)).data.reshape(-1)
         plain = edge_score_values(h, src, tgt, w)  # the pre-activation
         assert np.array_equal(taped, np.tanh(plain))
 
@@ -123,7 +130,7 @@ class TestEdgeScores:
         src = np.arange(1, len(h))
         tgt = np.zeros(len(values), dtype=np.int64)
         pre = edge_score_values(h, src, tgt, w)
-        taped = edge_scores(tensor(h), src, tgt, tensor(w)).data.reshape(-1)
+        taped = edge_scores(tensor(h[src]), tensor(h[tgt]), tensor(w)).data.reshape(-1)
         assert np.array_equal(pre, values, equal_nan=True)
         assert (pre >= 0).tolist() == (taped >= 0).tolist() == sides
 
@@ -132,7 +139,7 @@ class TestEdgeScores:
         rng = np.random.default_rng(3)
         h = tensor(rng.normal(size=(20, 4)))
         w = tensor(rng.normal(size=(12, 1)))
-        scores = edge_scores(h, rng.integers(0, 20, 50), rng.integers(0, 20, 50), w).data
+        scores = edge_scores(rows_of(h, rng.integers(0, 20, 50)), rows_of(h, rng.integers(0, 20, 50)), w).data
         assert (np.abs(scores) < 1.0).all()
 
     def test_difference_block_antisymmetry(self):
@@ -141,8 +148,8 @@ class TestEdgeScores:
         h = tensor(rng.normal(size=(6, 3)))
         w = np.zeros((9, 1))
         w[6:] = rng.normal(size=(3, 1))
-        forward = edge_scores(h, [0, 2], [1, 5], tensor(w)).data
-        backward_ = edge_scores(h, [1, 5], [0, 2], tensor(w)).data
+        forward = edge_scores(rows_of(h, [0, 2]), rows_of(h, [1, 5]), tensor(w)).data
+        backward_ = edge_scores(rows_of(h, [1, 5]), rows_of(h, [0, 2]), tensor(w)).data
         assert np.allclose(forward, -backward_)
 
 
@@ -156,7 +163,7 @@ class TestFactoredScorer:
             w = rng.normal(size=(3 * d, 1))
             src, tgt = rng.integers(0, n, size=e), rng.integers(0, n, size=e)
             concat = np.tanh(np.concatenate([h[src], h[tgt], h[src] - h[tgt]], axis=1) @ w)
-            assert np.abs(edge_scores(tensor(h), src, tgt, tensor(w)).data - concat).max() < 1e-12
+            assert np.abs(edge_scores(tensor(h[src]), tensor(h[tgt]), tensor(w)).data - concat).max() < 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -167,13 +174,15 @@ class TestFactoredScorer:
         tgt = np.array([1, 0, 3, 4, 2, 5, 2])
         weights = rng.normal(size=(len(src), 1))  # keeps the reduced loss non-constant
         errors = ad.grad_check(
-            lambda: ad.mean_all(ad.mul_const(edge_scores(h, src, tgt, edge_w), weights)), store, probe=1e-6
+            lambda: ad.mean_all(ad.mul_const(edge_scores(rows_of(h, src), rows_of(h, tgt), edge_w), weights)),
+            store,
+            probe=1e-6,
         )
         assert max(errors.values()) < 1e-6
 
     def test_weight_of_wrong_height(self):
         with pytest.raises(ValueError, match="the scorer needs 3"):
-            edge_scores(tensor(np.ones((2, 3))), [0], [1], tensor(np.ones((6, 1))))
+            edge_scores(tensor(np.ones((1, 3))), tensor(np.ones((1, 3))), tensor(np.ones((6, 1))))
 
 
 class TestHeterophilyLoss:
@@ -199,7 +208,7 @@ class TestHeterophilyLoss:
         rng = np.random.default_rng(5)
         h = tensor(rng.normal(size=(10, 3)) * 5)
         w = tensor(rng.normal(size=(9, 1)) * 5)
-        scores = edge_scores(h, rng.integers(0, 10, 30), rng.integers(0, 10, 30), w)
+        scores = edge_scores(rows_of(h, rng.integers(0, 10, 30)), rows_of(h, rng.integers(0, 10, 30)), w)
         signs = rng.choice([-1.0, 1.0], size=30)
         assert heterophily_loss(scores, signs).item() > 0.0
 
@@ -247,8 +256,9 @@ def test_hinge_gradient_reaches_projection():
     signs = rng.choice([-1.0, 1.0], size=10)
 
     def forward():
-        h, _ = project_features(x, proj_w, proj_b)
-        return heterophily_loss(edge_scores(h, src, tgt, edge_w), signs)
+        # each endpoint set projects its own rows, as a training pass takes them
+        (h_u, _), (h_v, _) = (project_features(tensor(x.data[index]), proj_w, proj_b) for index in (src, tgt))
+        return heterophily_loss(edge_scores(h_u, h_v, edge_w), signs)
 
     errors = ad.grad_check(forward, store)
     assert max(errors.values()) < 1e-6

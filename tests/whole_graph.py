@@ -8,7 +8,6 @@ block in plain numpy and scipy, so it shares no code with the cut in
 import numpy as np
 from scipy import sparse
 
-import dualmp.autodiff as ad
 from dualmp.propagation import BatchAdjacency, residual_aggregate
 
 
@@ -30,12 +29,12 @@ def reference_block(subgraph, rows) -> BatchAdjacency:
     indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
     coefficients = 1.0 / np.sqrt(1.0 + np.repeat(degrees[rows], counts) * degrees[neighbors])
     matrix = sparse.csr_array((coefficients, columns, indptr), shape=(len(rows), len(senders)))
-    return BatchAdjacency(rows=rows, senders=senders, matrix=matrix)
+    return BatchAdjacency(senders=senders, matrix=matrix)
 
 
 def block_differences(block: BatchAdjacency, expected: BatchAdjacency) -> list[str]:
-    """The parts in which two blocks differ: rows, senders, shape, or the bytes of the matrix's arrays."""
-    found = [name for name in ("rows", "senders") if not np.array_equal(getattr(block, name), getattr(expected, name))]
+    """The parts in which two blocks differ: senders, shape, or the bytes of the matrix's arrays."""
+    found = [] if np.array_equal(block.senders, expected.senders) else ["senders"]
     if block.matrix.shape != expected.matrix.shape:
         found.append("shape")
     for name in ("indices", "indptr", "data"):
@@ -48,8 +47,13 @@ def block_differences(block: BatchAdjacency, expected: BatchAdjacency) -> list[s
 def whole_graph_aggregate(h, node_messages, subgraph):
     """The aggregate of all N nodes from one message per node, through the reference block.
 
-    The rows are ``np.arange(N)``, and the messages are gathered at the
-    senders those rows read, as the model does for a whole-graph pass.
+    The rows are ``np.arange(N)``, so ``h`` holds them all. The block's
+    columns are put back at their senders' node numbers, which keeps each
+    row's entries and their order: the sums are those of a block over its
+    senders' messages, and a gradient reaches every node's message.
     """
-    batch = reference_block(subgraph, np.arange(subgraph.num_nodes))
-    return residual_aggregate(h, ad.gather_rows(node_messages, batch.senders), batch)
+    n = subgraph.num_nodes
+    block = reference_block(subgraph, np.arange(n))
+    m = block.matrix
+    by_node = sparse.csr_array((m.data, block.senders[m.indices], m.indptr), shape=(n, n))
+    return residual_aggregate(h, node_messages, BatchAdjacency(senders=np.arange(n), matrix=by_node))

@@ -132,6 +132,24 @@ def total_loss(loss_cls: TensorValue, edge_losses: list[TensorValue], weight: fl
     return ad.add(loss_cls, ad.mul_const(functools.reduce(ad.add, edge_losses), weight))
 
 
+def _read_only(kept):
+    """Make every array of a kept stage read-only, and return the stage.
+
+    A stage is the projection's (output, mask) pair, an
+    :class:`EdgePartition` (its mask and offsets) or a dict of
+    :class:`BatchAdjacency` blocks (their senders and CSR arrays).
+    """
+    if isinstance(kept, EdgePartition):
+        arrays = [kept.hetero_mask, kept.homo_offsets, kept.hetero_offsets]
+    elif isinstance(kept, dict):
+        arrays = [a for b in kept.values() for a in (b.senders, b.matrix.data, b.matrix.indices, b.matrix.indptr)]
+    else:
+        arrays = [kept[0].data, kept[1]]
+    for array in arrays:
+        array.flags.writeable = False
+    return kept
+
+
 def _kaiming_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -145,9 +163,12 @@ class DualChannelModel:
     runs. Parameters that an ablation cannot reach are never created, so the
     store size doubles as the active-parameter count. The node features are
     fixed at construction: their array is made read-only, so each
-    relation's whole-graph projection depends only on its ``proj_w`` and
-    ``proj_b``, and the model keeps it while their bytes are unchanged
-    (:meth:`_projection`).
+    relation's whole-graph work depends only on the parameters and the rows.
+    The model keeps it in one store per relation (:meth:`_stage`), in three
+    stages with nested keys: the projection, keyed on the bytes of
+    ``proj_w`` and ``proj_b``; the evaluation partition, keyed on those and
+    the bytes of ``edge_w``; and the channel blocks, keyed on all of that and
+    the bytes of an evaluation pass's rows.
     """
 
     def __init__(self, graph: MultiRelationGraph, config: TrainConfig, rng: np.random.Generator):
@@ -161,10 +182,10 @@ class DualChannelModel:
         self.features = ad.tensor(graph.features)
         self.features.data.flags.writeable = False  # the kept projections read it: a write must raise, not go unseen
         self._unsplit = None if self.has_separator else [
-            EdgePartition(np.zeros(rel.edge_count, dtype=bool), relation=rel) for rel in graph.relations
+            _read_only(EdgePartition(np.zeros(rel.edge_count, dtype=bool), relation=rel)) for rel in graph.relations
         ]
-        # per relation: (bytes of proj_w and proj_b, read-only untaped projection, where its pre-activation >= 0)
-        self._projections: dict[str, tuple[tuple[bytes, bytes], TensorValue, np.ndarray]] = {}
+        # per relation, the kept stages in order, each (key, value): the projection, the partition, the blocks
+        self._stages: dict[str, list[tuple[object, object]]] = {}
         self._init_params(rng)
 
     # -- parameter construction -------------------------------------------
@@ -200,24 +221,77 @@ class DualChannelModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _projection(self, name: str) -> tuple[TensorValue, np.ndarray]:
-        """:func:`separator.project_features` over all N nodes, untaped, rebuilt only when its weights change.
+    def _stage(self, name: str, depth: int, key, build, repeat: bool = False):
+        """Stage ``depth`` of relation ``name``'s store: the value kept under ``key``, or ``build()``'s.
 
-        The key is the bytes of ``proj_w`` and ``proj_b``, so every in-place
-        writer (the optimiser, a restore, a gradient probe) is seen without a
-        hook, and so is a flip between 0.0 and -0.0 that value equality
-        misses. Both arrays are read-only: a pass that wrote into them would
-        corrupt the next one.
+        Stage 0 is the projection, 1 the evaluation partition and 2 the
+        channel blocks. Each stage's key holds only what it adds, since a
+        stage is kept only on top of the stages before it: when a key
+        differs, that stage and every later one are dropped before the
+        rebuild, so two versions are never held at once. Keys are bytes, so
+        every in-place writer (the optimiser, a restore, a gradient probe)
+        is seen without a hook, and so is a flip between 0.0 and -0.0 that
+        value equality misses. With ``repeat`` a value is kept only when its
+        key repeats the one before, the second time it is seen; the first
+        time only the key is. Every kept array is read-only: a pass that
+        wrote into one would corrupt the next.
         """
+        stages = self._stages.setdefault(name, [])
+        seen = len(stages) > depth and stages[depth][0] == key
+        if seen and stages[depth][1] is not None:
+            return stages[depth][1]
+        del stages[depth:]
+        value = _read_only(build())
+        stages.append((key, value if seen or not repeat else None))
+        return value
+
+    def _projection(self, name: str) -> tuple[TensorValue, np.ndarray]:
+        """:func:`separator.project_features` over all N nodes, untaped, rebuilt only when its weights change."""
         proj_w, proj_b = self.params[f"{name}/proj_w"], self.params[f"{name}/proj_b"]
-        key = (proj_w.data.tobytes(), proj_b.data.tobytes())
-        if self._projections.get(name, (None,))[0] != key:
-            self._projections.pop(name, None)  # so two projections are never held at once
+
+        def project():
             with ad.no_tape():
-                h, active = separator.project_features(self.features, proj_w, proj_b)
-            h.data.flags.writeable = active.flags.writeable = False
-            self._projections[name] = key, h, active
-        return self._projections[name][1:]
+                return separator.project_features(self.features, proj_w, proj_b)
+
+        return self._stage(name, 0, (proj_w.data.tobytes(), proj_b.data.tobytes()), project)
+
+    def _split_and_blocks(
+        self, ri: int, h: np.ndarray, rows: np.ndarray, training: bool, partitions
+    ) -> tuple[EdgePartition | None, dict[str, BatchAdjacency]]:
+        """Relation ``ri``'s edge partition (None without a separator) and its channels' blocks for ``rows``.
+
+        The split is a hard one on the sign of the detached pre-activation
+        of the edge scores over ``h``; the separator learns only through the
+        hinge loss. Frozen ``partitions`` are used as given, and a pass with
+        them neither reads nor changes the kept partition and blocks. A
+        training pass drops the relation's kept partition and blocks and
+        builds its own, so its split keeps its dropout jitter. An evaluation
+        pass keeps its partition, and its blocks when its rows repeat the
+        previous evaluation pass's rows (:meth:`_stage`).
+        """
+        rel = self.graph.relations[ri]
+        channels = CHANNELS[self.config.ablation]
+        edge_w = self.params[f"{rel.name}/edge_w"].data if self.has_separator else None
+
+        def split():
+            if edge_w is None:
+                return self._unsplit[ri]
+            return partition_subgraphs(rel, separator.edge_score_values(h, rel.edge_sources, rel.targets, edge_w))
+
+        def cut(partition):
+            return propagation.channel_adjacencies(rel, partition, rows, channels)
+
+        if partitions is not None:
+            partition = partitions[ri]
+            return partition, cut(self._unsplit[ri] if partition is None else partition)
+        if training:
+            del self._stages[rel.name][1:]
+            partition = split()
+            blocks = cut(partition)
+        else:
+            partition = self._stage(rel.name, 1, b"" if edge_w is None else edge_w.tobytes(), split)
+            blocks = self._stage(rel.name, 2, (rows.shape, rows.tobytes()), lambda: cut(partition), repeat=True)
+        return (None if edge_w is None else partition), blocks
 
     def _relation_embedding(self, name: str, take, rows: np.ndarray, blocks: dict[str, BatchAdjacency]) -> TensorValue:
         """Run the ablation's channels over one relation's ``rows`` and fuse two outputs.
@@ -256,24 +330,27 @@ class DualChannelModel:
         projection is kept from pass to pass while ``proj_w`` and ``proj_b``
         are unchanged (:meth:`_projection`); a training pass multiplies it,
         and the mask of where relu passes the gradient, by its dropout
-        factor. Edge partitions are recomputed from the sign of the current
-        edge scores unless frozen ones are passed in (gradient checking does
-        that); no pass builds a partition's views, and only the blocks of the
-        ablation's channels are cut. Each consumer takes its own rows of that
+        factor. A training pass splits each relation's edges on the sign of
+        its own jittered edge scores, and drops the relation's kept
+        partition and blocks first. An evaluation pass reuses the partition
+        kept for the current ``edge_w`` and, when its rows repeat the previous
+        evaluation pass's rows, the kept blocks (:meth:`_split_and_blocks`).
+        Frozen ``partitions`` (gradient checking passes them) are used as
+        given. No pass builds a partition's views, and only the blocks of the
+        ablation's channels are cut. Each consumer takes its own rows of the
         projection with :func:`autodiff.relu_linear_rows`: the pass's rows,
         each block's senders and, in a training pass, the edge batch's
         endpoints. A training pass builds the classification loss over its
         rows, plus one edge loss per relation when ``edge_batches`` holds
         per-relation (edge positions, sign labels). An evaluation pass
         (``training=False``) runs under :func:`autodiff.no_tape` and builds
-        no loss, so every array but the kept projection is freed after its
-        last use.
+        no loss, so every array but the kept stages is freed after its last
+        use. The partitions it returns are the kept, read-only ones.
         """
         p, cfg = self.params, self.config
         num_nodes = self.graph.num_nodes
         rows = np.arange(num_nodes) if node_batch is None else node_batch
         rows = np.asarray(rows, dtype=np.int64)
-        channels = CHANNELS[cfg.ablation]
         with nullcontext() if training else ad.no_tape():
             per_rel_z: list[TensorValue] = []
             out_partitions: list[EdgePartition | None] = []
@@ -285,21 +362,12 @@ class DualChannelModel:
                 kept, active = self._projection(rel.name)
                 h, passes = (kept.data, active) if factor is None else (kept.data * factor, active * factor)
                 take = functools.partial(ad.relu_linear_rows, self.features.data, *projection, h, passes)
-                partition = None
-                if self.has_separator:
-                    sources, targets = rel.edge_sources, rel.targets
-                    edge_w = p[f"{rel.name}/edge_w"]
-                    # unless frozen, a hard split on the sign of the detached pre-activation;
-                    # the separator learns only through the hinge loss below
-                    partition = partitions[ri] if partitions is not None else partition_subgraphs(
-                        rel, separator.edge_score_values(h, sources, targets, edge_w.data)
-                    )
-                    if training and edge_batches is not None:
-                        positions, signs = edge_batches[ri]
-                        scores = separator.edge_scores(take(sources[positions]), take(targets[positions]), edge_w)
-                        edge_losses.append(separator.heterophily_loss(scores, signs))
-                cut = partition if self.has_separator else self._unsplit[ri]
-                blocks = propagation.channel_adjacencies(rel, cut, rows, channels)
+                partition, blocks = self._split_and_blocks(ri, h, rows, training, partitions)
+                if training and edge_batches is not None:
+                    positions, signs = edge_batches[ri]
+                    ends = take(rel.edge_sources[positions]), take(rel.targets[positions])
+                    scores = separator.edge_scores(*ends, p[f"{rel.name}/edge_w"])
+                    edge_losses.append(separator.heterophily_loss(scores, signs))
                 per_rel_z.append(self._relation_embedding(rel.name, take, rows, blocks))
                 out_partitions.append(partition)
 

@@ -70,28 +70,20 @@ class BatchAdjacency:
     matrix: sparse.csr_array  # (len(rows), len(senders))
 
 
-def distinct_nodes(num_nodes: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct nodes in ``index``, and for each node its place among them.
-
-    A length-N presence mask and its running count give them without
-    sorting; ``place`` has length N and is only meaningful at the nodes
-    present.
-    """
-    present = np.zeros(num_nodes, dtype=bool)
-    present[index] = True
-    return np.flatnonzero(present), np.cumsum(present) - 1
-
-
 def _cut(rows: np.ndarray, counts: np.ndarray, neighbors: np.ndarray, degrees: np.ndarray) -> BatchAdjacency:
     """The block whose rows hold ``counts`` entries each, reading ``neighbors`` row after row.
 
-    The senders are the distinct neighbors, and a neighbor's column is its
-    place among them (:func:`distinct_nodes`).
+    The senders are the sorted distinct neighbors, and a neighbor's column
+    is its place among them. A length-N presence mask and its running count
+    give both without sorting; the count is only meaningful at the nodes
+    present.
     """
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    senders, place = distinct_nodes(len(degrees), neighbors)
-    columns = place[neighbors]
+    present = np.zeros(len(degrees), dtype=bool)
+    present[neighbors] = True
+    senders = np.flatnonzero(present)
+    columns = (np.cumsum(present) - 1)[neighbors]
     deg = degrees.astype(np.float64)
     coefficients = 1.0 / np.sqrt(1.0 + np.repeat(deg[rows], counts) * deg[neighbors])
     matrix = sparse.csr_array((coefficients, columns, offsets), shape=(len(rows), len(senders)))

@@ -209,7 +209,7 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
                 break
 
     model.params.restore(best_snapshot)
-    model._projections.clear()  # built for the last epoch's weights, which no later pass has
+    model._stages.clear()  # built for the last epoch's weights, which no later pass has
     return FitResult(model=model, log=log, best_epoch=best_epoch, best_val_auc=float(best_auc))
 
 
@@ -222,7 +222,9 @@ def evaluate_split(model: DualChannelModel, node_idx) -> MetricsReport:
     for the (8, 8) and (8, 2) products of the default width; on OpenBLAS
     0.3.31 the (16, 2) and (32, 2) products of widths 16 and 32 differ from
     the whole-graph rows in most random cuts. It records no tape and builds
-    no loss.
+    no loss. Repeated calls with unchanged parameters score and partition
+    the edges once; the second call over the same ``node_idx`` keeps its
+    channel blocks, and later ones reuse them (:meth:`DualChannelModel._stage`).
     """
     node_idx = np.asarray(node_idx, dtype=np.int64)
     if node_idx.size == 0:

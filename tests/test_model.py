@@ -447,7 +447,7 @@ def training_pass(model, seed=9):
 
 def pass_bits(out):
     """The bytes of a pass's probabilities and edge splits, and of its loss when it has one."""
-    bits = [out.probs.data.tobytes(), *(p.hetero_mask.tobytes() for p in out.partitions)]
+    bits = [out.probs.data.tobytes(), *(p.hetero_mask.tobytes() for p in out.partitions if p is not None)]
     return bits + ([out.loss_total.data.tobytes()] if out.loss_total is not None else [])
 
 
@@ -470,8 +470,8 @@ def checkpoint_restore(model, other):
 
 
 def probe_writes(model, other):
-    # what grad_check's central difference writes, into both projection weights
-    for key in ("proj_w", "proj_b"):
+    # what grad_check's central difference writes, into both projection weights and the edge scorer
+    for key in ("proj_w", "proj_b", "edge_w")[: 3 if model.has_separator else 2]:
         p = model.params[f"{model.graph.relations[0].name}/{key}"]
         p.data.flat[3] = p.data.flat[3] + 1e-3
 
@@ -550,6 +550,146 @@ class TestKeptProjection:
         # the projection would not see a write into the features the model was built on
         with pytest.raises(ValueError, match="read-only"):
             graph.features[0, 0] = 1.0
+
+
+def count_split_work(monkeypatch):
+    """Count the calls to edge scoring, partition and block cutting, by function name."""
+    from dualmp import model as model_module
+    from dualmp import propagation, separator
+
+    counts = dict.fromkeys(("edge_score_values", "partition_subgraphs", "channel_adjacencies"), 0)
+    for owner, name in zip((separator, model_module, propagation), counts, strict=True):
+
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def split_work(model, scored: int, cut: int, relations: int | None = None) -> dict[str, int]:
+    """The counts of :func:`count_split_work` for ``scored`` splits and ``cut`` cuts in each of ``relations``."""
+    relations = model.graph.num_relations if relations is None else relations
+    splits = scored * relations if model.has_separator else 0
+    return {"edge_score_values": splits, "partition_subgraphs": splits, "channel_adjacencies": cut * relations}
+
+
+def scoring_pass(model, rows):
+    return model.forward(training=False, node_batch=rows)
+
+
+@pytest.mark.parametrize("ablation", ["full", "sep"])
+class TestKeptSplit:
+    """An evaluation pass keeps its partition per value of the weights, and its blocks when its rows repeat."""
+
+    def test_repeated_scoring_scores_and_partitions_once_and_cuts_twice(self, monkeypatch, ablation):
+        from dualmp.training import evaluate_split
+
+        model = make_model(sparse_graph(), ablation=ablation)
+        counts = count_split_work(monkeypatch)
+        reports = [evaluate_split(model, model.graph.split.test) for _ in range(3)]
+        assert counts == split_work(model, scored=1, cut=2)
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_a_reused_pass_equals_a_fresh_model(self, ablation):
+        graph = sparse_graph()
+        model = make_model(graph, ablation=ablation)
+        rows = graph.split.test
+        passes = [scoring_pass(model, rows) for _ in range(3)]
+        fresh = DualChannelModel(graph, model.config, np.random.default_rng(1))
+        fresh.params.restore(model.params.snapshot())
+        want = pass_bits(scoring_pass(fresh, rows))
+        assert all(pass_bits(out) == want for out in passes)
+
+    @pytest.mark.parametrize(
+        "write", [adam_step, store_restore, checkpoint_restore, probe_writes, nan_weight],
+        ids=["adam", "restore", "restore_into", "probe", "nan"],
+    )
+    def test_scoring_after_an_in_place_write_equals_a_fresh_model(self, monkeypatch, write, ablation):
+        graph = sparse_graph()
+        model = make_model(graph, ablation=ablation, dropout=0.1)
+        rows = graph.split.test
+        for _ in range(2):  # the split and the blocks are now kept
+            scoring_pass(model, rows)
+        write(model, DualChannelModel(graph, model.config, np.random.default_rng(5)))
+        fresh = DualChannelModel(graph, model.config, np.random.default_rng(1))
+        fresh.params.restore(model.params.snapshot())
+        counts = count_split_work(monkeypatch)
+        got = scoring_pass(model, rows)
+        # a probe and the NaN write into the first relation only; the NaN into its projection alone
+        one = write in (probe_writes, nan_weight)
+        assert counts == split_work(model, scored=1, cut=1, relations=1 if one else None)
+        assert pass_bits(got) == pass_bits(scoring_pass(fresh, rows))
+
+    def test_reordered_or_duplicated_rows_recut_the_blocks(self, monkeypatch, ablation):
+        graph = sparse_graph()
+        model = make_model(graph, ablation=ablation)
+        rows = graph.split.test
+        whole = scoring_pass(model, None).probs.data
+        counts = count_split_work(monkeypatch)
+        for _ in range(2):
+            scoring_pass(model, rows)
+        for other in (rows[::-1], np.append(rows, rows[0])):
+            assert scoring_pass(model, other).probs.data.tobytes() == whole[other].tobytes()
+        assert counts == split_work(model, scored=0, cut=4)
+
+    def test_a_training_pass_neither_reads_nor_leaves_a_kept_split(self, monkeypatch, ablation):
+        model = make_model(sparse_graph(), ablation=ablation, dropout=0.1)
+        rows = model.graph.split.test
+        for _ in range(2):
+            scoring_pass(model, rows)
+        counts = count_split_work(monkeypatch)
+        training_pass(model)
+        assert counts == split_work(model, scored=1, cut=1)
+        assert [len(stages) for stages in model._stages.values()] == [1] * model.graph.num_relations
+        scoring_pass(model, rows)
+        assert counts == split_work(model, scored=2, cut=2)
+
+    def test_a_whole_graph_pass_keeps_no_blocks(self, ablation):
+        model = make_model(sparse_graph(), ablation=ablation)
+        scoring_pass(model, model.graph.split.test)
+        scoring_pass(model, model.graph.split.test)
+        scoring_pass(model, None)
+        for _, partition, (_, blocks) in model._stages.values():
+            assert partition[1] is not None and blocks is None
+
+    def test_every_kept_array_is_read_only(self, ablation):
+        model = make_model(sparse_graph(), ablation=ablation)
+        rows = model.graph.split.test
+        out = [scoring_pass(model, rows) for _ in range(2)][-1]
+        for stages in model._stages.values():
+            [(_, (h, active)), (_, partition), (_, blocks)] = stages
+            arrays = [h.data, active, partition.hetero_mask, partition.homo_offsets, partition.hetero_offsets]
+            for block in blocks.values():
+                arrays += [block.senders, block.matrix.data, block.matrix.indices, block.matrix.indptr]
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = array.flat[0]
+        for partition in out.partitions:
+            assert partition is None or not partition.hetero_mask.flags.writeable
+
+
+def test_a_write_into_the_edge_scorer_alone_rebuilds_the_split_and_keeps_the_projection(monkeypatch):
+    graph = sparse_graph()
+    model = make_model(graph)
+    rows = graph.split.test
+    edge_w = model.params[f"{graph.relations[0].name}/edge_w"]
+    edge_w.data[0, 0] = 0.0
+    for _ in range(2):
+        scoring_pass(model, rows)
+    projections = count_whole_graph_projections(monkeypatch, graph.num_nodes)
+    counts = count_split_work(monkeypatch)
+    edge_w.data[0, 0] = -0.0  # np.array_equal(0.0, -0.0) holds; the bytes differ
+    scoring_pass(model, rows)
+    assert counts == split_work(model, scored=1, cut=1, relations=1)
+    edge_w.data.flat[3] += 1e-3
+    got = scoring_pass(model, rows)
+    assert counts == split_work(model, scored=2, cut=2, relations=1)
+    assert projections == []
+    fresh = DualChannelModel(graph, model.config, np.random.default_rng(1))
+    fresh.params.restore(model.params.snapshot())
+    assert pass_bits(got) == pass_bits(scoring_pass(fresh, rows))
 
 
 def record_calls(monkeypatch, module, name):
@@ -656,3 +796,33 @@ def test_projection_gradcheck_at_hidden_width_3(monkeypatch, ablation):
     projection = {name: err for name, err in errors.items() if name.endswith(("/proj_w", "/proj_b"))}
     assert len(projection) == 2 * models[0][1].graph.num_relations
     assert max(projection.values()) < cli.GRADCHECK_TOLERANCE
+
+
+@pytest.mark.parametrize("ablation", ["full", "sep", "homo", "heter", "rel"])
+def test_gradcheck_at_hidden_width_3_off_the_kink(monkeypatch, ablation):
+    """``dualmp gradcheck``'s recipe at width 3, checked on every parameter after one Adam step.
+
+    At the starting point the zero-initialised channel biases sit on a kink
+    (see :func:`test_projection_gradcheck_at_hidden_width_3`). One Adam step
+    of the same loss, with ``fit``'s optimiser settings, moves every bias
+    off it, so the central differences agree with the tape again.
+    """
+    from dualmp import cli
+    from dualmp.training import Adam
+
+    config = TrainConfig(hidden_dim=3)
+    monkeypatch.setattr(cli, "TrainConfig", functools.partial(TrainConfig, hidden_dim=3))
+    check = cli.grad_check
+
+    def stepped_check(forward, store, **kwargs):
+        store.zero_grads()
+        backward(forward())
+        Adam(store, config.learning_rate, config.weight_decay).step()
+        return check(forward, store, **kwargs)
+
+    monkeypatch.setattr(cli, "grad_check", stepped_check)
+    models = record_calls(monkeypatch, cli, "DualChannelModel")
+    errors = cli.gradcheck_model(ablation, seed=7, probe=1e-3)
+    [((_, built_config, _), model)] = models
+    assert built_config.hidden_dim == 3 and sorted(errors) == sorted(name for name, _ in model.params.items())
+    assert max(errors.values()) < cli.GRADCHECK_TOLERANCE

@@ -229,7 +229,28 @@ class TestFit:
         graph = generate_synthetic(SyntheticSpec(num_nodes=200, num_relations=2, seed=5))
         result = fit(graph, TrainConfig(epochs=20, patience=20, seed=5))
         assert result.best_epoch < len(result.log)
-        assert result.model._projections == {}
+        assert result.model._stages == {}
+
+    @pytest.mark.parametrize("ablation", ["full", "sep"])
+    def test_fit_never_reuses_a_split(self, graph, ablation, monkeypatch):
+        # an Adam step comes between every two passes, so each pass scores, splits and cuts anew
+        from dualmp import propagation, separator
+
+        counts = {}
+        for owner, name in ((separator, "edge_score_values"), (propagation, "channel_adjacencies")):
+            def counted(*args, _original=getattr(owner, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        result = fit(graph, quick_config(ablation=ablation))
+        passes = 2 * len(result.log) * graph.num_relations
+        assert len(result.log) == 5
+        want = {"channel_adjacencies": passes}
+        if ablation == "full":
+            want["edge_score_values"] = passes
+        assert counts == want
+        assert result.model._stages == {}
 
     def test_log_records_have_expected_fields(self, graph):
         result = fit(graph, quick_config(epochs=2, patience=2))

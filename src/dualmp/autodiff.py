@@ -34,6 +34,7 @@ from contextlib import contextmanager
 import numpy as np
 
 LEAKY_SLOPE = 0.01  # negative-side slope of leaky_relu
+LAYER_NORM_EPS = 1e-5  # added to each row's variance in layer_norm
 
 
 class TensorValue:
@@ -299,10 +300,8 @@ def sparse_matmul(matrix, x: TensorValue) -> TensorValue:
     return _result(matrix @ x.data, (x,), rule)
 
 
-def layer_norm(x: TensorValue, gain: TensorValue, bias: TensorValue, eps: float = 1e-5) -> TensorValue:
-    """Per-row normalization (population variance) with learnable gain and bias."""
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
+def layer_norm(x: TensorValue, gain: TensorValue, bias: TensorValue) -> TensorValue:
+    """Per-row normalization (population variance, plus ``LAYER_NORM_EPS``) with learnable gain and bias."""
     if gain.shape != (1, x.shape[1]) or bias.shape != (1, x.shape[1]):
         raise ValueError("gain/bias must be (1, d) row vectors matching x columns")
     # row means as products with a (d, 1) column of 1/d: an axis=1 reduce over
@@ -310,7 +309,7 @@ def layer_norm(x: TensorValue, gain: TensorValue, bias: TensorValue, eps: float 
     average = np.full((x.shape[1], 1), 1.0 / x.shape[1])
     mean = x.data @ average
     var = ((x.data - mean) ** 2) @ average
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mean) * inv_std
 
     def rule(g):

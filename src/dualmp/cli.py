@@ -46,8 +46,6 @@ GRADCHECK_TOLERANCE = 1e-4
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 _FIELD_PARSERS = {"int": int, "float": float, "str": str}
-# settings that checkpoints of earlier versions record, at the one value the model still implements
-_RETIRED_CONFIG = {"homo_filter_activation": "none", "plain_fusion": False}
 # flags whose historical names are not their field's name with dashes
 _FLAG_NAMES = {"learning_rate": "--lr", "edge_loss_weight": "--lambda", "residual_mix": "--epsilon",
                "num_nodes": "--nodes", "num_relations": "--relations"}
@@ -177,14 +175,10 @@ def _has_field_type(key: str, value) -> bool:
 
 
 def _checkpoint_config(meta, path: str) -> TrainConfig:
-    """The saved TrainConfig; retired settings are accepted only at their one implemented value."""
+    """The saved TrainConfig; it must hold exactly the TrainConfig fields, each of its type."""
     saved = meta.get("train_config") if isinstance(meta, dict) else None
     if not isinstance(saved, dict):
         raise CheckpointError(f"{path}: checkpoint metadata holds no train_config")
-    saved = dict(saved)
-    for key, value in _RETIRED_CONFIG.items():
-        if key in saved and type(saved[key]) is type(value) and saved[key] == value:
-            del saved[key]
     unknown = {key: saved[key] for key in sorted(saved.keys() - _CONFIG_FIELDS.keys())}
     missing = sorted(_CONFIG_FIELDS.keys() - saved.keys())
     if unknown or missing:

@@ -481,7 +481,7 @@ def export_embeddings(embeddings: np.ndarray, labels, path) -> None:
     if embeddings.shape[0] != len(labels):
         raise ValueError(f"{embeddings.shape[0]} embedding rows for {len(labels)} labels")
     width = embeddings.shape[1]
-    with open(path, "w") as fh:
-        fh.write("node,label," + ",".join(f"e{i}" for i in range(width)) + "\n")
-        for i, row in enumerate(embeddings):
-            fh.write(f"{i},{labels[i]}," + ",".join(f"{v:.12g}" for v in row) + "\n")
+    columns = np.column_stack([np.arange(len(labels)), labels, embeddings])
+    header = "node,label," + ",".join(f"e{i}" for i in range(width))
+    with open(path, "w") as fh:  # a handle, so a path ending in .gz is not compressed
+        np.savetxt(fh, columns, fmt=["%d", "%d"] + ["%.12g"] * width, delimiter=",", header=header, comments="")

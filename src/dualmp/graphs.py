@@ -129,12 +129,14 @@ class EdgePartition:
     ``hetero_offsets``. Their differences are the per-side out-degrees, so
     ``homo_degrees + hetero_degrees`` equals the relation's degrees. The
     model cuts its channel blocks from the relation with these arrays
-    (:func:`propagation.channel_adjacencies`) and never builds a view.
+    (:func:`propagation.channel_adjacencies`) and never builds a view. The
+    mask and both offsets are read-only, since the model keeps partitions.
 
     ``homo`` and ``hetero`` are the sides as :class:`RelationAdjacency`
-    views, built from ``relation`` on first access. Views passed to the
-    constructor are used as given, and their offsets stand in for the
-    running counts; without views the partition needs its ``relation``.
+    views, built from ``relation`` on each read and stored nowhere. Views
+    passed to the constructor are used as given, and their offsets stand in
+    for the running counts; without views the partition needs its
+    ``relation``.
     """
 
     def __init__(
@@ -146,9 +148,9 @@ class EdgePartition:
     ):
         self.hetero_mask = hetero_mask
         self.relation = relation
+        self._views = None
         if homo is not None and hetero is not None:
-            # instance entries shadow the cached properties below
-            self.homo, self.hetero = homo, hetero
+            self._views = homo, hetero
             self.homo_offsets, self.hetero_offsets = homo.offsets, hetero.offsets
         elif relation is not None:
             running = np.zeros(len(hetero_mask) + 1, dtype=np.int64)
@@ -157,6 +159,8 @@ class EdgePartition:
             self.homo_offsets = relation.offsets - self.hetero_offsets
         else:
             raise ValueError("an edge partition needs both views or the relation they split")
+        for array in (hetero_mask, self.homo_offsets, self.hetero_offsets):
+            array.flags.writeable = False
 
     @property
     def homo_degrees(self) -> np.ndarray:
@@ -166,13 +170,17 @@ class EdgePartition:
     def hetero_degrees(self) -> np.ndarray:
         return np.diff(self.hetero_offsets)
 
-    @cached_property
+    @property
     def homo(self) -> RelationAdjacency:
+        if self._views:
+            return self._views[0]
         rel = self.relation
         return RelationAdjacency(rel.name + ":homo", self.homo_offsets, rel.targets[~self.hetero_mask])
 
-    @cached_property
+    @property
     def hetero(self) -> RelationAdjacency:
+        if self._views:
+            return self._views[1]
         rel = self.relation
         return RelationAdjacency(rel.name + ":hetero", self.hetero_offsets, rel.targets[self.hetero_mask])
 
@@ -245,7 +253,7 @@ def partition_subgraphs(adj: RelationAdjacency, edge_signs) -> EdgePartition:
     0 is read, so the scorer's pre-activation serves as well as its tanh.
     The tie at exactly 0 is assigned heterophilic so the split is
     deterministic; a NaN compares false and goes homophilic. The partition
-    keeps the mask and its running counts; the views are built only when
+    keeps the mask and its running counts; the views are built on each
     read.
     """
     signs = np.asarray(edge_signs, dtype=np.float64).reshape(-1)

@@ -132,24 +132,6 @@ def total_loss(loss_cls: TensorValue, edge_losses: list[TensorValue], weight: fl
     return ad.add(loss_cls, ad.mul_const(functools.reduce(ad.add, edge_losses), weight))
 
 
-def _read_only(kept):
-    """Make every array of a kept stage read-only, and return the stage.
-
-    A stage is the projection's (output, mask) pair, an
-    :class:`EdgePartition` (its mask and offsets) or a dict of
-    :class:`BatchAdjacency` blocks (their senders and CSR arrays).
-    """
-    if isinstance(kept, EdgePartition):
-        arrays = [kept.hetero_mask, kept.homo_offsets, kept.hetero_offsets]
-    elif isinstance(kept, dict):
-        arrays = [a for b in kept.values() for a in (b.senders, b.matrix.data, b.matrix.indices, b.matrix.indptr)]
-    else:
-        arrays = [kept[0].data, kept[1]]
-    for array in arrays:
-        array.flags.writeable = False
-    return kept
-
-
 def _kaiming_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -161,14 +143,16 @@ class DualChannelModel:
     Under the ``rel`` ablation the relations are merged into a single union
     graph at construction; ``CHANNELS`` names the channels each ablation
     runs. Parameters that an ablation cannot reach are never created, so the
-    store size doubles as the active-parameter count. The node features are
-    fixed at construction: their array is made read-only, so each
-    relation's whole-graph work depends only on the parameters and the rows.
-    The model keeps it in one store per relation (:meth:`_stage`), in three
-    stages with nested keys: the projection, keyed on the bytes of
-    ``proj_w`` and ``proj_b``; the evaluation partition, keyed on those and
-    the bytes of ``edge_w``; and the channel blocks, keyed on all of that and
-    the bytes of an evaluation pass's rows.
+    store size doubles as the active-parameter count. The node features and
+    each relation's offsets and targets are fixed at construction: their
+    arrays are made read-only, so each relation's whole-graph work depends
+    only on the parameters and the rows, and a write into one raises rather
+    than leave a kept split stale. The model keeps that work in one store
+    per relation (:meth:`_stage`), in three stages with nested keys: the
+    projection, keyed on the bytes of ``proj_w`` and ``proj_b``; the
+    evaluation partition, keyed on those and the bytes of ``edge_w``; and
+    the channel blocks, keyed on all of that and the bytes of an evaluation
+    pass's rows.
     """
 
     def __init__(self, graph: MultiRelationGraph, config: TrainConfig, rng: np.random.Generator):
@@ -179,10 +163,11 @@ class DualChannelModel:
         self.graph = graph
         self.config = config
         self.params = ParamStore()
-        self.features = ad.tensor(graph.features)
-        self.features.data.flags.writeable = False  # the kept projections read it: a write must raise, not go unseen
+        self.features = np.asarray(graph.features, dtype=np.float64)
+        for array in (self.features, *(a for rel in graph.relations for a in (rel.offsets, rel.targets))):
+            array.flags.writeable = False
         self._unsplit = None if self.has_separator else [
-            _read_only(EdgePartition(np.zeros(rel.edge_count, dtype=bool), relation=rel)) for rel in graph.relations
+            EdgePartition(np.zeros(rel.edge_count, dtype=bool), relation=rel) for rel in graph.relations
         ]
         # per relation, the kept stages in order, each (key, value): the projection, the partition, the blocks
         self._stages: dict[str, list[tuple[object, object]]] = {}
@@ -233,27 +218,25 @@ class DualChannelModel:
         is seen without a hook, and so is a flip between 0.0 and -0.0 that
         value equality misses. With ``repeat`` a value is kept only when its
         key repeats the one before, the second time it is seen; the first
-        time only the key is. Every kept array is read-only: a pass that
-        wrote into one would corrupt the next.
+        time only the key is. Every kept array is read-only, made so by the
+        code that builds it (:func:`separator.project_features`,
+        :class:`EdgePartition`, :func:`propagation._cut`): a pass that wrote
+        into one would corrupt the next.
         """
         stages = self._stages.setdefault(name, [])
         seen = len(stages) > depth and stages[depth][0] == key
         if seen and stages[depth][1] is not None:
             return stages[depth][1]
         del stages[depth:]
-        value = _read_only(build())
+        value = build()
         stages.append((key, value if seen or not repeat else None))
         return value
 
-    def _projection(self, name: str) -> tuple[TensorValue, np.ndarray]:
-        """:func:`separator.project_features` over all N nodes, untaped, rebuilt only when its weights change."""
-        proj_w, proj_b = self.params[f"{name}/proj_w"], self.params[f"{name}/proj_b"]
-
-        def project():
-            with ad.no_tape():
-                return separator.project_features(self.features, proj_w, proj_b)
-
-        return self._stage(name, 0, (proj_w.data.tobytes(), proj_b.data.tobytes()), project)
+    def _projection(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`separator.project_features` over all N nodes, rebuilt only when its weights change."""
+        proj_w, proj_b = (self.params[f"{name}/{key}"].data for key in ("proj_w", "proj_b"))
+        key = proj_w.tobytes(), proj_b.tobytes()
+        return self._stage(name, 0, key, lambda: separator.project_features(self.features, proj_w, proj_b))
 
     def _split_and_blocks(
         self, ri: int, h: np.ndarray, rows: np.ndarray, training: bool, partitions
@@ -360,8 +343,8 @@ class DualChannelModel:
                 projection = p[f"{rel.name}/proj_w"], p[f"{rel.name}/proj_b"]
                 factor = separator.dropout_factor((num_nodes, cfg.hidden_dim), cfg.dropout, training, rng)
                 kept, active = self._projection(rel.name)
-                h, passes = (kept.data, active) if factor is None else (kept.data * factor, active * factor)
-                take = functools.partial(ad.relu_linear_rows, self.features.data, *projection, h, passes)
+                h, passes = (kept, active) if factor is None else (kept * factor, active * factor)
+                take = functools.partial(ad.relu_linear_rows, self.features, *projection, h, passes)
                 partition, blocks = self._split_and_blocks(ri, h, rows, training, partitions)
                 if training and edge_batches is not None:
                     positions, signs = edge_batches[ri]

@@ -76,7 +76,8 @@ def _cut(rows: np.ndarray, counts: np.ndarray, neighbors: np.ndarray, degrees: n
     The senders are the sorted distinct neighbors, and a neighbor's column
     is its place among them. A length-N presence mask and its running count
     give both without sorting; the count is only meaningful at the nodes
-    present.
+    present. The senders and the matrix's arrays are made read-only, since
+    the model keeps a block between passes.
     """
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -87,6 +88,8 @@ def _cut(rows: np.ndarray, counts: np.ndarray, neighbors: np.ndarray, degrees: n
     deg = degrees.astype(np.float64)
     coefficients = 1.0 / np.sqrt(1.0 + np.repeat(deg[rows], counts) * deg[neighbors])
     matrix = sparse.csr_array((coefficients, columns, offsets), shape=(len(rows), len(senders)))
+    for array in (senders, matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
     return BatchAdjacency(senders=senders, matrix=matrix)
 
 
@@ -152,4 +155,4 @@ def frequency_fuse(
     from_smooth = ad.matmul(z_smooth, ad.add(w_smooth, w_diff))
     from_contrast = ad.matmul(z_contrast, ad.sub(w_contrast, w_diff))
     pre = ad.leaky_relu(ad.add_bias(ad.add(from_smooth, from_contrast), fuse_b))
-    return ad.layer_norm(pre, norm_gain, norm_bias, eps=1e-5)
+    return ad.layer_norm(pre, norm_gain, norm_bias)

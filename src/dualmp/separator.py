@@ -30,15 +30,18 @@ def dropout_factor(shape, rate: float, training: bool, rng: np.random.Generator 
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def project_features(x: TensorValue, proj_w: TensorValue, proj_b: TensorValue) -> tuple[TensorValue, np.ndarray]:
+def project_features(x: np.ndarray, proj_w: np.ndarray, proj_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ReLU(x @ proj_w + proj_b), and where x @ proj_w + proj_b >= 0, the entries relu's backward passes.
 
-    The same output feeds the edge scorer and both propagation channels, a
-    training pass's dropout factor included, so the per-epoch edge partition
-    inherits the mask's jitter (a mild edge-dropout regularizer).
+    Both are read-only, since the model keeps them. The same output feeds
+    the edge scorer and both propagation channels, a training pass's
+    dropout factor included, so the per-epoch edge partition inherits the
+    mask's jitter (a mild edge-dropout regularizer).
     """
-    pre = ad.add_bias(ad.matmul(x, proj_w), proj_b)
-    return ad.relu(pre), pre.data >= 0
+    pre = x @ proj_w + proj_b
+    h, active = np.maximum(pre, 0.0), pre >= 0
+    h.flags.writeable = active.flags.writeable = False
+    return h, active
 
 
 # With edge_w split into blocks [W_u; W_v; W_d], W [h_u || h_v || h_u - h_v]

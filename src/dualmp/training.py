@@ -218,13 +218,17 @@ def evaluate_split(model: DualChannelModel, node_idx) -> MetricsReport:
 
     The evaluation forward computes only the rows of ``node_idx``, in its
     order and with any duplicates. That gives the whole graph's metrics only
-    where the channel and classifier products are row-stable, as tests check
-    for the (8, 8) and (8, 2) products of the default width; on OpenBLAS
-    0.3.31 the (16, 2) and (32, 2) products of widths 16 and 32 differ from
-    the whole-graph rows in most random cuts. It records no tape and builds
-    no loss. Repeated calls with unchanged parameters score and partition
-    the edges once; the second call over the same ``node_idx`` keeps its
-    channel blocks, and later ones reuse them (:meth:`DualChannelModel._stage`).
+    where every product over the rows is row-stable. At the default width
+    the (8, 8) and (8, 2) channel and classifier products are, as tests
+    check, but layer normalization's row means and variances are (8, 1)
+    products, which go through gemv: on OpenBLAS 0.3.31 the fused embeddings
+    of 11 of 69 row sets of the A4 fixture, and the probabilities of 6,
+    differed by rounding from the whole-graph rows. At widths 16 and 32 the
+    (16, 2) and (32, 2) classifier products differ in most random cuts. It
+    records no tape and builds no loss. Repeated calls with unchanged
+    parameters score and partition the edges once; the second call over the
+    same ``node_idx`` keeps its channel blocks, and later ones reuse them
+    (:meth:`DualChannelModel._stage`).
     """
     node_idx = np.asarray(node_idx, dtype=np.int64)
     if node_idx.size == 0:

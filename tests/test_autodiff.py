@@ -248,10 +248,8 @@ class TestLayerNorm:
         assert np.allclose(out.data, 0.0)
 
     def test_unit_variance_row(self):
-        out = ad.layer_norm(
-            tensor([[1.0, -1.0]]), tensor(np.ones((1, 2))), tensor(np.zeros((1, 2))), eps=1e-12
-        )
-        assert np.allclose(out.data, [[1.0, -1.0]], atol=1e-6)
+        out = ad.layer_norm(tensor([[1.0, -1.0]]), tensor(np.ones((1, 2))), tensor(np.zeros((1, 2))))
+        assert np.allclose(out.data, [[1.0, -1.0]] / np.sqrt(1.0 + ad.LAYER_NORM_EPS), rtol=0, atol=1e-15)
 
     def test_zero_gain_yields_bias(self):
         bias = np.array([[3.0, -2.0]])
@@ -262,9 +260,10 @@ class TestLayerNorm:
     def test_normalized_row_statistics(self):
         rng = np.random.default_rng(7)
         x = tensor(rng.normal(size=(20, 16)))
-        out = ad.layer_norm(x, tensor(np.ones((1, 16))), tensor(np.zeros((1, 16))), eps=1e-8)
+        out = ad.layer_norm(x, tensor(np.ones((1, 16))), tensor(np.zeros((1, 16))))
+        var = x.data.var(axis=1)
         assert np.abs(out.data.mean(axis=1)).max() < 1e-10
-        assert np.abs(out.data.var(axis=1) - 1.0).max() < 1e-6
+        assert np.abs(out.data.var(axis=1) - var / (var + ad.LAYER_NORM_EPS)).max() < 1e-12
 
     def test_gradients(self):
         rng = np.random.default_rng(8)
@@ -287,7 +286,7 @@ class TestLayerNorm:
         backward(ad.mean_all(ad.mul_const(out, g)))
 
         mean = x_data.mean(axis=1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(((x_data - mean) ** 2).mean(axis=1, keepdims=True) + 1e-5)
+        inv_std = 1.0 / np.sqrt(((x_data - mean) ** 2).mean(axis=1, keepdims=True) + ad.LAYER_NORM_EPS)
         xhat = (x_data - mean) * inv_std
         gh = g / g.size * gain_data[:1]
         dx = inv_std * (gh - gh.mean(axis=1, keepdims=True) - xhat * (gh * xhat).mean(axis=1, keepdims=True))

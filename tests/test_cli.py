@@ -535,22 +535,10 @@ class TestCheckpointInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-finite value in section 'classifier/w'" in err
 
-    def test_earlier_format_evaluates_identically(self, dataset, trained, tmp_path, capsys):
-        # earlier versions saved two more settings, always at these values
-        old = resave_with_config(
-            trained / "checkpoint.bin", tmp_path / "old.bin",
-            lambda cfg: cfg.update(homo_filter_activation="none", plain_fusion=False),
-        )
-        outputs = []
-        for path in (trained / "checkpoint.bin", old):
-            assert main(["eval", "--data", str(dataset), "--checkpoint", str(path),
-                         "--export-embeddings", str(tmp_path / "emb.csv")]) == 0
-            outputs.append((capsys.readouterr().out, (tmp_path / "emb.csv").read_bytes()))
-        assert outputs[0] == outputs[1]
-
     @pytest.mark.parametrize(
         "edit",
         [
+            lambda cfg: cfg.update(homo_filter_activation="none", plain_fusion=False),
             lambda cfg: cfg.update(homo_filter_activation="none", plain_fusion=True),
             lambda cfg: cfg.update(homo_filter_activation="tanh", plain_fusion=False),
             lambda cfg: cfg.update(plain_fusion=0),
@@ -559,8 +547,8 @@ class TestCheckpointInput:
             lambda cfg: cfg.update(learning_rate="abc"),
             lambda cfg: cfg.update(seed=-1),
         ],
-        ids=["plain-fusion", "filter-activation", "non-bool-flag", "unknown-key", "missing-key", "mistyped-value",
-             "negative-seed"],
+        ids=["retired-settings", "plain-fusion", "filter-activation", "non-bool-flag", "unknown-key", "missing-key",
+             "mistyped-value", "negative-seed"],
     )
     def test_unsupported_settings_exit_one(self, dataset, trained, tmp_path, capsys, edit):
         path = resave_with_config(trained / "checkpoint.bin", tmp_path / "ckpt.bin", edit)

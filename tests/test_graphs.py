@@ -105,15 +105,16 @@ class TestPartition:
         assert part.hetero.edge_count == 1
         assert part.homo.edge_count == 0
 
-    def test_views_are_built_on_first_access_only(self):
+    def test_views_are_built_per_read_and_stored_nowhere(self):
         adj = build_csr([(0, 1), (1, 2), (2, 0)], 3)
         part = partition_subgraphs(adj, [-1.0, 0.5, 0.0])
-        assert "homo" not in vars(part) and "hetero" not in vars(part)
+        before = dict(vars(part))
         assert part.hetero_degrees.tolist() == [0, 1, 1]
         assert part.homo_degrees.tolist() == [1, 0, 0]
-        assert "homo" not in vars(part) and "hetero" not in vars(part)
-        assert part.hetero is part.hetero
         assert (part.homo.name, part.hetero.name) == ("relation:homo", "relation:hetero")
+        assert part.hetero.targets.tolist() == [2, 0] and part.hetero is not part.hetero
+        # reading the views leaves the partition as it was, holding no view
+        assert vars(part).keys() == before.keys() and all(vars(part)[k] is v for k, v in before.items())
 
     def test_keyword_constructor_takes_explicit_views(self):
         adj = build_csr([(0, 1), (1, 2), (1, 0)], 3)

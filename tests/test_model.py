@@ -234,8 +234,8 @@ class TestForward:
         out = model.forward(training=False)
         for rel, part in zip(small_graph.relations, out.partitions):
             p = lambda key: model.params[f"{rel.name}/{key}"]
-            h, _ = project_features(model.features, p("proj_w"), p("proj_b"))
-            scores = edge_score_values(h.data, rel.edge_sources, rel.targets, p("edge_w").data)
+            h, _ = project_features(model.features, p("proj_w").data, p("proj_b").data)
+            scores = edge_score_values(h, rel.edge_sources, rel.targets, p("edge_w").data)
             assert np.array_equal(part.hetero_mask, scores >= 0)
 
     def test_frozen_partition_is_reused(self, small_graph):
@@ -544,7 +544,7 @@ class TestKeptProjection:
         model.forward(training=False)
         for rel in model.graph.relations:
             h, active = model._projection(rel.name)
-            for array in (h.data, active):
+            for array in (h, active):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 1.0
         # the projection would not see a write into the features the model was built on
@@ -577,6 +577,20 @@ def split_work(model, scored: int, cut: int, relations: int | None = None) -> di
 
 def scoring_pass(model, rows):
     return model.forward(training=False, node_batch=rows)
+
+
+def split_arrays(partition, blocks):
+    """Every array of an edge partition and of the channel blocks cut from it."""
+    arrays = [partition.hetero_mask, partition.homo_offsets, partition.hetero_offsets]
+    for block in blocks.values():
+        arrays += [block.senders, block.matrix.data, block.matrix.indices, block.matrix.indptr]
+    return arrays
+
+
+def assert_read_only(arrays):
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
 
 
 @pytest.mark.parametrize("ablation", ["full", "sep"])
@@ -660,14 +674,29 @@ class TestKeptSplit:
         out = [scoring_pass(model, rows) for _ in range(2)][-1]
         for stages in model._stages.values():
             [(_, (h, active)), (_, partition), (_, blocks)] = stages
-            arrays = [h.data, active, partition.hetero_mask, partition.homo_offsets, partition.hetero_offsets]
-            for block in blocks.values():
-                arrays += [block.senders, block.matrix.data, block.matrix.indices, block.matrix.indptr]
-            for array in arrays:
-                with pytest.raises(ValueError, match="read-only"):
-                    array.flat[0] = array.flat[0]
+            assert_read_only([h, active, *split_arrays(partition, blocks)])
         for partition in out.partitions:
             assert partition is None or not partition.hetero_mask.flags.writeable
+
+    def test_every_array_of_a_training_pass_split_is_read_only(self, monkeypatch, ablation):
+        from dualmp import propagation
+
+        model = make_model(sparse_graph(), ablation=ablation, dropout=0.1)
+        cuts = record_calls(monkeypatch, propagation, "channel_adjacencies")
+        training_pass(model)
+        assert len(cuts) == model.graph.num_relations
+        for (_, partition, *_), blocks in cuts:
+            assert_read_only(split_arrays(partition, blocks))
+
+    def test_a_write_into_a_relation_raises_after_scoring(self, ablation):
+        # the kept split reads the relation's arrays: rewired in place, it would go stale unseen
+        model = make_model(sparse_graph(), ablation=ablation)
+        for _ in range(2):
+            scoring_pass(model, model.graph.split.test)
+        for rel in model.graph.relations:
+            for array in (rel.offsets, rel.targets):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[-1] = array[0]
 
 
 def test_a_write_into_the_edge_scorer_alone_rebuilds_the_split_and_keeps_the_projection(monkeypatch):
@@ -732,7 +761,7 @@ def test_reached_rows_are_the_rows_the_split_reads(monkeypatch, hidden_dim):
     [((x, *_), (whole, _))] = products
     assert x.shape[0] == graph.num_nodes
     [(_, factor)] = factors
-    dropped = whole.data * factor
+    dropped = whole * factor
     [((split_h, *_), _)] = splits
     assert np.array_equal(split_h.view(np.int64), dropped.view(np.int64))
     # the rows, the two channels' senders, and the hinge's sources and targets

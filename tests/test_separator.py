@@ -16,28 +16,29 @@ from dualmp.separator import (
 
 class TestProjectFeatures:
     def test_identity_on_nonnegative(self):
-        x = tensor([[1.0, 2.0], [0.0, 3.0]])
-        h, active = project_features(x, tensor(np.eye(2)), tensor(np.zeros((1, 2))))
-        assert np.array_equal(h.data, x.data)
+        x = np.array([[1.0, 2.0], [0.0, 3.0]])
+        h, active = project_features(x, np.eye(2), np.zeros((1, 2)))
+        assert np.array_equal(h, x)
         assert active.all()  # a pre-activation of exactly 0 counts as active
 
     def test_zero_input_passes_relu_bias(self):
-        h, active = project_features(tensor(np.zeros((2, 2))), tensor(np.eye(2)), tensor([[-1.0, 2.0]]))
-        assert np.array_equal(h.data, [[0.0, 2.0], [0.0, 2.0]])
+        h, active = project_features(np.zeros((2, 2)), np.eye(2), np.array([[-1.0, 2.0]]))
+        assert np.array_equal(h, [[0.0, 2.0], [0.0, 2.0]])
         assert active.tolist() == [[False, True], [False, True]]
 
     def test_hand_value(self):
-        h, active = project_features(tensor([[1.0, -1.0]]), tensor(np.eye(2)), tensor(np.zeros((1, 2))))
-        assert h.data.tolist() == [[1.0, 0.0]]
+        h, active = project_features(np.array([[1.0, -1.0]]), np.eye(2), np.zeros((1, 2)))
+        assert h.tolist() == [[1.0, 0.0]]
         assert active.tolist() == [[True, False]]
+        assert not h.flags.writeable and not active.flags.writeable
 
     def test_active_is_where_relu_passes_the_gradient(self):
         # the mask is what relu's backward reads: pre >= 0, so 0 passes and NaN does not
         store = ParamStore()
-        w, b = store.add("w", np.eye(4)), store.add("b", [[0.0, -1.0, 2.0, np.nan]])
-        h, active = project_features(tensor(np.zeros((1, 4))), w, b)
+        x, w, b = tensor(np.zeros((1, 4))), store.add("w", np.eye(4)), store.add("b", [[0.0, -1.0, 2.0, np.nan]])
+        _, active = project_features(x.data, w.data, b.data)
         b.grad = np.zeros((1, 4))
-        backward(ad.mean_all(h))
+        backward(ad.mean_all(ad.relu(ad.add_bias(ad.matmul(x, w), b))))
         assert active.tolist() == [[True, False, True, False]]
         assert np.array_equal(b.grad != 0, active)
 
@@ -71,7 +72,7 @@ class TestDropoutFactor:
         store = ParamStore()
         x = store.add("x", np.abs(np.random.default_rng(12).normal(size=(5, 4))))
         factor = dropout_factor(x.shape, 0.5, training=True, rng=np.random.default_rng(13))
-        h, _ = project_features(x, tensor(np.eye(4)), tensor(np.zeros((1, 4))))
+        h = ad.relu(ad.add_bias(ad.matmul(x, tensor(np.eye(4))), tensor(np.zeros((1, 4)))))
         out = ad.mul_const(h, factor)
         assert np.array_equal(out.data, x.data * factor)
         x.grad = np.zeros_like(x.data)
@@ -250,14 +251,15 @@ def test_hinge_gradient_reaches_projection():
     proj_w = store.add("proj_w", rng.normal(size=(4, 3)))
     proj_b = store.add("proj_b", np.zeros((1, 3)))
     edge_w = store.add("edge_w", rng.normal(size=(9, 1)))
-    x = tensor(rng.normal(size=(8, 4)))
+    x = rng.normal(size=(8, 4))
     src = rng.integers(0, 8, size=10)
     tgt = rng.integers(0, 8, size=10)
     signs = rng.choice([-1.0, 1.0], size=10)
 
     def forward():
-        # each endpoint set projects its own rows, as a training pass takes them
-        (h_u, _), (h_v, _) = (project_features(tensor(x.data[index]), proj_w, proj_b) for index in (src, tgt))
+        # each endpoint set takes its rows of the one projection, as a training pass does
+        h, active = project_features(x, proj_w.data, proj_b.data)
+        h_u, h_v = (ad.relu_linear_rows(x, proj_w, proj_b, h, active, index) for index in (src, tgt))
         return heterophily_loss(edge_scores(h_u, h_v, edge_w), signs)
 
     errors = ad.grad_check(forward, store)

@@ -215,7 +215,7 @@ class TestFit:
         # only a reader of EdgePartition.homo or .hetero builds a view
         built = []
         for side in ("homo", "hetero"):
-            build = vars(EdgePartition)[side].func
+            build = vars(EdgePartition)[side].fget
             monkeypatch.setattr(EdgePartition, side, property(lambda part, b=build: built.append(b) or b(part)))
         result = fit(graph, quick_config(ablation=ablation, epochs=1, patience=1))
         evaluate_split(result.model, result.model.graph.split.test)

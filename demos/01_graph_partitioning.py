@@ -7,7 +7,7 @@ heterophilic partition that the message-passing channels consume.
 
 import numpy as np
 
-from dualmp import build_csr, partition_subgraphs, symmetrize
+from dualmp import build_csr, partition_subgraphs
 
 # A toy review graph: 6 users, directed "reviewed-same-product" edges.
 edges = [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (5, 3), (2, 3)]
@@ -18,8 +18,8 @@ print("CSR targets:", adj.targets.tolist())
 print("out-degrees:", adj.degrees().tolist())
 print("flattened back to pairs:", adj.edge_pairs().tolist())
 
-# Undirected interpretation: close the edge list under reversal first.
-sym = build_csr(symmetrize(edges), num_nodes=6, name="undirected")
+# Undirected interpretation: add the reversed edges; build_csr drops the repeats.
+sym = build_csr(edges + [(v, u) for u, v in edges], num_nodes=6, name="undirected")
 print("\nsymmetrized edge count:", sym.edge_count, "(directed had", adj.edge_count, ")")
 
 # Suppose a separator scored each edge in [-1, 1]: negative = same-class

@@ -22,8 +22,8 @@ from .graphs import (
     RelationAdjacency,
     build_csr,
     merge_relations,
+    node_index,
     partition_subgraphs,
-    symmetrize,
 )
 from .metrics import MetricsReport, evaluate, roc_auc
 from .model import ConfigError, DualChannelModel, ForwardResult, TrainConfig
@@ -59,12 +59,12 @@ __all__ = [
     "load_checkpoint",
     "load_dataset",
     "merge_relations",
+    "node_index",
     "partition_subgraphs",
     "restore_into",
     "roc_auc",
     "save_checkpoint",
     "stratified_split",
-    "symmetrize",
     "tensor",
     "write_dataset",
 ]

@@ -249,10 +249,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     if not 0 < args.eps < np.inf:
         raise ConfigError(f"--eps must be finite and positive, got {args.eps}")
     ablations = ABLATIONS if args.ablation is None else (args.ablation,)
-    seed = 7 if args.seed is None else args.seed
     worst_name, worst_err = "", 0.0
     for ablation in ablations:
-        errors = gradcheck_model(ablation, seed, args.eps)
+        errors = gradcheck_model(ablation, args.seed, args.eps)
         for name, err in sorted(errors.items()):
             print(f"[{ablation}] {name}: {err:.3e}")
             if err > worst_err:
@@ -301,7 +300,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     p_grad.add_argument("--ablation", choices=ABLATIONS, default=None, help="default: check all wirings")
-    p_grad.add_argument("--seed", type=int, default=None)
+    p_grad.add_argument("--seed", type=int, default=7, help="default: %(default)s")
     p_grad.add_argument("--eps", type=float, default=1e-3, help="finite-difference probe size")
     p_grad.set_defaults(func=cmd_gradcheck)
 

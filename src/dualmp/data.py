@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ParamStore
-from .graphs import GraphFormatError, MultiRelationGraph, NodeSplit, build_csr, check_edge_range, symmetrize
+from .graphs import GraphFormatError, MultiRelationGraph, NodeSplit, build_csr
 
 CHECKPOINT_MAGIC = b"DHMP"
 CHECKPOINT_VERSION = 1
@@ -184,9 +184,9 @@ def _read_splits(path: Path) -> NodeSplit:
 def load_dataset(manifest_path, split_seed: int = 0) -> MultiRelationGraph:
     """Load a graph from a manifest; generates a stratified split when none is given.
 
-    Every manifest key but ``relation`` takes one value, once. Reverse edges are added
-    only when the manifest's ``symmetrize`` is ``true``, so every reader of a dataset
-    sees the same graph.
+    Every manifest key but ``relation`` takes one value, once. Reverse edges are added,
+    after the file's pairs, only when the manifest's ``symmetrize`` is ``true``, so every
+    reader of a dataset sees the same graph and a bad pair is named as the file writes it.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -248,10 +248,9 @@ def load_dataset(manifest_path, split_seed: int = 0) -> MultiRelationGraph:
         if not path.exists():
             raise DatasetError(f"edge file not found: {path}")
         pairs = _read_table(path, 2, np.int64)
+        if do_symmetrize:
+            pairs = np.concatenate([pairs, pairs[:, ::-1]])
         try:
-            if do_symmetrize:
-                check_edge_range(pairs, num_nodes)  # name a bad pair as the file gives it
-                pairs = symmetrize(pairs)
             relations.append(build_csr(pairs, num_nodes, name=name))
         except GraphFormatError as exc:
             raise DatasetError(f"{path}: {exc}") from None

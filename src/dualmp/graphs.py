@@ -55,19 +55,16 @@ class RelationAdjacency:
 
 @dataclass(frozen=True)
 class NodeSplit:
-    """Disjoint train/val/test node index sets; train must be non-empty."""
+    """Disjoint train/val/test node sets, each read through :func:`node_index`; train must be non-empty."""
 
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
 
     def validate(self, num_nodes: int) -> None:
-        parts = {"train": self.train, "val": self.val, "test": self.test}
-        seen = np.concatenate([np.asarray(p, dtype=np.int64) for p in parts.values()])
+        seen = np.concatenate([node_index(p, num_nodes) for p in (self.train, self.val, self.test)])
         if len(self.train) == 0:
             raise GraphFormatError("train split is empty")
-        if seen.size and (seen.min() < 0 or seen.max() >= num_nodes):
-            raise GraphFormatError("split contains node index outside 0..N-1")
         if np.bincount(seen, minlength=num_nodes).max() > 1:
             raise GraphFormatError("train/val/test splits overlap")
 
@@ -185,65 +182,60 @@ class EdgePartition:
         return RelationAdjacency(rel.name + ":hetero", self.hetero_offsets, rel.targets[self.hetero_mask])
 
 
-def _first_occurrences(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Positions of the first occurrence of each distinct (src, dst) pair, in input order.
+def node_index(values, num_nodes: int) -> np.ndarray:
+    """``values`` as an int64 array of node numbers, each in ``0..num_nodes - 1``.
 
-    One stable argsort of the pair keys puts each pair's first occurrence at the head of its run.
+    Raises :class:`GraphFormatError` unless ``values`` is empty or a flat array of
+    integers in that range: a boolean mask is not read as the nodes 0 and 1.
     """
-    keys = src * np.int64(num_nodes) + dst
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    head = np.empty(len(keys), dtype=bool)
-    head[:1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
-    return np.sort(order[head])
-
-
-def check_edge_range(pairs: np.ndarray, num_nodes: int) -> None:
-    """Raise :class:`GraphFormatError` for the first (src, dst) row with an endpoint outside ``0..num_nodes - 1``."""
-    src, dst = pairs[:, 0], pairs[:, 1]
-    bad = (src < 0) | (src >= num_nodes) | (dst < 0) | (dst >= num_nodes)
-    if bad.any():
-        u, v = pairs[np.argmax(bad)]
-        raise GraphFormatError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
+    index = np.asarray(values)
+    if index.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        got = f"{index.dtype} of shape {index.shape}"
+        raise GraphFormatError(f"a node set must be a flat array of integer node numbers, got {got}")
+    if index.min() < 0 or index.max() >= num_nodes:
+        bad = index[(index < 0) | (index >= num_nodes)][0]
+        raise GraphFormatError(f"node set holds node {bad}, outside 0..{num_nodes - 1}")
+    return index.astype(np.int64, copy=False)
 
 
 def build_csr(edges, num_nodes: int, name: str = "relation") -> RelationAdjacency:
     """Build a CSR adjacency from (src, dst) pairs.
 
-    Self-loops are dropped and duplicates removed; within a source node,
-    targets keep their input order. Raises :class:`GraphFormatError` for
-    endpoint indices outside ``0..num_nodes - 1``, naming the first such
-    edge in input order. Works on the source and target columns: the first
-    occurrences of the pairs are kept, then sorted stably by source.
+    Self-loops are dropped and duplicates removed, keeping the first
+    occurrence, so the pairs followed by their reverses build the undirected
+    relation; within a source node, targets keep their input order. Raises
+    :class:`GraphFormatError` for endpoint indices outside
+    ``0..num_nodes - 1``, naming the first such edge in input order. Works
+    on the source and target columns: the first occurrences of the pairs
+    are kept, then sorted stably by source.
     """
     pairs = np.asarray(edges, dtype=np.int64)
     if pairs.size == 0:
         pairs = np.empty((0, 2), dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise GraphFormatError(f"edge list must be pairs, got shape {pairs.shape}")
-    check_edge_range(pairs, num_nodes)
     src, dst = pairs[:, 0], pairs[:, 1]
+    bad = (src < 0) | (src >= num_nodes) | (dst < 0) | (dst >= num_nodes)
+    if bad.any():
+        u, v = pairs[np.argmax(bad)]
+        raise GraphFormatError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    if len(src):
-        first = _first_occurrences(src, dst, num_nodes)
+    if len(src):  # one stable argsort of the pair keys puts each pair's first occurrence at the head of its run
+        keys = src * np.int64(num_nodes) + dst
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        head = np.ones(len(keys), dtype=bool)
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+        first = np.sort(order[head])
         src, dst = src[first], dst[first]
         dst = dst[np.argsort(src, kind="stable")]
     counts = np.bincount(src, minlength=num_nodes)
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return RelationAdjacency(name=name, offsets=offsets, targets=dst)
-
-
-def symmetrize(edges) -> np.ndarray:
-    """Close an edge list under reversal: every (u, v) gains a (v, u), deduplicated."""
-    pairs = np.asarray(edges, dtype=np.int64)
-    if pairs.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    both = np.concatenate([pairs, pairs[:, ::-1]])
-    low = both.min()  # keys from 0, so a negative endpoint collides with no other pair
-    return both[_first_occurrences(both[:, 0] - low, both[:, 1] - low, int(both.max() - low) + 1)]
 
 
 def partition_subgraphs(adj: RelationAdjacency, edge_signs) -> EdgePartition:

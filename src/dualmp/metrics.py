@@ -12,6 +12,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .graphs import node_index
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -66,9 +68,10 @@ def evaluate(fraud_scores, labels, node_idx) -> MetricsReport:
     """Score fraud probabilities over a node subset.
 
     Hard predictions take the argmax of (benign, fraud) probability, which
-    predicts fraud only when the score strictly exceeds 0.5.
+    predicts fraud only when the score strictly exceeds 0.5. ``node_idx``
+    is read through :func:`graphs.node_index` against ``len(fraud_scores)``.
     """
-    node_idx = np.asarray(node_idx, dtype=np.int64)
+    node_idx = node_index(node_idx, len(fraud_scores))
     if node_idx.size == 0:
         raise ValueError("cannot evaluate an empty node set")
     y = np.asarray(labels)[node_idx]
@@ -99,6 +102,6 @@ def evaluate(fraud_scores, labels, node_idx) -> MetricsReport:
 
 
 def accuracy(fraud_scores, labels, node_idx) -> float:
-    node_idx = np.asarray(node_idx, dtype=np.int64)
+    node_idx = node_index(node_idx, len(fraud_scores))
     pred = np.asarray(fraud_scores, dtype=np.float64)[node_idx] > 0.5
     return float((pred == (np.asarray(labels)[node_idx] == 1)).mean())

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import propagation, separator
 from .autodiff import ParamStore, TensorValue
-from .graphs import EdgePartition, MultiRelationGraph, merge_relations, partition_subgraphs
+from .graphs import EdgePartition, MultiRelationGraph, merge_relations, node_index, partition_subgraphs
 from .propagation import BatchAdjacency
 
 # The channels each ablation runs, in run order; two outputs are fused. Only
@@ -328,13 +328,13 @@ class DualChannelModel:
         per-relation (edge positions, sign labels). An evaluation pass
         (``training=False``) runs under :func:`autodiff.no_tape` and builds
         no loss, so every array but the kept stages is freed after its last
-        use. The partitions it returns are the kept, read-only ones.
+        use. The partitions it returns are the kept, read-only ones. The pass
+        reads ``node_batch`` through :func:`graphs.node_index`.
         """
         p, cfg = self.params, self.config
         num_nodes = self.graph.num_nodes
-        rows = np.arange(num_nodes) if node_batch is None else node_batch
-        rows = np.asarray(rows, dtype=np.int64)
         with nullcontext() if training else ad.no_tape():
+            rows = np.arange(num_nodes) if node_batch is None else node_index(node_batch, num_nodes)
             per_rel_z: list[TensorValue] = []
             out_partitions: list[EdgePartition | None] = []
             edge_losses: list[TensorValue] = []

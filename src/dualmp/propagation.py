@@ -106,11 +106,9 @@ def channel_adjacencies(
     other rows are cut with it. No side is built as a view: the storage
     positions of the rows' edges are found once in the relation, the
     partition's mask taken there splits their neighbors, and each side's
-    degrees come from the partition's running counts.
+    degrees come from the partition's running counts. ``rows`` is int64 and
+    unchecked: callers read it through :func:`graphs.node_index`.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= relation.num_nodes)):
-        raise ValueError(f"batch rows must be a flat index into {relation.num_nodes} nodes")
     offsets = relation.offsets
     counts = offsets[rows + 1] - offsets[rows]
     starts = np.zeros(len(rows) + 1, dtype=np.int64)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamStore, backward
-from .graphs import MultiRelationGraph
+from .graphs import MultiRelationGraph, node_index
 from .metrics import MetricsReport, accuracy, evaluate
 from .model import ConfigError, DualChannelModel, TrainConfig
 from .separator import edge_label_signs
@@ -127,7 +127,7 @@ class FitResult:
 
 def check_validation_split(graph: MultiRelationGraph) -> None:
     """Raise :class:`ConfigError` unless the validation split holds both classes, as its AUC needs."""
-    val_classes = np.unique(graph.labels[np.asarray(graph.split.val, dtype=np.int64)]).tolist()
+    val_classes = np.unique(graph.labels[node_index(graph.split.val, graph.num_nodes)]).tolist()
     if len(val_classes) < 2:
         raise ConfigError(
             f"the validation split ({len(graph.split.val)} nodes, classes {val_classes}) "
@@ -228,9 +228,10 @@ def evaluate_split(model: DualChannelModel, node_idx) -> MetricsReport:
     records no tape and builds no loss. Repeated calls with unchanged
     parameters score and partition the edges once; the second call over the
     same ``node_idx`` keeps its channel blocks, and later ones reuse them
-    (:meth:`DualChannelModel._stage`).
+    (:meth:`DualChannelModel._stage`). ``node_idx`` is read through
+    :func:`graphs.node_index` before any pass.
     """
-    node_idx = np.asarray(node_idx, dtype=np.int64)
+    node_idx = node_index(node_idx, model.graph.num_nodes)
     if node_idx.size == 0:
         raise ValueError("cannot evaluate an empty node set")
     out = model.forward(training=False, node_batch=node_idx)

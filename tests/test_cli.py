@@ -251,6 +251,15 @@ class TestGradcheck:
         assert main(["gradcheck", "--ablation", "sep", f"--eps={eps}"]) == 1
         assert capsys.readouterr().err == f"error: --eps must be finite and positive, got {float(eps)}\n"
 
+    def test_seed_default_is_in_help(self, monkeypatch, capsys):
+        seeds = []
+        monkeypatch.setattr(cli, "gradcheck_model", lambda ablation, seed, eps: seeds.append(seed) or {})
+        assert main(["gradcheck", "--ablation", "sep"]) == 0
+        assert seeds == [7]
+        with pytest.raises(SystemExit):
+            main(["gradcheck", "--help"])
+        assert re.search(r"--seed SEED\s+default: 7\n", capsys.readouterr().out)
+
     def test_reports_per_parameter(self, capsys):
         assert main(["gradcheck", "--ablation", "heter"]) == 0
         out = capsys.readouterr().out

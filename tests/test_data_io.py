@@ -122,8 +122,8 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("symmetrize", ["true", "false"])
     def test_edge_out_of_range_named_as_written(self, tmp_path, symmetrize):
-        # the range is checked before reverse edges are added, so the error names
-        # the file's pair, not its reverse (whose key once collided with (0, 1))
+        # the file's pairs come before their reverses, so the error names the
+        # file's pair (1, -2), not its reverse
         manifest = write_fixture(
             tmp_path,
             features=["0.0", "1.0", "2.0", "3.0", "4.0"],

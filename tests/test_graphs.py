@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dualmp.data import DatasetError, load_dataset
 from dualmp.graphs import (
     EdgePartition,
     GraphFormatError,
     RelationAdjacency,
     build_csr,
     merge_relations,
+    node_index,
     partition_subgraphs,
-    symmetrize,
 )
 
 
@@ -56,20 +57,32 @@ class TestBuildCsr:
             adj.edge_sources[0] = 3
 
 
-class TestSymmetrize:
-    def test_adds_reverse(self):
-        assert symmetrize([(0, 1)]).tolist() == [[0, 1], [1, 0]]
+class TestNodeIndex:
+    def test_integers_become_int64(self):
+        for values in ([2, 0, 2], np.array([2, 0, 2], dtype=np.int32), np.array([2, 0, 2], dtype=np.uint8)):
+            index = node_index(values, 3)
+            assert index.dtype == np.int64 and index.tolist() == [2, 0, 2]
 
-    def test_idempotent(self):
-        assert symmetrize([(0, 1), (1, 0)]).tolist() == [[0, 1], [1, 0]]
+    def test_empty_of_any_dtype(self):
+        for values in ([], np.array([]), np.empty(0, dtype=bool), np.empty((0, 2))):
+            index = node_index(values, 3)
+            assert index.dtype == np.int64 and index.shape == (0,)
 
-    def test_empty(self):
-        assert symmetrize([]).shape == (0, 2)
-
-    def test_negative_endpoint_drops_no_pair(self):
-        # keyed from the smallest endpoint, (1, -2) cannot collide with (0, 1)
-        out = symmetrize([(0, 1), (0, 2), (1, -2)])
-        assert out.tolist() == [[0, 1], [0, 2], [1, -2], [1, 0], [2, 0], [-2, 1]]
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.array([True, False, True]), "integer node numbers, got bool"),
+            (np.array([1.0, 0.0]), "integer node numbers, got float64"),
+            ([[0, 1], [2, 0]], r"integer node numbers, got int64 of shape \(2, 2\)"),
+            (np.int64(1), r"integer node numbers, got int64 of shape \(\)"),
+            ([0, -1, 5], "node -1, outside 0..2"),
+            ([0, 3, -1], "node 3, outside 0..2"),
+        ],
+        ids=["boolean-mask", "floats", "two-dimensional", "scalar", "negative", "past-the-end"],
+    )
+    def test_refused(self, values, message):
+        with pytest.raises(GraphFormatError, match=message):
+            node_index(values, 3)
 
 
 class TestDegrees:
@@ -235,16 +248,6 @@ def test_csr_flatten_rebuild_round_trip(case):
     assert np.array_equal(adj.targets, again.targets)
 
 
-@given(edge_lists)
-@settings(max_examples=40, deadline=None)
-def test_symmetrize_closure(case):
-    n, edges = case
-    out = symmetrize([e for e in edges if e[0] != e[1]])
-    pairs = set(map(tuple, out.tolist()))
-    for u, v in pairs:
-        assert (v, u) in pairs
-
-
 def reference_csr(edges, n):
     """build_csr in plain Python: the first occurrence of each pair in input order, grouped stably by source."""
     for u, v in edges:
@@ -283,11 +286,33 @@ def test_build_csr_equals_plain_reference(case):
     assert adj.targets.tobytes() == targets.tobytes()
 
 
-@given(edge_lists)
-@settings(max_examples=100, deadline=None)
-def test_symmetrize_equals_plain_reference(case):
-    _, edges = case
-    expected = list(dict.fromkeys([*edges, *((v, u) for u, v in edges)]))
-    out = symmetrize(edges)
-    assert out.dtype == np.int64 and out.shape == (len(expected), 2)
-    assert list(map(tuple, out.tolist())) == expected
+@given(wild_edge_lists)
+@example((2, [(0, 1)]))  # the reverse is added
+@example((2, [(0, 1), (1, 0)]))  # a closed list is kept as it is
+@example((3, []))  # no edges
+@example((5, [(0, 1), (0, 2), (1, -2)]))  # the file's bad pair is named, not its reverse
+@settings(max_examples=150, deadline=None)
+def test_symmetrized_load_equals_build_csr_of_both_directions(tmp_path_factory, case):
+    # the loader's one build_csr call over the file's pairs, then their reverses,
+    # gives the relation and the error of the pairs deduplicated in that order
+    n, edges = case
+    folder = tmp_path_factory.mktemp("symmetrized")
+    (folder / "edges.csv").write_text("".join(f"{u},{v}\n" for u, v in edges))
+    (folder / "features.csv").write_text("0.0\n" * n)
+    (folder / "labels.csv").write_text("0\n" * n)
+    manifest = folder / "manifest.txt"
+    manifest.write_text(
+        f"num_nodes {n}\nfeature_dim 1\nfeatures features.csv\nlabels labels.csv\n"
+        "symmetrize true\nrelation net edges.csv\n"
+    )
+    both = list(dict.fromkeys([*edges, *((v, u) for u, v in edges)]))
+    try:
+        expected = build_csr(both, n, name="net")
+    except GraphFormatError as err:
+        with pytest.raises(DatasetError) as got:
+            load_dataset(manifest)
+        assert str(got.value) == f"{folder / 'edges.csv'}: {err}"
+        return
+    (rel,) = load_dataset(manifest).relations
+    assert rel.offsets.tobytes() == expected.offsets.tobytes()
+    assert rel.targets.tobytes() == expected.targets.tobytes()

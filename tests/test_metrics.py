@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dualmp.graphs import GraphFormatError
 from dualmp.metrics import accuracy, evaluate, roc_auc, tied_ranks
 
 
@@ -96,6 +97,13 @@ class TestEvaluateFixtures:
     def test_empty_node_set_rejected(self):
         with pytest.raises(ValueError, match="empty node set"):
             evaluate([0.5], [1], np.array([], dtype=int))
+
+    def test_boolean_mask_refused(self):
+        # it was read as the rows 1, 0, 1
+        with pytest.raises(GraphFormatError, match="got bool"):
+            evaluate([0.9, 0.1, 0.8], [1, 0, 1], [True, False, True])
+        with pytest.raises(GraphFormatError, match="got bool"):
+            accuracy([0.9, 0.1, 0.8], [1, 0, 1], [True, False, True])
 
     def test_evaluates_only_the_subset(self):
         scores = [0.9, 0.1, 0.9, 0.1]

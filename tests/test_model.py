@@ -1,3 +1,4 @@
+import contextlib
 import functools
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy import sparse
 import dualmp.autodiff as ad
 from dualmp.autodiff import backward, tensor
 from dualmp.data import SyntheticSpec, generate_synthetic
-from dualmp.graphs import MultiRelationGraph, partition_subgraphs
+from dualmp.graphs import GraphFormatError, MultiRelationGraph, partition_subgraphs
 from dualmp.model import (
     CHANNELS,
     ConfigError,
@@ -395,7 +396,7 @@ def test_matmul_rows_do_not_depend_on_the_other_rows(inner, width):
 
 
 @pytest.mark.parametrize("ablation", ["full", "sep", "homo", "heter", "rel"])
-def test_eval_forward_records_no_tape_and_builds_no_loss(small_graph, ablation):
+def test_eval_forward_records_no_tape_and_builds_no_loss(small_graph, ablation, monkeypatch):
     model = make_model(small_graph, ablation=ablation)
     out = model.forward(training=False)
     assert len(out.embeddings) == model.graph.num_relations
@@ -407,9 +408,22 @@ def test_eval_forward_records_no_tape_and_builds_no_loss(small_graph, ablation):
     assert np.array_equal(out.probs.data, taped.probs.data)
     for z_out, z_taped in zip(out.embeddings, taped.embeddings, strict=True):
         assert np.array_equal(z_out.data, z_taped.data)
-    # an evaluation pass that raises leaves recording on
-    with pytest.raises(ValueError, match="batch rows"):
+    # an evaluation pass whose rows are refused inside no_tape leaves recording on
+    raised_inside, no_tape = [], ad.no_tape
+
+    @contextlib.contextmanager
+    def watched_no_tape():
+        with no_tape():
+            try:
+                yield
+            except GraphFormatError:
+                raised_inside.append(True)
+                raise
+
+    monkeypatch.setattr(ad, "no_tape", watched_no_tape)
+    with pytest.raises(GraphFormatError, match="node set"):
         model.forward(training=False, node_batch=[small_graph.num_nodes])
+    assert raised_inside == [True]
     w = model.params["classifier/w"]
     assert ad.add(w, w)._parents
 

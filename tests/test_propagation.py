@@ -6,7 +6,16 @@ from scipy import sparse
 
 import dualmp.autodiff as ad
 from dualmp.autodiff import tensor
-from dualmp.graphs import EdgePartition, build_csr, partition_subgraphs
+from dualmp.graphs import (
+    EdgePartition,
+    GraphFormatError,
+    MultiRelationGraph,
+    NodeSplit,
+    build_csr,
+    node_index,
+    partition_subgraphs,
+)
+from dualmp.model import DualChannelModel, TrainConfig
 from dualmp.propagation import (
     BatchAdjacency,
     channel_adjacencies,
@@ -20,7 +29,7 @@ from whole_graph import block_differences, reference_block, whole_graph_aggregat
 def whole_relation_block(adj, rows):
     """The block the model cuts for ``rows`` of a relation it does not split (the ``sep`` ablation)."""
     unsplit = EdgePartition(np.zeros(adj.edge_count, dtype=bool), relation=adj)
-    return channel_adjacencies(adj, unsplit, rows, ("smooth",))["smooth"]
+    return channel_adjacencies(adj, unsplit, np.asarray(rows, dtype=np.int64), ("smooth",))["smooth"]
 
 
 def dense_channel_reference(h, filter_w, filter_b, gate_w, gate_b, mix, adj_bool, complement, filter_act="none"):
@@ -204,10 +213,10 @@ class TestBatchRows:
         assert batch.matrix.shape == (3, 0)
 
     def test_rows_out_of_range(self):
-        adj = build_csr([(0, 1)], 3)
+        # blocks take rows as given; every caller reads them through node_index first
         for rows in ([3], [-1], [[0, 1]]):
-            with pytest.raises(ValueError, match="batch rows"):
-                whole_relation_block(adj, rows)
+            with pytest.raises(GraphFormatError, match="node set"):
+                node_index(rows, 3)
 
 
 # a random CSR graph (nodes without edges, or no edges at all, are common)
@@ -249,7 +258,7 @@ def test_channel_blocks_equal_view_blocks(case, mode, seed):
     signs = {"random": np.random.default_rng(seed).uniform(-1, 1, size=adj.edge_count),
              "all-homo": -np.ones(adj.edge_count), "all-hetero": np.zeros(adj.edge_count)}[mode]
     part = partition_subgraphs(adj, signs)
-    blocks = channel_adjacencies(adj, part, rows, ("smooth", "contrast"))
+    blocks = channel_adjacencies(adj, part, np.array(rows, dtype=np.int64), ("smooth", "contrast"))
     for block, view in ((blocks["smooth"], part.homo), (blocks["contrast"], part.hetero)):
         assert not block_differences(block, reference_block(view, rows))
 
@@ -277,11 +286,16 @@ def test_block_comparison_catches_a_flipped_mask_entry_and_a_changed_coefficient
 
 
 def test_channel_blocks_check_rows_first():
-    adj = build_csr([(0, 1), (1, 0)], 3)
-    part = partition_subgraphs(adj, [0.5, -0.5])
-    for rows in ([3], [-1], [[0, 1]]):
-        with pytest.raises(ValueError, match="batch rows"):
-            channel_adjacencies(adj, part, rows, ("smooth", "contrast"))
+    # the forward pass reads its rows through node_index before any block is cut
+    graph = MultiRelationGraph(
+        features=np.zeros((3, 2)), labels=np.array([0, 1, 0]), relations=[build_csr([(0, 1), (1, 0)], 3)],
+        split=NodeSplit(np.array([0, 1]), np.array([2]), np.array([], dtype=np.int64)),
+    )
+    model = DualChannelModel(graph, TrainConfig(), np.random.default_rng(0))
+    model.forward(training=False, node_batch=[2, 0])
+    for rows in ([3], [-1], [[0, 1]], [True, False]):
+        with pytest.raises(GraphFormatError, match="node set"):
+            model.forward(training=False, node_batch=rows)
 
 
 class TestDenseOracle:

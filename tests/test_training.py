@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dualmp.autodiff import ParamStore
 from dualmp.data import SyntheticSpec, generate_synthetic
-from dualmp.graphs import EdgePartition, MultiRelationGraph, NodeSplit
+from dualmp.graphs import EdgePartition, GraphFormatError, MultiRelationGraph, NodeSplit
 from dualmp.metrics import accuracy, evaluate
 from dualmp.model import ABLATIONS, ConfigError, DualChannelModel, TrainConfig
 from dualmp.training import (
@@ -294,3 +296,53 @@ class TestEvaluationRows:
         assert record["val_f1_macro"] == report.f1_macro
         assert record["val_gmean"] == report.gmean
         assert record["train_accuracy"] == accuracy(whole, labels, split.train)
+
+
+# node sets each public reader refuses: the first two were once read as the
+# node numbers they cast to (a mask [True, False] as the nodes 1 and 0)
+BAD_NODE_SETS = {
+    "boolean-mask": lambda n: np.array([True, False]),
+    "floats": lambda n: np.array([1.0, 0.0]),
+    "two-dimensional": lambda n: np.array([[0, 1], [2, 3]]),
+    "negative": lambda n: np.array([0, -1]),
+    "past-the-end": lambda n: np.array([0, n]),
+}
+
+
+def node_set_readers(graph):
+    """Each public reader of a node set, as a function of the node set alone."""
+    n = graph.num_nodes
+    model = DualChannelModel(graph, quick_config(), np.random.default_rng(3))
+    scores, labels = np.linspace(0.0, 1.0, n), graph.labels
+    others = {"train": np.array([n - 3]), "val": np.array([n - 2]), "test": np.array([n - 1])}
+    readers = {
+        "forward": lambda nodes: model.forward(training=False, node_batch=nodes),
+        "training-forward": lambda nodes: model.forward(
+            training=True, rng=np.random.default_rng(0), node_batch=nodes
+        ),
+        "evaluate_split": lambda nodes: evaluate_split(model, nodes),
+        "evaluate": lambda nodes: evaluate(scores, labels, nodes),
+        "accuracy": lambda nodes: accuracy(scores, labels, nodes),
+    }
+    for slot in others:
+        readers[f"split-{slot}"] = lambda nodes, slot=slot: NodeSplit(**{**others, slot: nodes}).validate(n)
+    return readers
+
+
+@pytest.mark.parametrize("bad", BAD_NODE_SETS)
+@pytest.mark.parametrize(
+    "reader",
+    ["forward", "training-forward", "evaluate_split", "evaluate", "accuracy", "split-train", "split-val", "split-test"],
+)
+def test_every_node_set_reader_refuses_a_bad_node_set(graph, reader, bad):
+    read = node_set_readers(graph)[reader]
+    read(np.array([np.argmax(graph.labels == 1), np.argmax(graph.labels == 0)]))  # one node of each class
+    with pytest.raises(GraphFormatError, match="node"):
+        read(BAD_NODE_SETS[bad](graph.num_nodes))
+
+
+def test_fit_refuses_a_float_split(graph):
+    # a float split once passed validation, and fit then stopped with an IndexError
+    floats = NodeSplit(graph.split.train.astype(float), graph.split.val, graph.split.test)
+    with pytest.raises(GraphFormatError, match="got float64"):
+        fit(dataclasses.replace(graph, split=floats), quick_config(epochs=1, patience=1))

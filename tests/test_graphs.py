@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualmp.data import DatasetError, load_dataset
@@ -55,6 +55,40 @@ class TestBuildCsr:
         assert adj.edge_sources is adj.edge_sources
         with pytest.raises(ValueError, match="read-only"):
             adj.edge_sources[0] = 3
+
+
+def load_symmetrized(folder, n, edges):
+    """Write a one-relation dataset with "symmetrize true" and load it."""
+    (folder / "edges.csv").write_text("".join(f"{u},{v}\n" for u, v in edges))
+    (folder / "features.csv").write_text("0.0\n" * n)
+    (folder / "labels.csv").write_text("0\n" * n)
+    manifest = folder / "manifest.txt"
+    manifest.write_text(
+        f"num_nodes {n}\nfeature_dim 1\nfeatures features.csv\nlabels labels.csv\n"
+        "symmetrize true\nrelation net edges.csv\n"
+    )
+    return load_dataset(manifest)
+
+
+class TestSymmetrize:
+    # the loader's "symmetrize true" passes the file's pairs, then their reverses, to build_csr
+    def test_adds_reverse(self, tmp_path):
+        (rel,) = load_symmetrized(tmp_path, 2, [(0, 1)]).relations
+        assert rel.edge_pairs().tolist() == [[0, 1], [1, 0]]
+
+    def test_idempotent(self, tmp_path):
+        (rel,) = load_symmetrized(tmp_path, 2, [(0, 1), (1, 0)]).relations
+        assert rel.edge_pairs().tolist() == [[0, 1], [1, 0]]
+
+    def test_empty(self, tmp_path):
+        (rel,) = load_symmetrized(tmp_path, 3, []).relations
+        assert rel.edge_pairs().shape == (0, 2)
+        assert rel.offsets.tolist() == [0, 0, 0, 0]
+
+    def test_negative_endpoint_drops_no_pair(self, tmp_path):
+        # (1, -2) is neither dropped nor reported as its reverse: the file's pair is named
+        with pytest.raises(DatasetError, match=r"edges\.csv: edge \(1, -2\) out of range for 5 nodes$"):
+            load_symmetrized(tmp_path, 5, [(0, 1), (0, 2), (1, -2)])
 
 
 class TestNodeIndex:
@@ -248,6 +282,16 @@ def test_csr_flatten_rebuild_round_trip(case):
     assert np.array_equal(adj.targets, again.targets)
 
 
+@given(edge_lists)
+@settings(max_examples=40, deadline=None)
+def test_symmetrize_closure(tmp_path_factory, case):
+    n, edges = case
+    (rel,) = load_symmetrized(tmp_path_factory.mktemp("closure"), n, edges).relations
+    pairs = set(map(tuple, rel.edge_pairs().tolist()))
+    for u, v in pairs:
+        assert (v, u) in pairs
+
+
 def reference_csr(edges, n):
     """build_csr in plain Python: the first occurrence of each pair in input order, grouped stably by source."""
     for u, v in edges:
@@ -287,32 +331,20 @@ def test_build_csr_equals_plain_reference(case):
 
 
 @given(wild_edge_lists)
-@example((2, [(0, 1)]))  # the reverse is added
-@example((2, [(0, 1), (1, 0)]))  # a closed list is kept as it is
-@example((3, []))  # no edges
-@example((5, [(0, 1), (0, 2), (1, -2)]))  # the file's bad pair is named, not its reverse
 @settings(max_examples=150, deadline=None)
-def test_symmetrized_load_equals_build_csr_of_both_directions(tmp_path_factory, case):
+def test_symmetrize_equals_plain_reference(tmp_path_factory, case):
     # the loader's one build_csr call over the file's pairs, then their reverses,
     # gives the relation and the error of the pairs deduplicated in that order
     n, edges = case
     folder = tmp_path_factory.mktemp("symmetrized")
-    (folder / "edges.csv").write_text("".join(f"{u},{v}\n" for u, v in edges))
-    (folder / "features.csv").write_text("0.0\n" * n)
-    (folder / "labels.csv").write_text("0\n" * n)
-    manifest = folder / "manifest.txt"
-    manifest.write_text(
-        f"num_nodes {n}\nfeature_dim 1\nfeatures features.csv\nlabels labels.csv\n"
-        "symmetrize true\nrelation net edges.csv\n"
-    )
     both = list(dict.fromkeys([*edges, *((v, u) for u, v in edges)]))
     try:
         expected = build_csr(both, n, name="net")
     except GraphFormatError as err:
         with pytest.raises(DatasetError) as got:
-            load_dataset(manifest)
+            load_symmetrized(folder, n, edges)
         assert str(got.value) == f"{folder / 'edges.csv'}: {err}"
         return
-    (rel,) = load_dataset(manifest).relations
+    (rel,) = load_symmetrized(folder, n, edges).relations
     assert rel.offsets.tobytes() == expected.offsets.tobytes()
     assert rel.targets.tobytes() == expected.targets.tobytes()

@@ -70,8 +70,8 @@ def _parse_config_file(path: str) -> dict:
     for i, line in enumerate(read_lines(path, error=ConfigError), 1):
         if not line or line.startswith("#"):
             continue
-        key, _, raw = line.replace("=", " ").partition(" ")
-        raw = raw.strip()
+        key, *rest = line.replace("=", " ").split(maxsplit=1)
+        raw = rest[0] if rest else ""
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}: line {i}: unknown config key {key!r}")
         if key in values:

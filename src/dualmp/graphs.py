@@ -208,8 +208,8 @@ def build_csr(edges, num_nodes: int, name: str = "relation") -> RelationAdjacenc
     relation; within a source node, targets keep their input order. Raises
     :class:`GraphFormatError` for endpoint indices outside
     ``0..num_nodes - 1``, naming the first such edge in input order. Works
-    on the source and target columns: the first occurrences of the pairs
-    are kept, then sorted stably by source.
+    on the source and target columns: ``np.unique`` gives each pair's first
+    occurrence, kept in input order, then sorted stably by source.
     """
     pairs = np.asarray(edges, dtype=np.int64)
     if pairs.size == 0:
@@ -223,15 +223,10 @@ def build_csr(edges, num_nodes: int, name: str = "relation") -> RelationAdjacenc
         raise GraphFormatError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    if len(src):  # one stable argsort of the pair keys puts each pair's first occurrence at the head of its run
-        keys = src * np.int64(num_nodes) + dst
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        head = np.ones(len(keys), dtype=bool)
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
-        first = np.sort(order[head])
-        src, dst = src[first], dst[first]
-        dst = dst[np.argsort(src, kind="stable")]
+    _, first = np.unique(src * np.int64(num_nodes) + dst, return_index=True)
+    first.sort()
+    src, dst = src[first], dst[first]
+    dst = dst[np.argsort(src, kind="stable")]
     counts = np.bincount(src, minlength=num_nodes)
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])

@@ -2,7 +2,8 @@
 
 AUC through the rank (Mann-Whitney) statistic with average ranks on ties;
 recall, macro F1 and the geometric mean of the two class rates from the
-confusion matrix at the 0.5 threshold.
+confusion matrix at the 0.5 threshold. The scorers take one node set's
+scores and labels as aligned 1-D arrays.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-
-from .graphs import node_index
 
 
 @dataclass(frozen=True)
@@ -64,19 +63,24 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom else 0.0
 
 
-def evaluate(fraud_scores, labels, node_idx) -> MetricsReport:
-    """Score fraud probabilities over a node subset.
+def _aligned(fraud_scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as float64 and labels, checked to be non-empty 1-D arrays of one length."""
+    s, y = np.asarray(fraud_scores, dtype=np.float64), np.asarray(labels)
+    if s.ndim != 1 or s.shape != y.shape:
+        raise ValueError(f"scores of shape {s.shape} and labels of shape {y.shape} are not aligned 1-D arrays")
+    if s.size == 0:
+        raise ValueError("cannot evaluate an empty node set")
+    return s, y
+
+
+def evaluate(fraud_scores, labels) -> MetricsReport:
+    """Score fraud probabilities against labels, row by row.
 
     Hard predictions take the argmax of (benign, fraud) probability, which
-    predicts fraud only when the score strictly exceeds 0.5. ``node_idx``
-    is read through :func:`graphs.node_index` against ``len(fraud_scores)``.
+    predicts fraud only when the score strictly exceeds 0.5. Raises
+    ``ValueError`` unless both are non-empty 1-D arrays of one length.
     """
-    node_idx = node_index(node_idx, len(fraud_scores))
-    if node_idx.size == 0:
-        raise ValueError("cannot evaluate an empty node set")
-    y = np.asarray(labels)[node_idx]
-    s = np.asarray(fraud_scores, dtype=np.float64)[node_idx]
-
+    s, y = _aligned(fraud_scores, labels)
     pred = s > 0.5
     actual = y == 1
     tp = int((pred & actual).sum())
@@ -101,7 +105,6 @@ def evaluate(fraud_scores, labels, node_idx) -> MetricsReport:
     )
 
 
-def accuracy(fraud_scores, labels, node_idx) -> float:
-    node_idx = node_index(node_idx, len(fraud_scores))
-    pred = np.asarray(fraud_scores, dtype=np.float64)[node_idx] > 0.5
-    return float((pred == (np.asarray(labels)[node_idx] == 1)).mean())
+def accuracy(fraud_scores, labels) -> float:
+    s, y = _aligned(fraud_scores, labels)
+    return float(((s > 0.5) == (y == 1)).mean())

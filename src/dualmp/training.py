@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamStore, backward
-from .graphs import MultiRelationGraph, node_index
+from .graphs import MultiRelationGraph
 from .metrics import MetricsReport, accuracy, evaluate
 from .model import ConfigError, DualChannelModel, TrainConfig
 from .separator import edge_label_signs
@@ -126,8 +126,8 @@ class FitResult:
 
 
 def check_validation_split(graph: MultiRelationGraph) -> None:
-    """Raise :class:`ConfigError` unless the validation split holds both classes, as its AUC needs."""
-    val_classes = np.unique(graph.labels[node_index(graph.split.val, graph.num_nodes)]).tolist()
+    """Raise :class:`ConfigError` unless the validated split's val set holds both classes, as its AUC needs."""
+    val_classes = np.unique(graph.labels[graph.split.val]).tolist()
     if len(val_classes) < 2:
         raise ConfigError(
             f"the validation split ({len(graph.split.val)} nodes, classes {val_classes}) "
@@ -147,21 +147,19 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     with the best validation AUC are restored before returning; training
     stops early after ``patience`` epochs without improvement. A validation
     split without both classes has no AUC to select on and raises
-    :class:`ConfigError` before the first epoch (``check_validation_split``).
+    :class:`ConfigError` once the model, whose construction validates the
+    graph and its split, is built (``check_validation_split``).
     """
-    config.validate()
-    check_validation_split(graph)
     rng = np.random.default_rng(config.seed)
     model = DualChannelModel(graph, config, rng)
     graph = model.graph  # the rel ablation swaps in the merged union graph
+    check_validation_split(graph)
 
-    train_idx = np.asarray(graph.split.train, dtype=np.int64)
-    val_idx = np.asarray(graph.split.val, dtype=np.int64)
+    train, val = graph.split.train, graph.split.val
     # the rows the per-epoch evaluation reads, and where each split sits among them
-    eval_rows = np.union1d(train_idx, val_idx)
-    eval_labels = graph.labels[eval_rows]
-    train_pos = np.searchsorted(eval_rows, train_idx)
-    val_pos = np.searchsorted(eval_rows, val_idx)
+    eval_rows = np.union1d(train, val)
+    train_pos, val_pos = np.searchsorted(eval_rows, train), np.searchsorted(eval_rows, val)
+    train_labels, val_labels = graph.labels[train], graph.labels[val]
     labeled_edges = training_edge_sets(model)
 
     optimizer = Adam(model.params, config.learning_rate, config.weight_decay)
@@ -183,14 +181,14 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
 
         eval_out = model.forward(training=False, node_batch=eval_rows)
         fraud_scores = eval_out.probs.data[:, 1]
-        val_report = evaluate(fraud_scores, eval_labels, val_pos)
+        val_report = evaluate(fraud_scores[val_pos], val_labels)
         log.append(
             {
                 "epoch": epoch,
                 "loss_total": loss_value,
                 "loss_cls": out.loss_cls.item(),
                 "edge_losses": [l.item() for l in out.edge_losses],
-                "train_accuracy": accuracy(fraud_scores, eval_labels, train_pos),
+                "train_accuracy": accuracy(fraud_scores[train_pos], train_labels),
                 "val_auc": val_report.auc,
                 "val_recall": val_report.recall,
                 "val_f1_macro": val_report.f1_macro,
@@ -228,11 +226,11 @@ def evaluate_split(model: DualChannelModel, node_idx) -> MetricsReport:
     records no tape and builds no loss. Repeated calls with unchanged
     parameters score and partition the edges once; the second call over the
     same ``node_idx`` keeps its channel blocks, and later ones reuse them
-    (:meth:`DualChannelModel._stage`). ``node_idx`` is read through
-    :func:`graphs.node_index` before any pass.
+    (:meth:`DualChannelModel._stage`). An empty ``node_idx`` raises
+    ``ValueError`` before any pass; the pass itself reads ``node_idx``.
     """
-    node_idx = node_index(node_idx, model.graph.num_nodes)
+    node_idx = np.asarray(node_idx)
     if node_idx.size == 0:
         raise ValueError("cannot evaluate an empty node set")
     out = model.forward(training=False, node_batch=node_idx)
-    return evaluate(out.probs.data[:, 1], model.graph.labels[node_idx], np.arange(len(node_idx)))
+    return evaluate(out.probs.data[:, 1], model.graph.labels[node_idx])

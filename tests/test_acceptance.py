@@ -326,7 +326,7 @@ def test_a6_metric_oracles():
     # the single-class fixture has no AUC, and says so
     with pytest.warns(UserWarning, match="AUC undefined on a single-class node set"):
         for scores, labels, expected in FIXTURES:
-            got = evaluate(scores, labels, np.arange(len(labels))).as_dict()
+            got = evaluate(scores, labels).as_dict()
             for key, want in expected.items():
                 if isinstance(want, float) and np.isnan(want):
                     fixture_failures += not np.isnan(got[key])

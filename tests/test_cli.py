@@ -173,14 +173,22 @@ class TestTrain:
         assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "x"),
                      "--epochs", "0"]) == 1
 
+    def test_config_key_and_value_split_on_any_whitespace(self, tmp_path):
+        cfg = tmp_path / "overrides.txt"
+        cfg.write_text("epochs\t5\npatience = 2\nlearning_rate=0.05\ndropout \t 0.1\n")
+        args = make_parser().parse_args(["train", "--data", "d", "--out", "o", "--config", str(cfg)])
+        want = dict(epochs=5, patience=2, learning_rate=0.05, dropout=0.1)
+        assert build_config(args) == dataclasses.replace(TrainConfig(), **want)
+
     @pytest.mark.parametrize(
         "content, message",
         [
             ("learning_rate 0.1\nbogus 3\n", "line 2: unknown config key 'bogus'"),
             ("# overrides\nepochs abc\n", "line 2: epochs must be int, got 'abc'"),
             ("learning_rate 0.1\nlearning_rate 0.5\n", "line 2: learning_rate given twice"),
+            ("epochs\tabc\n", "line 1: epochs must be int, got 'abc'"),
         ],
-        ids=["unknown-key", "unparsable-value", "repeated-key"],
+        ids=["unknown-key", "unparsable-value", "repeated-key", "tab-separated"],
     )
     def test_config_error_names_its_line(self, dataset, tmp_path, capsys, content, message):
         cfg = tmp_path / "overrides.txt"

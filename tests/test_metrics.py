@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dualmp.graphs import GraphFormatError
 from dualmp.metrics import accuracy, evaluate, roc_auc, tied_ranks
 
 
@@ -77,12 +76,11 @@ class TestTiedRanks:
 class TestEvaluateFixtures:
     @pytest.mark.parametrize("scores,labels,expected", FIXTURES)
     def test_frozen_fixture(self, scores, labels, expected):
-        idx = np.arange(len(labels))
         if np.min(labels) == np.max(labels):
             with pytest.warns(UserWarning):
-                report = evaluate(scores, labels, idx)
+                report = evaluate(scores, labels)
         else:
-            report = evaluate(scores, labels, idx)
+            report = evaluate(scores, labels)
         got = report.as_dict()
         for key, want in expected.items():
             if isinstance(want, float) and np.isnan(want):
@@ -91,32 +89,42 @@ class TestEvaluateFixtures:
                 assert got[key] == pytest.approx(want, abs=1e-12), key
 
     def test_counts_cover_node_set(self):
-        report = evaluate([0.9, 0.2, 0.6, 0.4], [1, 0, 0, 1], np.arange(4))
+        report = evaluate([0.9, 0.2, 0.6, 0.4], [1, 0, 0, 1])
         assert report.tp + report.fp + report.tn + report.fn == 4
 
     def test_empty_node_set_rejected(self):
         with pytest.raises(ValueError, match="empty node set"):
-            evaluate([0.5], [1], np.array([], dtype=int))
-
-    def test_boolean_mask_refused(self):
-        # it was read as the rows 1, 0, 1
-        with pytest.raises(GraphFormatError, match="got bool"):
-            evaluate([0.9, 0.1, 0.8], [1, 0, 1], [True, False, True])
-        with pytest.raises(GraphFormatError, match="got bool"):
-            accuracy([0.9, 0.1, 0.8], [1, 0, 1], [True, False, True])
+            evaluate(np.array([]), np.array([], dtype=int))
 
     def test_evaluates_only_the_subset(self):
-        scores = [0.9, 0.1, 0.9, 0.1]
-        labels = [1, 0, 0, 1]
-        report = evaluate(scores, labels, np.array([0, 1]))
+        scores = np.array([0.9, 0.1, 0.9, 0.1])
+        labels = np.array([1, 0, 0, 1])
+        report = evaluate(scores[:2], labels[:2])
         assert report.auc == 1.0 and report.recall == 1.0
 
     def test_exact_half_predicts_benign(self):
         # argmax of (benign, fraud) on a 0.5/0.5 row picks benign
         with pytest.warns(UserWarning):  # single-class set also makes AUC undefined
-            report = evaluate([0.5], [0], np.array([0]))
+            report = evaluate([0.5], [0])
         assert report.fp == 0 and report.tn == 1
 
 
 def test_accuracy_helper():
-    assert accuracy([0.9, 0.1, 0.6], [1, 0, 0], np.arange(3)) == pytest.approx(2 / 3)
+    assert accuracy([0.9, 0.1, 0.6], [1, 0, 0]) == pytest.approx(2 / 3)
+
+
+def test_accuracy_over_no_rows_rejected():
+    # it once returned NaN with two RuntimeWarnings
+    with pytest.raises(ValueError, match="empty node set"):
+        accuracy(np.array([]), np.array([], dtype=int))
+
+
+@pytest.mark.parametrize("score", [evaluate, accuracy])
+@pytest.mark.parametrize(
+    "scores, labels",
+    [([0.9, 0.1, 0.8], [1, 0]), ([0.9, 0.1], [1, 0, 1]), ([[0.9, 0.1], [0.8, 0.2]], [[1, 0], [1, 0]])],
+    ids=["more-scores", "more-labels", "two-dimensional"],
+)
+def test_misaligned_scores_and_labels_rejected(score, scores, labels):
+    with pytest.raises(ValueError, match="not aligned 1-D arrays"):
+        score(scores, labels)

@@ -1,11 +1,13 @@
 import dataclasses
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from dualmp.autodiff import ParamStore
 from dualmp.data import SyntheticSpec, generate_synthetic
-from dualmp.graphs import EdgePartition, GraphFormatError, MultiRelationGraph, NodeSplit
+from dualmp.graphs import EdgePartition, GraphFormatError, MultiRelationGraph, NodeSplit, node_index
 from dualmp.metrics import accuracy, evaluate
 from dualmp.model import ABLATIONS, ConfigError, DualChannelModel, TrainConfig
 from dualmp.training import (
@@ -272,7 +274,7 @@ class TestEvaluationRows:
         test = model.graph.split.test
         rows = np.concatenate([test[::-1], test[2:3]])  # unsorted, with one node twice
         whole = model.forward(training=False).probs.data[:, 1]
-        assert evaluate_split(model, rows) == evaluate(whole, model.graph.labels, rows)
+        assert evaluate_split(model, rows) == evaluate(whole[rows], model.graph.labels[rows])
 
     def test_empty_node_set_rejected_before_any_forward(self, graph):
         model = DualChannelModel(graph, quick_config(), np.random.default_rng(3))
@@ -290,12 +292,12 @@ class TestEvaluationRows:
         model, record = result.model, result.log[0]
         split, labels = model.graph.split, model.graph.labels
         whole = model.forward(training=False).probs.data[:, 1]
-        report = evaluate(whole, labels, split.val)
+        report = evaluate(whole[split.val], labels[split.val])
         assert record["val_auc"] == report.auc
         assert record["val_recall"] == report.recall
         assert record["val_f1_macro"] == report.f1_macro
         assert record["val_gmean"] == report.gmean
-        assert record["train_accuracy"] == accuracy(whole, labels, split.train)
+        assert record["train_accuracy"] == accuracy(whole[split.train], labels[split.train])
 
 
 # node sets each public reader refuses: the first two were once read as the
@@ -313,7 +315,6 @@ def node_set_readers(graph):
     """Each public reader of a node set, as a function of the node set alone."""
     n = graph.num_nodes
     model = DualChannelModel(graph, quick_config(), np.random.default_rng(3))
-    scores, labels = np.linspace(0.0, 1.0, n), graph.labels
     others = {"train": np.array([n - 3]), "val": np.array([n - 2]), "test": np.array([n - 1])}
     readers = {
         "forward": lambda nodes: model.forward(training=False, node_batch=nodes),
@@ -321,8 +322,6 @@ def node_set_readers(graph):
             training=True, rng=np.random.default_rng(0), node_batch=nodes
         ),
         "evaluate_split": lambda nodes: evaluate_split(model, nodes),
-        "evaluate": lambda nodes: evaluate(scores, labels, nodes),
-        "accuracy": lambda nodes: accuracy(scores, labels, nodes),
     }
     for slot in others:
         readers[f"split-{slot}"] = lambda nodes, slot=slot: NodeSplit(**{**others, slot: nodes}).validate(n)
@@ -332,13 +331,39 @@ def node_set_readers(graph):
 @pytest.mark.parametrize("bad", BAD_NODE_SETS)
 @pytest.mark.parametrize(
     "reader",
-    ["forward", "training-forward", "evaluate_split", "evaluate", "accuracy", "split-train", "split-val", "split-test"],
+    ["forward", "training-forward", "evaluate_split", "split-train", "split-val", "split-test"],
 )
 def test_every_node_set_reader_refuses_a_bad_node_set(graph, reader, bad):
     read = node_set_readers(graph)[reader]
     read(np.array([np.argmax(graph.labels == 1), np.argmax(graph.labels == 0)]))  # one node of each class
     with pytest.raises(GraphFormatError, match="node"):
         read(BAD_NODE_SETS[bad](graph.num_nodes))
+
+
+def test_each_node_set_is_read_once_where_it_enters(graph, monkeypatch):
+    """node_index runs only in NodeSplit.validate and once per forward pass."""
+    callers = []
+
+    def counted(values, num_nodes):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return node_index(values, num_nodes)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dualmp" and hasattr(module, "node_index"):
+            monkeypatch.setattr(module, "node_index", counted)
+    model = DualChannelModel(graph, quick_config(), np.random.default_rng(3))
+    assert callers == ["validate"] * 3  # train, val and test
+    callers.clear()
+    evaluate_split(model, graph.split.test)
+    assert callers == ["forward"]
+    for epochs in (1, 3):
+        callers.clear()
+        fit(graph, quick_config(epochs=epochs, patience=epochs))
+        # the split once, then per epoch the training pass and the evaluation pass
+        assert Counter(callers) == {"validate": 3, "forward": 2 * epochs}
 
 
 def test_fit_refuses_a_float_split(graph):

@@ -6,18 +6,19 @@ constant 1; ``add`` and ``sub`` the weight blocks of the edge scorer and the
 fusion, the residuals, the contrast filter h - hW, the classifier's sum over
 relations and the total loss; ``mul_const`` the residual mix, the edge-loss
 weight and the edge-sign hinge; ``mean_all`` the hinge; ``relu`` the
-projection, the contrast filter and the hinge; ``relu_linear_rows`` every
-row of the projection a pass reads; ``leaky_relu`` the channel gates and
-the fusion; ``tanh`` the edge scorer; ``row_blocks`` the weight blocks of
-the edge scorer, the fusion and the classifier; ``sparse_matmul`` the
-degree-rescaled aggregation, over scipy CSR; ``layer_norm`` the fusion;
-``cross_entropy`` the classification loss. ``relu`` is max(x, 0) and passes
-a NaN on, so a NaN pre-activation reaches the loss instead of turning into
-0. ``softmax`` takes a plain array and records nothing: it gives the class
-probabilities and ``cross_entropy``'s gradient. Inside ``no_tape()`` no
-operation records anything; the model's evaluation pass runs there, since no
-backward reads it, and builds no loss. No broadcasting beyond row-vector
-biases, no tensors of rank above 2, no GPU.
+contrast filter and the hinge; ``relu_linear_rows`` every row of the
+projection a pass reads; ``leaky_relu`` the channel gates and the fusion;
+``tanh`` the edge scorer; ``gather_rows`` each edge's two scalars of the
+scorer and, as ``row_blocks``, the weight blocks of the scorer, the fusion
+and the classifier; ``sparse_matmul`` the degree-rescaled aggregation, over
+scipy CSR; ``layer_norm`` the fusion; ``cross_entropy`` the classification
+loss. ``relu`` is max(x, 0) and passes a NaN on, so a NaN pre-activation
+reaches the loss instead of turning into 0. ``softmax`` takes a plain array
+and records nothing: it gives the class probabilities and
+``cross_entropy``'s gradient. Inside ``no_tape()`` no operation records
+anything; the model's evaluation pass runs there, since no backward reads
+it, and builds no loss. No broadcasting beyond row-vector biases, no tensors
+of rank above 2, no GPU.
 
 Each operation links its output to its inputs and stores a backward rule;
 :func:`backward` replays that implicit tape once, in reverse topological
@@ -260,28 +261,27 @@ def tanh(x: TensorValue) -> TensorValue:
     return _result(out, (x,), rule)
 
 
-def row_blocks(w: TensorValue, k: int) -> list[TensorValue]:
-    """The rows of ``w`` cut into ``k`` equal blocks, top to bottom.
+def gather_rows(x: TensorValue, index) -> TensorValue:
+    """The rows ``x[index]``; the backward sums a repeated row's gradients in index order (``np.add.at``)."""
 
-    [a_1 || ... || a_k] @ w equals the sum of a_i @ block_i, which lets a
-    layer over stacked inputs skip the concatenation. A block is the row
-    slice ``w[lo:hi]``; its backward writes the gradient into those rows of
-    a zero array.
+    def rule(g):
+        grad = np.zeros(x.shape)
+        np.add.at(grad, index, g)
+        _accumulate(x, grad)
+
+    # np.take copies the rows of a (k, 1) array in about half the time x[index] takes
+    return _result(np.take(x.data, index, axis=0), (x,), rule)
+
+
+def row_blocks(w: TensorValue, k: int) -> list[TensorValue]:
+    """The rows of ``w`` cut into ``k`` equal blocks, top to bottom, each taken by :func:`gather_rows`.
+
+    [a_1 || ... || a_k] @ w is the sum of a_i @ block_i: a layer over stacked inputs needs no concatenation.
     """
     rows = w.shape[0]
     if k < 1 or rows % k:
         raise ValueError(f"{rows} weight rows do not split into {k} equal blocks")
-    size = rows // k
-
-    def block(lo: int, hi: int) -> TensorValue:
-        def rule(g):
-            grad = np.zeros(w.shape)
-            grad[lo:hi] = g
-            _accumulate(w, grad)
-
-        return _result(w.data[lo:hi], (w,), rule)
-
-    return [block(i * size, (i + 1) * size) for i in range(k)]
+    return [gather_rows(w, block) for block in np.arange(rows).reshape(k, -1)]
 
 
 def sparse_matmul(matrix, x: TensorValue) -> TensorValue:
@@ -307,10 +307,9 @@ def layer_norm(x: TensorValue, gain: TensorValue, bias: TensorValue) -> TensorVa
     # row means as products with a (d, 1) column of 1/d: an axis=1 reduce over
     # the model's 8 columns pays a fixed cost per row, and so does a fold
     average = np.full((x.shape[1], 1), 1.0 / x.shape[1])
-    mean = x.data @ average
-    var = ((x.data - mean) ** 2) @ average
-    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mean) * inv_std
+    centered = x.data - x.data @ average
+    inv_std = 1.0 / np.sqrt(centered**2 @ average + LAYER_NORM_EPS)
+    xhat = centered * inv_std
 
     def rule(g):
         if _needs(gain):

@@ -200,6 +200,17 @@ def node_index(values, num_nodes: int) -> np.ndarray:
     return index.astype(np.int64, copy=False)
 
 
+def distinct_nodes(node_sets, num_nodes: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sorted distinct nodes of all ``node_sets``, from a presence mask, and each set's places among them."""
+    present = np.zeros(num_nodes, dtype=bool)
+    for nodes in node_sets:
+        present[nodes] = True
+    distinct = np.flatnonzero(present)
+    rank = np.empty(num_nodes, dtype=np.int64)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, [rank[nodes] for nodes in node_sets]
+
+
 def build_csr(edges, num_nodes: int, name: str = "relation") -> RelationAdjacency:
     """Build a CSR adjacency from (src, dst) pairs.
 

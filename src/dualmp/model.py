@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import propagation, separator
 from .autodiff import ParamStore, TensorValue
-from .graphs import EdgePartition, MultiRelationGraph, merge_relations, node_index, partition_subgraphs
+from .graphs import EdgePartition, MultiRelationGraph, distinct_nodes, merge_relations, node_index, partition_subgraphs
 from .propagation import BatchAdjacency
 
 # The channels each ablation runs, in run order; two outputs are fused. Only
@@ -218,8 +218,10 @@ class DualChannelModel:
         is seen without a hook, and so is a flip between 0.0 and -0.0 that
         value equality misses. With ``repeat`` a value is kept only when its
         key repeats the one before, the second time it is seen; the first
-        time only the key is. Every kept array is read-only, made so by the
-        code that builds it (:func:`separator.project_features`,
+        time only the key is, so that a whole-graph pass, run once
+        (``dualmp eval --export-embeddings``, a benchmark's check forward),
+        keeps no blocks over every edge. Every kept array is read-only, made
+        so by the code that builds it (:func:`separator.project_features`,
         :class:`EdgePartition`, :func:`propagation._cut`): a pass that wrote
         into one would corrupt the next.
         """
@@ -323,9 +325,10 @@ class DualChannelModel:
         ablation's channels are cut. Each consumer takes its own rows of the
         projection with :func:`autodiff.relu_linear_rows`: the pass's rows,
         each block's senders and, in a training pass, the edge batch's
-        endpoints. A training pass builds the classification loss over its
-        rows, plus one edge loss per relation when ``edge_batches`` holds
-        per-relation (edge positions, sign labels). An evaluation pass
+        distinct endpoints, once each, which the hinge reads by position. A
+        training pass builds the classification loss over its rows, plus one
+        edge loss per relation when ``edge_batches`` holds per-relation
+        (edge positions, sign labels). An evaluation pass
         (``training=False``) runs under :func:`autodiff.no_tape` and builds
         no loss, so every array but the kept stages is freed after its last
         use. The partitions it returns are the kept, read-only ones. The pass
@@ -348,8 +351,8 @@ class DualChannelModel:
                 partition, blocks = self._split_and_blocks(ri, h, rows, training, partitions)
                 if training and edge_batches is not None:
                     positions, signs = edge_batches[ri]
-                    ends = take(rel.edge_sources[positions]), take(rel.targets[positions])
-                    scores = separator.edge_scores(*ends, p[f"{rel.name}/edge_w"])
+                    distinct, ends = distinct_nodes((rel.edge_sources[positions], rel.targets[positions]), num_nodes)
+                    scores = separator.edge_scores(take(distinct), *ends, p[f"{rel.name}/edge_w"])
                     edge_losses.append(separator.heterophily_loss(scores, signs))
                 per_rel_z.append(self._relation_embedding(rel.name, take, rows, blocks))
                 out_partitions.append(partition)

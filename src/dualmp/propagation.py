@@ -28,7 +28,7 @@ from scipy import sparse
 
 from . import autodiff as ad
 from .autodiff import TensorValue
-from .graphs import EdgePartition, RelationAdjacency
+from .graphs import EdgePartition, RelationAdjacency, distinct_nodes
 
 
 def channel_messages(
@@ -70,23 +70,19 @@ class BatchAdjacency:
     matrix: sparse.csr_array  # (len(rows), len(senders))
 
 
-def _cut(rows: np.ndarray, counts: np.ndarray, neighbors: np.ndarray, degrees: np.ndarray) -> BatchAdjacency:
-    """The block whose rows hold ``counts`` entries each, reading ``neighbors`` row after row.
+def _cut(rows: np.ndarray, neighbors: np.ndarray, side_offsets: np.ndarray) -> BatchAdjacency:
+    """The block over ``rows`` of the side whose CSR offsets are ``side_offsets``, reading ``neighbors`` in turn.
 
-    The senders are the sorted distinct neighbors, and a neighbor's column
-    is its place among them. A length-N presence mask and its running count
-    give both without sorting; the count is only meaningful at the nodes
-    present. The senders and the matrix's arrays are made read-only, since
-    the model keeps a block between passes.
+    Side degrees are read only at the rows and the neighbors. The senders are
+    the sorted distinct neighbors, and a neighbor's column is its place among
+    them. The arrays are read-only, since the model keeps a block between passes.
     """
+    counts = side_offsets[rows + 1] - side_offsets[rows]
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    present = np.zeros(len(degrees), dtype=bool)
-    present[neighbors] = True
-    senders = np.flatnonzero(present)
-    columns = (np.cumsum(present) - 1)[neighbors]
-    deg = degrees.astype(np.float64)
-    coefficients = 1.0 / np.sqrt(1.0 + np.repeat(deg[rows], counts) * deg[neighbors])
+    senders, (columns,) = distinct_nodes([neighbors], len(side_offsets) - 1)
+    products = np.repeat(counts, counts) * (side_offsets[neighbors + 1] - side_offsets[neighbors])
+    coefficients = 1.0 / np.sqrt(1.0 + products)
     matrix = sparse.csr_array((coefficients, columns, offsets), shape=(len(rows), len(senders)))
     for array in (senders, matrix.data, matrix.indices, matrix.indptr):
         array.flags.writeable = False
@@ -103,11 +99,10 @@ def channel_adjacencies(
     block holds 1 / sqrt(1 + d_u * d_v) for each neighbor v on its side,
     with degrees counted on that side, and keeps its entries in storage
     order, so a row of the aggregate comes out bit for bit the same whichever
-    other rows are cut with it. No side is built as a view: the storage
-    positions of the rows' edges are found once in the relation, the
-    partition's mask taken there splits their neighbors, and each side's
-    degrees come from the partition's running counts. ``rows`` is int64 and
-    unchecked: callers read it through :func:`graphs.node_index`.
+    other rows are cut with it. No side is built as a view: the rows' edges
+    are found once in the relation and split by the partition's mask.
+    ``rows`` is int64 and unchecked: callers read it through
+    :func:`graphs.node_index`.
     """
     offsets = relation.offsets
     counts = offsets[rows + 1] - offsets[rows]
@@ -116,11 +111,11 @@ def channel_adjacencies(
     positions = np.repeat(offsets[rows] - starts[:-1], counts) + np.arange(starts[-1])
     neighbors = relation.targets[positions]
     hetero_at = partition.hetero_mask[positions]
-    sides = {"smooth": (partition.homo_degrees, ~hetero_at), "contrast": (partition.hetero_degrees, hetero_at)}
+    sides = {"smooth": (partition.homo_offsets, ~hetero_at), "contrast": (partition.hetero_offsets, hetero_at)}
     blocks = {}
     for channel in channels:
-        degrees, side = sides[channel]
-        blocks[channel] = _cut(rows, degrees[rows], neighbors[side], degrees)
+        side_offsets, side = sides[channel]
+        blocks[channel] = _cut(rows, neighbors[side], side_offsets)
     return blocks
 
 

@@ -45,36 +45,34 @@ def project_features(x: np.ndarray, proj_w: np.ndarray, proj_b: np.ndarray) -> t
 
 
 # With edge_w split into blocks [W_u; W_v; W_d], W [h_u || h_v || h_u - h_v]
-# equals h_u (W_u + W_d) + h_v (W_v - W_d), so each edge adds two scalars of
-# per-row products. The split reads the whole-graph product, the hinge its
-# own product over the endpoint rows: a width-1 product goes through gemv,
-# whose rows on a subset can round differently from the whole-graph rows
-# (on OpenBLAS 0.3.31, for (k, 8) @ (8, 1), in about half of random cuts),
-# so the two pre-activations agree to rounding, not bit for bit.
-def _check_edge_weight(d: int, edge_w_rows: int) -> None:
-    if edge_w_rows != 3 * d:
-        raise ValueError(f"edge weight has {edge_w_rows} rows, the scorer needs 3 * {d}")
-
-
-def edge_scores(h_u: TensorValue, h_v: TensorValue, edge_w: TensorValue) -> TensorValue:
-    """tanh(W [h_u || h_v || h_u - h_v]) for each edge, from the rows of its source and target; shape (E, 1)."""
-    _check_edge_weight(h_u.shape[1], edge_w.shape[0])
+# equals h_u (W_u + W_d) + h_v (W_v - W_d): two per-row products, read at each
+# edge's ends. The split's products run over all N nodes, the hinge's over its
+# batch's distinct endpoints; a width-1 product goes through gemv, whose rows
+# on a subset can round differently from the whole-graph rows (on OpenBLAS
+# 0.3.31, for (k, 8) @ (8, 1), in about half of random cuts), so the two
+# pre-activations agree to rounding, not bit for bit.
+def _pre_activation(h: TensorValue, sources, targets, edge_w: TensorValue) -> TensorValue:
+    """W [h_u || h_v || h_u - h_v] for each edge (u, v) = (h's row at sources, at targets); shape (E, 1)."""
+    if edge_w.shape[0] != 3 * h.shape[1]:
+        raise ValueError(f"edge weight has {edge_w.shape[0]} rows, the scorer needs 3 * {h.shape[1]}")
     w_u, w_v, w_d = ad.row_blocks(edge_w, 3)
-    return ad.tanh(ad.add(ad.matmul(h_u, ad.add(w_u, w_d)), ad.matmul(h_v, ad.sub(w_v, w_d))))
+    from_source = ad.matmul(h, ad.add(w_u, w_d))
+    from_target = ad.matmul(h, ad.sub(w_v, w_d))
+    return ad.add(ad.gather_rows(from_source, sources), ad.gather_rows(from_target, targets))
+
+
+def edge_scores(h: TensorValue, sources, targets, edge_w: TensorValue) -> TensorValue:
+    """tanh(W [h_u || h_v || h_u - h_v]) for each edge, its ends read at rows ``sources`` and ``targets`` of h."""
+    return ad.tanh(_pre_activation(h, sources, targets, edge_w))
 
 
 def edge_score_values(h: np.ndarray, sources, targets, edge_w: np.ndarray) -> np.ndarray:
-    """The pre-activation W [h_u || h_v || h_u - h_v] of :func:`edge_scores`, flat, in plain numpy.
+    """The pre-activation of :func:`edge_scores`, flat and untaped: all the split needs.
 
-    The partition reads only a score's side of 0, and tanh keeps every
-    input on its side: ±0 stay ±0, ±inf go to ±1 and NaN stays NaN, so the
-    split needs neither the tanh nor a tape.
+    The split reads only a score's side of 0, and tanh keeps every input on
+    its side: ±0 stay ±0, ±inf go to ±1 and NaN stays NaN.
     """
-    _check_edge_weight(h.shape[1], edge_w.shape[0])
-    w_u, w_v, w_d = np.split(edge_w, 3)
-    from_source = (h @ (w_u + w_d)).reshape(-1)
-    from_target = (h @ (w_v - w_d)).reshape(-1)
-    return from_source[sources] + from_target[targets]
+    return _pre_activation(ad.tensor(h), sources, targets, ad.tensor(edge_w)).data.reshape(-1)
 
 
 def edge_label_signs(sources, targets, labels, train_mask) -> tuple[np.ndarray, np.ndarray]:

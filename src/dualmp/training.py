@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamStore, backward
-from .graphs import MultiRelationGraph
+from .graphs import MultiRelationGraph, distinct_nodes
 from .metrics import MetricsReport, accuracy, evaluate
 from .model import ConfigError, DualChannelModel, TrainConfig
 from .separator import edge_label_signs
@@ -143,9 +143,10 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     batches of :func:`epoch_batches`, and evaluates the validation split.
     The evaluation forward computes only the train and validation rows, which
     is all the log reads (validation metrics and train accuracy); like every
-    evaluation pass it records no tape and builds no loss. The parameters
-    with the best validation AUC are restored before returning; training
-    stops early after ``patience`` epochs without improvement. A validation
+    evaluation pass it records no tape and builds no loss, and it runs after
+    the training pass's tape is freed. The parameters with the best
+    validation AUC are restored before returning; training stops early
+    after ``patience`` epochs without improvement. A validation
     split without both classes has no AUC to select on and raises
     :class:`ConfigError` once the model, whose construction validates the
     graph and its split, is built (``check_validation_split``).
@@ -157,8 +158,7 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
 
     train, val = graph.split.train, graph.split.val
     # the rows the per-epoch evaluation reads, and where each split sits among them
-    eval_rows = np.union1d(train, val)
-    train_pos, val_pos = np.searchsorted(eval_rows, train), np.searchsorted(eval_rows, val)
+    eval_rows, (train_pos, val_pos) = distinct_nodes((train, val), graph.num_nodes)
     train_labels, val_labels = graph.labels[train], graph.labels[val]
     labeled_edges = training_edge_sets(model)
 
@@ -178,23 +178,15 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
             raise NumericalError(f"non-finite loss {loss_value} at epoch {epoch}")
         backward(out.loss_total)
         optimizer.step()
+        record = {"epoch": epoch, "loss_total": loss_value, "loss_cls": out.loss_cls.item(),
+                  "edge_losses": [l.item() for l in out.edge_losses]}
+        del out  # frees the training tape, which the evaluation pass does not read
 
-        eval_out = model.forward(training=False, node_batch=eval_rows)
-        fraud_scores = eval_out.probs.data[:, 1]
+        fraud_scores = model.forward(training=False, node_batch=eval_rows).probs.data[:, 1]
         val_report = evaluate(fraud_scores[val_pos], val_labels)
-        log.append(
-            {
-                "epoch": epoch,
-                "loss_total": loss_value,
-                "loss_cls": out.loss_cls.item(),
-                "edge_losses": [l.item() for l in out.edge_losses],
-                "train_accuracy": accuracy(fraud_scores[train_pos], train_labels),
-                "val_auc": val_report.auc,
-                "val_recall": val_report.recall,
-                "val_f1_macro": val_report.f1_macro,
-                "val_gmean": val_report.gmean,
-            }
-        )
+        log.append({**record, "train_accuracy": accuracy(fraud_scores[train_pos], train_labels),
+                    "val_auc": val_report.auc, "val_recall": val_report.recall,
+                    "val_f1_macro": val_report.f1_macro, "val_gmean": val_report.gmean})
 
         if val_report.auc > best_auc:
             best_auc = val_report.auc

@@ -153,6 +153,35 @@ class TestReluLinearRows:
         assert chain_b is None and rows_b is None
 
 
+class TestGatherRows:
+    def test_rows_in_index_order(self):
+        x = tensor(np.arange(8.0).reshape(4, 2))
+        assert ad.gather_rows(x, [3, 0, 3]).data.tolist() == [[6.0, 7.0], [0.0, 1.0], [6.0, 7.0]]
+        assert ad.gather_rows(x, np.empty(0, dtype=np.int64)).shape == (0, 2)
+
+    def test_gradient_sums_repeated_rows_in_index_order(self):
+        store = ParamStore()
+        x = store.add("x", np.zeros((4, 2)))
+        index = [2, 0, 2, 2]
+        g = np.array([[0.1, 1e16], [0.5, -3.0], [0.2, 1.0], [0.3, -1e16]])
+        store.zero_grads()
+        backward(ad.mean_all(ad.mul_const(ad.gather_rows(x, index), g * g.size)))
+        want = np.zeros((4, 2))
+        want[0] = g[1]
+        want[2] = ((0.0 + g[0]) + g[2]) + g[3]  # 0.1 + 0.2 + 0.3 and 1e16 + 1 - 1e16, in that order
+        assert np.array_equal(x.grad, want)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(3)
+        store = ParamStore()
+        x = store.add("x", rng.normal(size=(5, 3)))
+        weights = rng.normal(size=(7, 3))
+        errors = ad.grad_check(
+            lambda: ad.mean_all(ad.tanh(ad.mul_const(ad.gather_rows(x, [4, 1, 1, 0, 4, 4, 2]), weights))), store
+        )
+        assert max(errors.values()) < 1e-6
+
+
 class TestRowBlocks:
     def test_blocks_are_consecutive_row_slices(self):
         w = tensor(np.arange(12.0).reshape(6, 2))

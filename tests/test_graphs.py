@@ -9,6 +9,7 @@ from dualmp.graphs import (
     GraphFormatError,
     RelationAdjacency,
     build_csr,
+    distinct_nodes,
     merge_relations,
     node_index,
     partition_subgraphs,
@@ -117,6 +118,18 @@ class TestNodeIndex:
     def test_refused(self, values, message):
         with pytest.raises(GraphFormatError, match=message):
             node_index(values, 3)
+
+
+def test_distinct_nodes_are_sorted_and_each_set_reads_its_places():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        n = int(rng.integers(1, 60))
+        sets = [rng.integers(0, n, size=int(rng.integers(0, 40))) for _ in range(int(rng.integers(1, 4)))]
+        distinct, places = distinct_nodes(sets, n)
+        assert np.array_equal(distinct, np.unique(np.concatenate(sets)))
+        assert len(places) == len(sets)
+        for nodes, at in zip(sets, places):
+            assert at.dtype == np.int64 and np.array_equal(distinct[at], nodes)
 
 
 class TestDegrees:

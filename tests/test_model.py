@@ -333,7 +333,8 @@ def test_batch_forward_equals_full_forward_at_the_batch(ablation):
 def test_training_tape_holds_only_reached_rows(ablation):
     # on a graph where the batch, its senders and the edge batch's endpoints
     # are fewer than N nodes, no tensor on the tape from the loss has N rows:
-    # each consumer takes only its own rows of the projection
+    # each consumer takes only its own rows of the projection, and the hinge
+    # takes its batch's distinct endpoints once
     from dualmp.training import epoch_batches, training_edge_sets
 
     graph = sparse_graph()
@@ -353,8 +354,8 @@ def test_training_tape_holds_only_reached_rows(ablation):
         if any(id(parent) in projections for parent in node._parents):
             takes.append(node.shape[0])
         stack.extend(node._parents)
-    # per relation: the rows, each channel's senders, and the hinge's sources and targets
-    per_relation = 1 + len(CHANNELS[ablation]) + 2 * model.has_separator
+    # per relation: the rows, each channel's senders, and the hinge's distinct endpoints
+    per_relation = 1 + len(CHANNELS[ablation]) + model.has_separator
     assert len(takes) == per_relation * model.graph.num_relations
     assert takes.count(len(node_batch)) >= model.graph.num_relations
     assert all(0 < rows < graph.num_nodes for rows in takes)
@@ -778,12 +779,47 @@ def test_reached_rows_are_the_rows_the_split_reads(monkeypatch, hidden_dim):
     dropped = whole * factor
     [((split_h, *_), _)] = splits
     assert np.array_equal(split_h.view(np.int64), dropped.view(np.int64))
-    # the rows, the two channels' senders, and the hinge's sources and targets
-    assert len(takes) == 5
+    # the rows, the two channels' senders, and the hinge's distinct endpoints
+    assert len(takes) == 4
     assert any(np.array_equal(index, node_batch) for (*_, index), _ in takes)
     for (*_, index), taken in takes:
         assert len(index) < graph.num_nodes
         assert np.array_equal(taken.data.view(np.int64), dropped[index].view(np.int64))
+
+
+@pytest.mark.parametrize("ablation", ["full", "homo", "heter", "rel"])
+def test_the_hinge_takes_its_distinct_endpoints_once_per_relation(monkeypatch, ablation):
+    """Each relation's hinge is one consumer of the projection: the sorted distinct ends of its edge batch.
+
+    Its edge loss is the hinge over the per-edge reference scores, which
+    take one projection row per edge end, to rounding.
+    """
+    from test_separator import per_edge_reference
+
+    from dualmp.separator import heterophily_loss
+    from dualmp.training import epoch_batches, training_edge_sets
+
+    model = make_model(sparse_graph(), ablation=ablation, dropout=0.1)
+    rng = np.random.default_rng(7)
+    node_batch, edge_batches = epoch_batches(model.graph, training_edge_sets(model), rng)
+    takes = record_calls(monkeypatch, ad, "relu_linear_rows")
+    out = model.forward(training=True, rng=rng, node_batch=node_batch, edge_batches=edge_batches)
+    per_relation = 1 + len(CHANNELS[ablation]) + 1
+    assert len(takes) == per_relation * model.graph.num_relations
+    for ri, rel in enumerate(model.graph.relations):
+        positions, signs = edge_batches[ri]
+        sources, targets = rel.edge_sources[positions], rel.targets[positions]
+        ends = np.unique(np.concatenate([sources, targets]))
+        assert len(ends) < 2 * len(positions)  # the batch repeats an endpoint
+        relation_takes = takes[ri * per_relation : (ri + 1) * per_relation]
+        [(args, hinge_rows)] = [(args, t) for args, t in relation_takes if np.array_equal(args[-1], ends)]
+        x, proj_w, proj_b, h, passes, _ = args
+        per_edge = [ad.relu_linear_rows(x, proj_w, proj_b, h, passes, index) for index in (sources, targets)]
+        for index, rows in zip((sources, targets), per_edge):
+            assert np.array_equal(rows.data, hinge_rows.data[np.searchsorted(ends, index)])
+        edge_w = model.params[f"{rel.name}/edge_w"]
+        want = heterophily_loss(per_edge_reference(*per_edge, edge_w), signs).item()
+        assert abs(out.edge_losses[ri].item() - want) <= 1e-15 * abs(want)
 
 
 def test_zero_pre_activation_passes_the_gradient_as_the_plain_chain_does(monkeypatch):

@@ -4,6 +4,7 @@ from scipy import sparse
 
 import dualmp.autodiff as ad
 from dualmp.autodiff import ParamStore, backward, tensor
+from dualmp.graphs import distinct_nodes
 from dualmp.separator import (
     dropout_factor,
     edge_label_signs,
@@ -91,31 +92,38 @@ def rows_of(h, index):
     return ad.sparse_matmul(sparse.csr_array((np.ones(k), index, np.arange(k + 1)), shape=(k, h.shape[0])), h)
 
 
+def per_edge_reference(h_u, h_v, edge_w):
+    """tanh(h_u (W_u + W_d) + h_v (W_v - W_d)), taped, with products over one row per edge end."""
+    w_u, w_v, w_d = ad.row_blocks(edge_w, 3)
+    return ad.tanh(ad.add(ad.matmul(h_u, ad.add(w_u, w_d)), ad.matmul(h_v, ad.sub(w_v, w_d))))
+
+
 class TestEdgeScores:
     def test_difference_only_weight_gives_zero_on_equal_embeddings(self):
         h = tensor([[1.0, 2.0], [1.0, 2.0]])
         w = tensor(np.array([[0.0], [0.0], [0.0], [0.0], [1.0], [1.0]]))
-        scores = edge_scores(rows_of(h, [0]), rows_of(h, [1]), w)
+        scores = edge_scores(h, [0], [1], w)
         assert scores.data.tolist() == [[0.0]]
 
     def test_zero_weight_gives_zero(self):
         h = tensor(np.random.default_rng(1).normal(size=(4, 3)))
-        scores = edge_scores(rows_of(h, [0, 1, 2]), rows_of(h, [1, 2, 3]), tensor(np.zeros((9, 1))))
-        assert not scores.data.any()
+        scores = edge_scores(h, [0, 1, 2], [1, 2, 3], tensor(np.zeros((9, 1))))
+        assert scores.shape == (3, 1) and not scores.data.any()
 
     def test_hand_value(self):
         h = tensor([[1.0], [0.0]])
         w = tensor(np.array([[0.0], [0.0], [1.0]]))
-        scores = edge_scores(rows_of(h, [0]), rows_of(h, [1]), w)
+        scores = edge_scores(h, [0], [1], w)
         assert scores.data[0, 0] == pytest.approx(np.tanh(1.0))
 
     def test_batched_matches_plain_twin(self):
+        # the split's untaped pre-activation is the hinge's, before the tanh
         rng = np.random.default_rng(2)
         h = rng.normal(size=(10, 4))
         w = rng.normal(size=(12, 1))
         src = rng.integers(0, 10, size=15)
         tgt = rng.integers(0, 10, size=15)
-        taped = edge_scores(tensor(h[src]), tensor(h[tgt]), tensor(w)).data.reshape(-1)
+        taped = edge_scores(tensor(h), src, tgt, tensor(w)).data.reshape(-1)
         plain = edge_score_values(h, src, tgt, w)  # the pre-activation
         assert np.array_equal(taped, np.tanh(plain))
 
@@ -131,7 +139,7 @@ class TestEdgeScores:
         src = np.arange(1, len(h))
         tgt = np.zeros(len(values), dtype=np.int64)
         pre = edge_score_values(h, src, tgt, w)
-        taped = edge_scores(tensor(h[src]), tensor(h[tgt]), tensor(w)).data.reshape(-1)
+        taped = edge_scores(tensor(h), src, tgt, tensor(w)).data.reshape(-1)
         assert np.array_equal(pre, values, equal_nan=True)
         assert (pre >= 0).tolist() == (taped >= 0).tolist() == sides
 
@@ -140,8 +148,8 @@ class TestEdgeScores:
         rng = np.random.default_rng(3)
         h = tensor(rng.normal(size=(20, 4)))
         w = tensor(rng.normal(size=(12, 1)))
-        scores = edge_scores(rows_of(h, rng.integers(0, 20, 50)), rows_of(h, rng.integers(0, 20, 50)), w).data
-        assert (np.abs(scores) < 1.0).all()
+        scores = edge_scores(h, rng.integers(0, 20, 50), rng.integers(0, 20, 50), w).data
+        assert scores.shape == (50, 1) and (np.abs(scores) < 1.0).all()
 
     def test_difference_block_antisymmetry(self):
         # with weight only on the difference block, swapping endpoints negates the score
@@ -149,9 +157,45 @@ class TestEdgeScores:
         h = tensor(rng.normal(size=(6, 3)))
         w = np.zeros((9, 1))
         w[6:] = rng.normal(size=(3, 1))
-        forward = edge_scores(rows_of(h, [0, 2]), rows_of(h, [1, 5]), tensor(w)).data
-        backward_ = edge_scores(rows_of(h, [1, 5]), rows_of(h, [0, 2]), tensor(w)).data
+        forward = edge_scores(h, [0, 2], [1, 5], tensor(w)).data
+        backward_ = edge_scores(h, [1, 5], [0, 2], tensor(w)).data
         assert np.allclose(forward, -backward_)
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_split_values_are_the_plain_formula_bit_for_bit(self, d):
+        # the two per-node products over all rows, read at each edge's ends, as plain numpy
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            n, e = int(rng.integers(1, 3000)), int(rng.integers(0, 5000))
+            h, w = rng.normal(size=(n, d)), rng.normal(size=(3 * d, 1))
+            src, tgt = rng.integers(0, n, size=e), rng.integers(0, n, size=e)
+            w_u, w_v, w_d = np.split(w, 3)
+            plain = (h @ (w_u + w_d)).reshape(-1)[src] + (h @ (w_v - w_d)).reshape(-1)[tgt]
+            got = edge_score_values(h, src, tgt, w)
+            assert got.shape == (e,) and np.array_equal(got.view(np.int64), plain.view(np.int64))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distinct_endpoints_equal_the_per_edge_reference(self, seed):
+        # repeated endpoints, and nodes that are both a source and a target
+        rng = np.random.default_rng(seed)
+        n, d, e = 12, 4, 40
+        src, tgt = rng.integers(0, n // 2, size=e), rng.integers(0, n, size=e)
+        assert len(np.intersect1d(src, tgt)) and len(np.unique(src)) < e
+        weights = rng.normal(size=(e, 1))
+        store = ParamStore()
+        h, edge_w = store.add("h", rng.normal(size=(n, d))), store.add("edge_w", rng.normal(size=(3 * d, 1)))
+        distinct, ends = distinct_nodes((src, tgt), n)
+
+        def scores_and_grads(scores):
+            store.zero_grads()
+            backward(ad.mean_all(ad.mul_const(scores, weights)))
+            return scores.data, h.grad, edge_w.grad
+
+        got = scores_and_grads(edge_scores(rows_of(h, distinct), *ends, edge_w))
+        want = scores_and_grads(per_edge_reference(rows_of(h, src), rows_of(h, tgt), edge_w))
+        assert np.all(np.abs(got[0] - want[0]) <= 1e-15 * np.abs(want[0]))
+        for g, w in zip(got[1:], want[1:]):
+            assert np.abs(g - w).max() <= 1e-12
 
 
 class TestFactoredScorer:
@@ -164,7 +208,7 @@ class TestFactoredScorer:
             w = rng.normal(size=(3 * d, 1))
             src, tgt = rng.integers(0, n, size=e), rng.integers(0, n, size=e)
             concat = np.tanh(np.concatenate([h[src], h[tgt], h[src] - h[tgt]], axis=1) @ w)
-            assert np.abs(edge_scores(tensor(h[src]), tensor(h[tgt]), tensor(w)).data - concat).max() < 1e-12
+            assert np.abs(edge_scores(tensor(h), src, tgt, tensor(w)).data - concat).max() < 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -175,7 +219,7 @@ class TestFactoredScorer:
         tgt = np.array([1, 0, 3, 4, 2, 5, 2])
         weights = rng.normal(size=(len(src), 1))  # keeps the reduced loss non-constant
         errors = ad.grad_check(
-            lambda: ad.mean_all(ad.mul_const(edge_scores(rows_of(h, src), rows_of(h, tgt), edge_w), weights)),
+            lambda: ad.mean_all(ad.mul_const(edge_scores(h, src, tgt, edge_w), weights)),
             store,
             probe=1e-6,
         )
@@ -183,7 +227,9 @@ class TestFactoredScorer:
 
     def test_weight_of_wrong_height(self):
         with pytest.raises(ValueError, match="the scorer needs 3"):
-            edge_scores(tensor(np.ones((1, 3))), tensor(np.ones((1, 3))), tensor(np.ones((6, 1))))
+            edge_scores(tensor(np.ones((1, 3))), [0], [0], tensor(np.ones((6, 1))))
+        with pytest.raises(ValueError, match="the scorer needs 3"):
+            edge_score_values(np.ones((1, 3)), [0], [0], np.ones((6, 1)))
 
 
 class TestHeterophilyLoss:
@@ -209,7 +255,7 @@ class TestHeterophilyLoss:
         rng = np.random.default_rng(5)
         h = tensor(rng.normal(size=(10, 3)) * 5)
         w = tensor(rng.normal(size=(9, 1)) * 5)
-        scores = edge_scores(rows_of(h, rng.integers(0, 10, 30)), rows_of(h, rng.integers(0, 10, 30)), w)
+        scores = edge_scores(h, rng.integers(0, 10, 30), rng.integers(0, 10, 30), w)
         signs = rng.choice([-1.0, 1.0], size=30)
         assert heterophily_loss(scores, signs).item() > 0.0
 
@@ -255,12 +301,13 @@ def test_hinge_gradient_reaches_projection():
     src = rng.integers(0, 8, size=10)
     tgt = rng.integers(0, 8, size=10)
     signs = rng.choice([-1.0, 1.0], size=10)
+    distinct, ends = distinct_nodes((src, tgt), 8)
 
     def forward():
-        # each endpoint set takes its rows of the one projection, as a training pass does
+        # the distinct endpoints take their rows of the one projection, as a training pass does
         h, active = project_features(x, proj_w.data, proj_b.data)
-        h_u, h_v = (ad.relu_linear_rows(x, proj_w, proj_b, h, active, index) for index in (src, tgt))
-        return heterophily_loss(edge_scores(h_u, h_v, edge_w), signs)
+        rows = ad.relu_linear_rows(x, proj_w, proj_b, h, active, distinct)
+        return heterophily_loss(edge_scores(rows, *ends, edge_w), signs)
 
     errors = ad.grad_check(forward, store)
     assert max(errors.values()) < 1e-6

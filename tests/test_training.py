@@ -366,6 +366,26 @@ def test_each_node_set_is_read_once_where_it_enters(graph, monkeypatch):
         assert Counter(callers) == {"validate": 3, "forward": 2 * epochs}
 
 
+def test_fit_frees_each_training_tape_before_the_evaluation_pass(graph, monkeypatch):
+    import weakref
+
+    tapes, alive_at_evaluation = [], []
+    forward = DualChannelModel.forward
+
+    def watched(self, training=False, **kwargs):
+        if not training:
+            alive_at_evaluation.append(any(tape() is not None for tape in tapes))
+        out = forward(self, training=training, **kwargs)
+        if training:
+            tapes.append(weakref.ref(out.loss_total.data))
+        return out
+
+    monkeypatch.setattr(DualChannelModel, "forward", watched)
+    result = fit(graph, quick_config())
+    assert len(tapes) == len(result.log) == 5
+    assert alive_at_evaluation == [False] * 5
+
+
 def test_fit_refuses_a_float_split(graph):
     # a float split once passed validation, and fit then stopped with an IndexError
     floats = NodeSplit(graph.split.train.astype(float), graph.split.val, graph.split.test)

@@ -36,5 +36,5 @@ print("heterophilic subgraph edges:", part.hetero.edge_pairs().tolist())
 
 # The split never loses or duplicates an edge, and per-node degrees add up.
 assert part.homo.edge_count + part.hetero.edge_count == adj.edge_count
-assert (part.homo_degrees + part.hetero_degrees == adj.degrees()).all()
+assert (np.diff(part.homo_offsets) + np.diff(part.hetero_offsets) == adj.degrees()).all()
 print("\npartition completeness and degree conservation hold")

@@ -87,9 +87,7 @@ def _parse_config_file(path: str) -> dict:
 def build_config(args: argparse.Namespace) -> TrainConfig:
     """defaults < config file < explicit command-line flags."""
     values = _parse_config_file(args.config) if args.config else {}
-    config = TrainConfig(**{**values, **_given_fields(args, TrainConfig)})
-    config.validate()
-    return config
+    return TrainConfig(**{**values, **_given_fields(args, TrainConfig)})
 
 
 def _write_metrics(path: Path, report: MetricsReport, extra: dict | None = None) -> None:
@@ -186,12 +184,10 @@ def _checkpoint_config(meta, path: str) -> TrainConfig:
     mistyped = {key: value for key, value in sorted(saved.items()) if not _has_field_type(key, value)}
     if mistyped:
         raise CheckpointError(f"{path}: train_config values of the wrong type: {mistyped}")
-    config = TrainConfig(**saved)
     try:  # before load_dataset draws the split from the seed
-        config.validate()
+        return TrainConfig(**saved)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: train_config: {exc}") from None
-    return config
 
 
 def _rebuild_model(data_path: str, checkpoint_path: str) -> DualChannelModel:

@@ -187,6 +187,7 @@ def load_dataset(manifest_path, split_seed: int = 0) -> MultiRelationGraph:
     Every manifest key but ``relation`` takes one value, once. Reverse edges are added,
     after the file's pairs, only when the manifest's ``symmetrize`` is ``true``, so every
     reader of a dataset sees the same graph and a bad pair is named as the file writes it.
+    The graph checks itself once, as it is built (:class:`GraphFormatError`), and comes back read-only.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -262,22 +263,22 @@ def load_dataset(manifest_path, split_seed: int = 0) -> MultiRelationGraph:
     else:
         split = stratified_split(labels, np.random.default_rng(split_seed))
 
-    graph = MultiRelationGraph(features=features, labels=labels, relations=relations, split=split)
-    graph.validate()
-    return graph
+    return MultiRelationGraph(features=features, labels=labels, relations=relations, split=split)
 
 
 # ---------------------------------------------------------------------------
 # synthetic camouflage graphs
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     """Controls for the synthetic fraud-camouflage generator.
 
     Features are class-conditional spherical Gaussians whose means sit
     ``separation`` apart; each node draws a Poisson number of edges whose
     endpoints are same-class with its class's homophily probability.
+    Checked when built (:class:`DatasetError`) and immutable: change a field
+    with ``dataclasses.replace``.
     """
 
     num_nodes: int = 1000
@@ -291,7 +292,7 @@ class SyntheticSpec:
     noise: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # every range test below is false for NaN, so non-finite values go first
         for f in fields(self):
             value = getattr(self, f.name)
@@ -317,8 +318,10 @@ class SyntheticSpec:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> MultiRelationGraph:
-    """Build a labeled multi-relation graph per the spec, deterministic under seed."""
-    spec.validate()
+    """Build a labeled multi-relation graph per the spec, deterministic under seed.
+
+    The spec was checked when it was built; the graph checks itself as it is built.
+    """
     rng = np.random.default_rng(spec.seed)
     n = spec.num_nodes
     n_fraud = int(np.floor(n * spec.fraud_ratio))
@@ -349,9 +352,7 @@ def generate_synthetic(spec: SyntheticSpec) -> MultiRelationGraph:
         relations.append(build_csr(pairs, n, name=f"rel{r}"))
 
     split = stratified_split(labels, rng)
-    graph = MultiRelationGraph(features=features, labels=labels, relations=relations, split=split)
-    graph.validate()
-    return graph
+    return MultiRelationGraph(features=features, labels=labels, relations=relations, split=split)
 
 
 def write_dataset(graph: MultiRelationGraph, out_dir) -> Path:

@@ -76,7 +76,12 @@ class NodeSplit:
 
 @dataclass(frozen=True)
 class MultiRelationGraph:
-    """One node set with features and binary labels, shared by R edge relations."""
+    """One node set with features and binary labels, shared by R edge relations.
+
+    Checked once, when built: a bad part raises :class:`GraphFormatError`.
+    Every array it checked is then read-only: the features, the labels, the
+    three split sets and each relation's offsets and targets.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -95,7 +100,7 @@ class MultiRelationGraph:
     def num_relations(self) -> int:
         return len(self.relations)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         n = self.num_nodes
         if self.labels.shape != (n,):
             raise GraphFormatError(f"labels shape {self.labels.shape} does not match {n} nodes")
@@ -114,6 +119,9 @@ class MultiRelationGraph:
             if rel.num_nodes != n:
                 raise GraphFormatError(f"relation {rel.name!r} sized for {rel.num_nodes} nodes, graph has {n}")
         self.split.validate(n)
+        for array in (self.features, self.labels, self.split.train, self.split.val, self.split.test,
+                      *(a for rel in self.relations for a in (rel.offsets, rel.targets))):
+            np.asarray(array).flags.writeable = False  # a node set given as a list stays a list
 
 
 class EdgePartition:
@@ -123,9 +131,9 @@ class EdgePartition:
     assignment in the relation's storage order. Masking keeps the
     grouped-by-source order, so each side's CSR offsets are the running
     count of its edges read at the relation's offsets: ``homo_offsets`` and
-    ``hetero_offsets``. Their differences are the per-side out-degrees, so
-    ``homo_degrees + hetero_degrees`` equals the relation's degrees. The
-    model cuts its channel blocks from the relation with these arrays
+    ``hetero_offsets``. Their differences (``np.diff``) are the per-side
+    out-degrees, which sum to the relation's degrees. The model cuts its
+    channel blocks from the relation with these arrays
     (:func:`propagation.channel_adjacencies`) and never builds a view. The
     mask and both offsets are read-only, since the model keeps partitions.
 
@@ -158,14 +166,6 @@ class EdgePartition:
             raise ValueError("an edge partition needs both views or the relation they split")
         for array in (hetero_mask, self.homo_offsets, self.hetero_offsets):
             array.flags.writeable = False
-
-    @property
-    def homo_degrees(self) -> np.ndarray:
-        return np.diff(self.homo_offsets)
-
-    @property
-    def hetero_degrees(self) -> np.ndarray:
-        return np.diff(self.hetero_offsets)
 
     @property
     def homo(self) -> RelationAdjacency:

@@ -38,9 +38,12 @@ class ConfigError(ValueError):
     """A configuration value is outside its documented range."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for one training run; defaults follow the reference setup."""
+    """Hyperparameters for one training run; defaults follow the reference setup.
+
+    Checked when built (:class:`ConfigError`) and immutable: change a field with ``dataclasses.replace``.
+    """
 
     learning_rate: float = 0.01
     weight_decay: float = 5e-5
@@ -53,7 +56,7 @@ class TrainConfig:
     seed: int = 0
     ablation: str = "full"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # every range test below is false for NaN, so non-finite values go first
         for f in fields(self):
             value = getattr(self, f.name)
@@ -143,11 +146,12 @@ class DualChannelModel:
     Under the ``rel`` ablation the relations are merged into a single union
     graph at construction; ``CHANNELS`` names the channels each ablation
     runs. Parameters that an ablation cannot reach are never created, so the
-    store size doubles as the active-parameter count. The node features and
-    each relation's offsets and targets are fixed at construction: their
-    arrays are made read-only, so each relation's whole-graph work depends
-    only on the parameters and the rows, and a write into one raises rather
-    than leave a kept split stale. The model keeps that work in one store
+    store size doubles as the active-parameter count. The graph comes
+    checked and read-only (:class:`MultiRelationGraph`), and the model makes
+    its own float64 ``features`` read-only too, so each relation's
+    whole-graph work depends only on the parameters and the rows, and a
+    write into an input raises rather than leave a kept split stale. The
+    configuration is immutable. The model keeps that work in one store
     per relation (:meth:`_stage`), in three stages with nested keys: the
     projection, keyed on the bytes of ``proj_w`` and ``proj_b``; the
     evaluation partition, keyed on those and the bytes of ``edge_w``; and
@@ -156,16 +160,13 @@ class DualChannelModel:
     """
 
     def __init__(self, graph: MultiRelationGraph, config: TrainConfig, rng: np.random.Generator):
-        config.validate()
-        graph.validate()
         if config.ablation == "rel" and graph.num_relations > 1:
             graph = merge_relations(graph)
         self.graph = graph
         self.config = config
         self.params = ParamStore()
         self.features = np.asarray(graph.features, dtype=np.float64)
-        for array in (self.features, *(a for rel in graph.relations for a in (rel.offsets, rel.targets))):
-            array.flags.writeable = False
+        self.features.flags.writeable = False
         self._unsplit = None if self.has_separator else [
             EdgePartition(np.zeros(rel.edge_count, dtype=bool), relation=rel) for rel in graph.relations
         ]

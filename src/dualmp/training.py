@@ -126,7 +126,7 @@ class FitResult:
 
 
 def check_validation_split(graph: MultiRelationGraph) -> None:
-    """Raise :class:`ConfigError` unless the validated split's val set holds both classes, as its AUC needs."""
+    """Raise :class:`ConfigError` unless the graph's val set holds both classes, as its AUC needs."""
     val_classes = np.unique(graph.labels[graph.split.val]).tolist()
     if len(val_classes) < 2:
         raise ConfigError(
@@ -146,10 +146,10 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     evaluation pass it records no tape and builds no loss, and it runs after
     the training pass's tape is freed. The parameters with the best
     validation AUC are restored before returning; training stops early
-    after ``patience`` epochs without improvement. A validation
-    split without both classes has no AUC to select on and raises
-    :class:`ConfigError` once the model, whose construction validates the
-    graph and its split, is built (``check_validation_split``).
+    after ``patience`` epochs without improvement. The graph, its split and
+    the config were checked when each was built; a validation split without
+    both classes has no AUC to select on and raises :class:`ConfigError`
+    once the model is built (``check_validation_split``).
     """
     rng = np.random.default_rng(config.seed)
     model = DualChannelModel(graph, config, rng)

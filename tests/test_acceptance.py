@@ -356,7 +356,7 @@ def test_a7_invariants(tmp_path):
         [part.homo.edge_pairs(), part.hetero.edge_pairs()]).tolist()))
     checks["partition completeness"] = combined == sorted(map(tuple, adj.edge_pairs().tolist()))
     checks["degree conservation"] = bool(
-        (part.homo_degrees + part.hetero_degrees == adj.degrees()).all()
+        (np.diff(part.homo_offsets) + np.diff(part.hetero_offsets) == adj.degrees()).all()
     )
 
     # filter complementarity

@@ -171,6 +171,19 @@ class TestGatherRows:
         want[2] = ((0.0 + g[0]) + g[2]) + g[3]  # 0.1 + 0.2 + 0.3 and 1e16 + 1 - 1e16, in that order
         assert np.array_equal(x.grad, want)
 
+    @pytest.mark.parametrize("rows, cols, taken", [(5000, 1, 10000), (8, 8, 8), (900, 3, 900)])
+    def test_gradient_equals_np_add_at_bit_for_bit(self, rows, cols, taken):
+        rng = np.random.default_rng(rows)
+        store = ParamStore()
+        x = store.add("x", np.zeros((rows, cols)))
+        index = rng.integers(0, rows, size=taken)
+        c = rng.normal(size=(taken, cols)) * 10.0 ** rng.integers(-8, 8, size=(taken, 1))
+        store.zero_grads()
+        backward(ad.mean_all(ad.mul_const(ad.gather_rows(x, index), c)))
+        want = np.zeros((rows, cols))
+        np.add.at(want, index, c * (1.0 / c.size))  # the gradient that reaches the gathered rows
+        assert x.grad.tobytes() == want.tobytes()
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         store = ParamStore()

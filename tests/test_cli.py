@@ -241,7 +241,8 @@ class TestEval:
         assert main(["eval", "--data", str(dataset), "--checkpoint",
                      str(trained / "checkpoint.bin"), "--export-embeddings", str(out)]) == 0
         model = _rebuild_model(str(dataset), str(trained / "checkpoint.bin"))
-        model.config.dropout = 0.0  # so a training pass computes the evaluation numbers
+        # so a training pass computes the evaluation numbers
+        model.config = dataclasses.replace(model.config, dropout=0.0)
         taped = model.forward(training=True).embeddings
         assert all(z._parents for z in taped)  # the reference did record a tape
         export_embeddings(np.hstack([z.data for z in taped]), model.graph.labels, tmp_path / "taped.csv")

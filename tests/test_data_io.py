@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -386,6 +387,18 @@ class TestSynthetic:
     def test_invalid_probability_rejected(self):
         with pytest.raises(DatasetError, match="fraud_homophily"):
             generate_synthetic(SyntheticSpec(num_nodes=100, fraud_homophily=1.5))
+
+    @pytest.mark.parametrize("bad", [{"fraud_ratio": 1.0}, {"mean_degree": 100.0}, {"noise": float("inf")}],
+                             ids=lambda bad: next(iter(bad)))
+    def test_spec_is_checked_when_built(self, bad):
+        with pytest.raises(DatasetError, match=next(iter(bad))):
+            SyntheticSpec(num_nodes=100, **bad)
+
+    def test_spec_is_immutable(self):
+        spec = SyntheticSpec(num_nodes=100)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.fraud_homophily = 1.5
+        assert spec.fraud_homophily == 0.5
 
 
 class TestWriteDataset:

@@ -157,7 +157,7 @@ class TestPartition:
         adj = build_csr([(0, 1), (1, 2), (2, 0)], 3)
         part = partition_subgraphs(adj, [-1.0, -1.0, -1.0])
         assert part.hetero.edge_count == 0
-        assert np.array_equal(part.homo_degrees, adj.degrees())
+        assert np.array_equal(np.diff(part.homo_offsets), adj.degrees())
 
     def test_tie_goes_heterophilic(self):
         adj = build_csr([(0, 1)], 2)
@@ -169,8 +169,8 @@ class TestPartition:
         adj = build_csr([(0, 1), (1, 2), (2, 0)], 3)
         part = partition_subgraphs(adj, [-1.0, 0.5, 0.0])
         before = dict(vars(part))
-        assert part.hetero_degrees.tolist() == [0, 1, 1]
-        assert part.homo_degrees.tolist() == [1, 0, 0]
+        assert np.diff(part.hetero_offsets).tolist() == [0, 1, 1]
+        assert np.diff(part.homo_offsets).tolist() == [1, 0, 0]
         assert (part.homo.name, part.hetero.name) == ("relation:homo", "relation:hetero")
         assert part.hetero.targets.tolist() == [2, 0] and part.hetero is not part.hetero
         # reading the views leaves the partition as it was, holding no view
@@ -183,8 +183,8 @@ class TestPartition:
         # the views given win, swapped or not
         part = EdgePartition(hetero_mask=eager.hetero_mask, homo=hetero, hetero=homo)
         assert part.homo is hetero and part.hetero is homo
-        assert np.array_equal(part.homo_degrees, hetero.degrees())
-        assert np.array_equal(part.hetero_degrees, homo.degrees())
+        assert np.array_equal(np.diff(part.homo_offsets), hetero.degrees())
+        assert np.array_equal(np.diff(part.hetero_offsets), homo.degrees())
         with pytest.raises(ValueError, match="both views or the relation"):
             EdgePartition(hetero_mask=eager.hetero_mask, homo=homo)
 
@@ -200,14 +200,38 @@ def test_validate_rejects_non_finite_features(value):
 
     features = np.zeros((3, 2))
     features[2, 1] = value
-    g = dm.MultiRelationGraph(
-        features=features,
-        labels=np.array([0, 1, 0]),
-        relations=[build_csr([(0, 1)], 3, "a")],
-        split=dm.NodeSplit(np.array([0, 1, 2]), np.array([], dtype=int), np.array([], dtype=int)),
-    )
     with pytest.raises(dm.GraphFormatError, match="node 2"):
-        g.validate()
+        dm.MultiRelationGraph(
+            features=features,
+            labels=np.array([0, 1, 0]),
+            relations=[build_csr([(0, 1)], 3, "a")],
+            split=dm.NodeSplit(np.array([0, 1, 2]), np.array([], dtype=int), np.array([], dtype=int)),
+        )
+
+
+def test_a_built_graph_is_read_only():
+    import dualmp as dm
+
+    labels, train = np.array([0, 1, 0, 1]), np.array([0, 1])
+    graph = dm.MultiRelationGraph(
+        features=np.zeros((4, 2)),
+        labels=labels,
+        relations=[build_csr([(0, 1), (2, 3)], 4, "a")],
+        split=dm.NodeSplit(train, np.array([2]), np.array([3])),
+    )
+    rel = graph.relations[0]
+    assert graph.labels is labels and graph.split.train is train  # the caller's arrays, not copies
+    for array in (graph.features, labels, train, graph.split.val, graph.split.test, rel.offsets, rel.targets):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+def test_a_node_set_given_as_a_list_is_accepted():
+    import dualmp as dm
+
+    split = dm.NodeSplit([0, 1], [2], [3])
+    graph = dm.MultiRelationGraph(np.zeros((4, 2)), np.array([0, 1, 0, 1]), [build_csr([(0, 1)], 4, "a")], split)
+    assert graph.split.train == [0, 1]
 
 
 def test_merge_relations_unions_edges():
@@ -248,7 +272,7 @@ def test_partition_completeness_and_degree_conservation(case):
     original = adj.edge_pairs()
     key = lambda arr: sorted(map(tuple, arr.tolist()))
     assert key(combined) == key(original)
-    assert np.array_equal(part.homo_degrees + part.hetero_degrees, adj.degrees())
+    assert np.array_equal(np.diff(part.homo_offsets) + np.diff(part.hetero_offsets), adj.degrees())
 
 
 @given(edge_lists)

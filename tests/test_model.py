@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 
 import numpy as np
@@ -206,11 +207,11 @@ class TestAblations:
         z_full_smooth = full._relation_embedding(rel.name, take, rows, blocks)  # heter wiring path
         z_heter = heter._relation_embedding(rel.name, take, rows, blocks)
         # full wiring runs fusion on top, so compare the shared channel instead
-        full.config.ablation = "heter"
+        full.config = dataclasses.replace(full.config, ablation="heter")
         try:
             z_full_channel = full._relation_embedding(rel.name, take, rows, blocks)
         finally:
-            full.config.ablation = "full"
+            full.config = dataclasses.replace(full.config, ablation="full")
         assert np.array_equal(z_full_channel.data, z_heter.data)
         # and the contrast channel on an empty subgraph is the projection itself
         assert blocks["contrast"].matrix.nnz == 0
@@ -218,6 +219,22 @@ class TestAblations:
     def test_unknown_ablation_rejected(self, small_graph):
         with pytest.raises(ConfigError, match="ablation"):
             make_model(small_graph, ablation="nope")
+
+
+@pytest.mark.parametrize(
+    "bad", [{"patience": 0}, {"dropout": 1.0}, {"learning_rate": float("nan")}, {"ablation": "nope"}],
+    ids=lambda bad: next(iter(bad)),
+)
+def test_train_config_is_checked_when_built(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        TrainConfig(**bad)
+
+
+def test_train_config_is_immutable():
+    config = TrainConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.dropout = 0.0
+    assert config.dropout == 0.1 and dataclasses.replace(config, dropout=0.0).dropout == 0.0
 
 
 class TestForward:

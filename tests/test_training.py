@@ -341,7 +341,7 @@ def test_every_node_set_reader_refuses_a_bad_node_set(graph, reader, bad):
 
 
 def test_each_node_set_is_read_once_where_it_enters(graph, monkeypatch):
-    """node_index runs only in NodeSplit.validate and once per forward pass."""
+    """node_index runs only in NodeSplit.validate, when a graph is built, and once per forward pass."""
     callers = []
 
     def counted(values, num_nodes):
@@ -354,16 +354,18 @@ def test_each_node_set_is_read_once_where_it_enters(graph, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "dualmp" and hasattr(module, "node_index"):
             monkeypatch.setattr(module, "node_index", counted)
-    model = DualChannelModel(graph, quick_config(), np.random.default_rng(3))
+    graph = dataclasses.replace(graph)
     assert callers == ["validate"] * 3  # train, val and test
     callers.clear()
+    model = DualChannelModel(graph, quick_config(), np.random.default_rng(3))
+    assert callers == []
     evaluate_split(model, graph.split.test)
     assert callers == ["forward"]
     for epochs in (1, 3):
         callers.clear()
         fit(graph, quick_config(epochs=epochs, patience=epochs))
-        # the split once, then per epoch the training pass and the evaluation pass
-        assert Counter(callers) == {"validate": 3, "forward": 2 * epochs}
+        # per epoch the training pass and the evaluation pass, and the split never again
+        assert Counter(callers) == {"forward": 2 * epochs}
 
 
 def test_fit_frees_each_training_tape_before_the_evaluation_pass(graph, monkeypatch):

@@ -15,10 +15,10 @@ scipy CSR; ``layer_norm`` the fusion; ``cross_entropy`` the classification
 loss. ``relu`` is max(x, 0) and passes a NaN on, so a NaN pre-activation
 reaches the loss instead of turning into 0. ``softmax`` takes a plain array
 and records nothing: it gives the class probabilities and
-``cross_entropy``'s gradient. Inside ``no_tape()`` no operation records
-anything; the model's evaluation pass runs there, since no backward reads
-it, and builds no loss. No broadcasting beyond row-vector biases, no tensors
-of rank above 2, no GPU.
+``cross_entropy``'s gradient. Inside ``no_tape()`` no operation on that
+thread records anything; the model's evaluation pass runs there, since no
+backward reads it, and builds no loss. No broadcasting beyond row-vector
+biases, no tensors of rank above 2, no GPU.
 
 Each operation links its output to its inputs and stores a backward rule;
 :func:`backward` replays that implicit tape once, in reverse topological
@@ -30,6 +30,7 @@ and keep ``grad`` at None.
 from __future__ import annotations
 
 import functools
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -90,21 +91,29 @@ def _accumulate(t: TensorValue, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-_recording = [True]  # no_tape() pushes False
+class _TapeSwitch(threading.local):
+    untaped = 0  # per thread, how many no_tape() blocks are open
+
+
+_switch = _TapeSwitch()
 
 
 @contextmanager
 def no_tape():
-    """Record nothing inside the block, so each array is freed after its last use."""
-    _recording.append(False)
+    """Record nothing inside the block, so each array is freed after its last use.
+
+    The switch is per thread: a block open on one thread leaves every other
+    thread's tape recording.
+    """
+    _switch.untaped += 1
     try:
         yield
     finally:
-        _recording.pop()
+        _switch.untaped -= 1
 
 
 def _result(data, parents, rule) -> TensorValue:
-    if not _recording[-1] or not any(_needs(p) for p in parents):
+    if _switch.untaped or not any(_needs(p) for p in parents):
         return TensorValue(data)
     return TensorValue(data, requires_grad=False, _parents=tuple(parents), _rule=rule)
 

@@ -248,12 +248,12 @@ class DualChannelModel:
 
         The split is a hard one on the sign of the detached pre-activation
         of the edge scores over ``h``; the separator learns only through the
-        hinge loss. Frozen ``partitions`` are used as given, and a pass with
-        them neither reads nor changes the kept partition and blocks. A
-        training pass drops the relation's kept partition and blocks and
-        builds its own, so its split keeps its dropout jitter. An evaluation
-        pass keeps its partition, and its blocks when its rows repeat the
-        previous evaluation pass's rows (:meth:`_stage`).
+        hinge loss. Frozen ``partitions`` are used as given. A pass with
+        them, and every training pass, neither reads nor changes the kept
+        partition and blocks: a training pass builds its own, so its split
+        keeps its dropout jitter, and a pass on another thread may run beside
+        it. An evaluation pass keeps its partition, and its blocks when its
+        rows repeat the previous evaluation pass's rows (:meth:`_stage`).
         """
         rel = self.graph.relations[ri]
         channels = CHANNELS[self.config.ablation]
@@ -271,7 +271,6 @@ class DualChannelModel:
             partition = partitions[ri]
             return partition, cut(self._unsplit[ri] if partition is None else partition)
         if training:
-            del self._stages[rel.name][1:]
             partition = split()
             blocks = cut(partition)
         else:
@@ -317,8 +316,10 @@ class DualChannelModel:
         are unchanged (:meth:`_projection`); a training pass multiplies it,
         and the mask of where relu passes the gradient, by its dropout
         factor. A training pass splits each relation's edges on the sign of
-        its own jittered edge scores, and drops the relation's kept
-        partition and blocks first. An evaluation pass reuses the partition
+        its own jittered edge scores. Of the kept stages it reads only the
+        projection, and it writes none when the projection at its weights is
+        kept already, as :func:`training.fit` makes sure before it runs one
+        beside an evaluation pass. An evaluation pass reuses the partition
         kept for the current ``edge_w`` and, when its rows repeat the previous
         evaluation pass's rows, the kept blocks (:meth:`_split_and_blocks`).
         Frozen ``partitions`` (gradient checking passes them) are used as

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +140,52 @@ def check_validation_split(graph: MultiRelationGraph) -> None:
         )
 
 
+# Evaluation rows from which fit runs the next epoch's training pass beside
+# the evaluation pass. Below it the second thread costs more than it saves:
+# on the A4 spec at mean degree 10, epoch time rose 25% at 1,200 rows and 7%
+# at 2,400, and fell 13% at 3,600 and 23% at 9,600 (BENCH_30.json).
+OVERLAP_MIN_ROWS = 4000
+M_ARENA_MAX = -8  # glibc's mallopt parameter for the most malloc arenas
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _one_malloc_arena() -> None:
+    """Have every thread allocate from glibc's main arena; nothing where ``mallopt`` is absent.
+
+    A second thread otherwise gets an arena of its own, which keeps the
+    memory its passes freed: with the worker on a 20k-node, 400k-edge graph,
+    peak RSS rose 13-21% without this (BENCH_30.json).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library to load by name
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_ARENA_MAX, 1)
+
+
+def _training_pass(model: DualChannelModel, labeled_edges, rng: np.random.Generator, epoch: int) -> dict:
+    """Epoch ``epoch``'s batches, training forward and, if its loss is finite, backward; its loss fields.
+
+    The tape is freed on return. A non-finite loss is left for the caller to raise.
+    """
+    node_batch, edge_batches = epoch_batches(model.graph, labeled_edges, rng)
+    model.params.zero_grads()
+    out = model.forward(training=True, rng=rng, node_batch=node_batch, edge_batches=edge_batches)
+    record = {"epoch": epoch, "loss_total": out.loss_total.item(), "loss_cls": out.loss_cls.item(),
+              "edge_losses": [l.item() for l in out.edge_losses]}
+    if np.isfinite(record["loss_total"]):
+        backward(out.loss_total)
+    return record
+
+
 def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     """Train one model per the configured schedule.
 
@@ -144,12 +195,26 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     The evaluation forward computes only the train and validation rows, which
     is all the log reads (validation metrics and train accuracy); like every
     evaluation pass it records no tape and builds no loss, and it runs after
-    the training pass's tape is freed. The parameters with the best
+    its epoch's training tape is freed. The parameters with the best
     validation AUC are restored before returning; training stops early
     after ``patience`` epochs without improvement. The graph, its split and
     the config were checked when each was built; a validation split without
     both classes has no AUC to select on and raises :class:`ConfigError`
     once the model is built (``check_validation_split``).
+
+    Epoch t's evaluation pass and epoch t + 1's training pass read the same
+    weights, and neither writes what the other reads. So when epoch t
+    cannot end the run (t < ``epochs`` and fewer than ``patience - 1`` stale
+    epochs before it), the evaluation covers at least ``OVERLAP_MIN_ROWS``
+    rows and the process may use two CPUs, one worker thread runs epoch
+    t + 1's batches, training forward and backward while this thread
+    evaluates epoch t; each relation's projection at the new weights is
+    built first, and the worker only reads it. The worker's training tape
+    is then alive during the evaluation. No pass is thrown away and the
+    random draws keep their order, so the log, the parameters and a
+    :class:`NumericalError` (raised at the same epoch) do not depend on
+    whether the worker ran. Before it first runs, glibc's malloc is held
+    to one arena for the process (:func:`_one_malloc_arena`).
     """
     rng = np.random.default_rng(config.seed)
     model = DualChannelModel(graph, config, rng)
@@ -161,6 +226,7 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     eval_rows, (train_pos, val_pos) = distinct_nodes((train, val), graph.num_nodes)
     train_labels, val_labels = graph.labels[train], graph.labels[val]
     labeled_edges = training_edge_sets(model)
+    may_overlap = len(eval_rows) >= OVERLAP_MIN_ROWS and _usable_cpus() >= 2
 
     optimizer = Adam(model.params, config.learning_rate, config.weight_decay)
     log: list[dict] = []
@@ -168,35 +234,43 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     best_epoch = 0
     best_snapshot = model.params.snapshot()
     stale = 0
+    ahead = None  # the worker's run of the next epoch's training pass
 
-    for epoch in range(1, config.epochs + 1):
-        node_batch, edge_batches = epoch_batches(graph, labeled_edges, rng)
-        model.params.zero_grads()
-        out = model.forward(training=True, rng=rng, node_batch=node_batch, edge_batches=edge_batches)
-        loss_value = out.loss_total.item()
-        if not np.isfinite(loss_value):
-            raise NumericalError(f"non-finite loss {loss_value} at epoch {epoch}")
-        backward(out.loss_total)
-        optimizer.step()
-        record = {"epoch": epoch, "loss_total": loss_value, "loss_cls": out.loss_cls.item(),
-                  "edge_losses": [l.item() for l in out.edge_losses]}
-        del out  # frees the training tape, which the evaluation pass does not read
+    # leaving the block, even by an exception, waits for the worker
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dualmp-fit") as worker:
+        for epoch in range(1, config.epochs + 1):
+            if ahead is None:
+                record = _training_pass(model, labeled_edges, rng, epoch)
+            else:
+                record = ahead.result()
+            if not np.isfinite(record["loss_total"]):
+                raise NumericalError(f"non-finite loss {record['loss_total']} at epoch {epoch}")
+            optimizer.step()
 
-        fraud_scores = model.forward(training=False, node_batch=eval_rows).probs.data[:, 1]
-        val_report = evaluate(fraud_scores[val_pos], val_labels)
-        log.append({**record, "train_accuracy": accuracy(fraud_scores[train_pos], train_labels),
-                    "val_auc": val_report.auc, "val_recall": val_report.recall,
-                    "val_f1_macro": val_report.f1_macro, "val_gmean": val_report.gmean})
+            ahead = None
+            if may_overlap and epoch < config.epochs and stale < config.patience - 1:
+                _one_malloc_arena()
+                for rel in graph.relations:
+                    model._projection(rel.name)
+                # the caller's context carries numpy's error state to the worker
+                ahead = worker.submit(contextvars.copy_context().run, _training_pass, model, labeled_edges,
+                                      rng, epoch + 1)
 
-        if val_report.auc > best_auc:
-            best_auc = val_report.auc
-            best_epoch = epoch
-            best_snapshot = model.params.snapshot()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+            fraud_scores = model.forward(training=False, node_batch=eval_rows).probs.data[:, 1]
+            val_report = evaluate(fraud_scores[val_pos], val_labels)
+            log.append({**record, "train_accuracy": accuracy(fraud_scores[train_pos], train_labels),
+                        "val_auc": val_report.auc, "val_recall": val_report.recall,
+                        "val_f1_macro": val_report.f1_macro, "val_gmean": val_report.gmean})
+
+            if val_report.auc > best_auc:
+                best_auc = val_report.auc
+                best_epoch = epoch
+                best_snapshot = model.params.snapshot()
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
 
     model.params.restore(best_snapshot)
     model._stages.clear()  # built for the last epoch's weights, which no later pass has

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -551,6 +553,31 @@ class TestNoTape:
                 raise ValueError("inside")
         store.zero_grads()
         backward(ad.mean_all(ad.tanh(w)))
+        assert np.allclose(w.grad, (1.0 - np.tanh(w.data) ** 2) / 2)
+
+    def test_a_block_on_one_thread_leaves_another_thread_recording(self):
+        # fit's worker thread records its training tape while the main thread evaluates under no_tape
+        store = ParamStore()
+        w = store.add("w", np.array([[0.5, -1.5]]))
+        opened, recorded = threading.Barrier(2, timeout=30), threading.Barrier(2, timeout=30)
+
+        def sit_inside_no_tape():
+            with ad.no_tape():
+                opened.wait()
+                recorded.wait()
+
+        other = threading.Thread(target=sit_inside_no_tape)
+        other.start()
+        try:
+            opened.wait()
+            y = ad.tanh(w)
+            recorded.wait()
+        finally:
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert y._parents
+        store.zero_grads()
+        backward(ad.mean_all(y))
         assert np.allclose(w.grad, (1.0 - np.tanh(w.data) ** 2) / 2)
 
 

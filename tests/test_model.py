@@ -685,12 +685,18 @@ class TestKeptSplit:
         rows = model.graph.split.test
         for _ in range(2):
             scoring_pass(model, rows)
+        def kept_values():
+            return [value for stages in model._stages.values() for _, value in stages]
+
+        kept = kept_values()
+        assert len(kept) == 3 * model.graph.num_relations and None not in kept
         counts = count_split_work(monkeypatch)
         training_pass(model)
-        assert counts == split_work(model, scored=1, cut=1)
-        assert [len(stages) for stages in model._stages.values()] == [1] * model.graph.num_relations
+        assert counts == split_work(model, scored=1, cut=1)  # its own split and blocks
+        # the same objects stay: an evaluation pass on another thread may be reading them
+        assert all(after is before for after, before in zip(kept_values(), kept, strict=True))
         scoring_pass(model, rows)
-        assert counts == split_work(model, scored=2, cut=2)
+        assert counts == split_work(model, scored=1, cut=1)  # the next scoring pass scores nothing
 
     def test_a_whole_graph_pass_keeps_no_blocks(self, ablation):
         model = make_model(sparse_graph(), ablation=ablation)

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -237,24 +238,32 @@ class TestFit:
 
     @pytest.mark.parametrize("ablation", ["full", "sep"])
     def test_fit_never_reuses_a_split(self, graph, ablation, monkeypatch):
-        # an Adam step comes between every two passes, so each pass scores, splits and cuts anew
+        # an Adam step comes between every two passes, so each pass scores, splits and cuts anew,
+        # also when the next epoch's training pass runs on fit's worker thread
         from dualmp import propagation, separator
 
-        counts = {}
+        counts, lock = Counter(), threading.Lock()
         for owner, name in ((separator, "edge_score_values"), (propagation, "channel_adjacencies")):
             def counted(*args, _original=getattr(owner, name), _name=name):
-                counts[_name] = counts.get(_name, 0) + 1
+                with lock:
+                    counts[_name] += 1
                 return _original(*args)
 
             monkeypatch.setattr(owner, name, counted)
-        result = fit(graph, quick_config(ablation=ablation))
-        passes = 2 * len(result.log) * graph.num_relations
-        assert len(result.log) == 5
-        want = {"channel_adjacencies": passes}
-        if ablation == "full":
-            want["edge_score_values"] = passes
-        assert counts == want
-        assert result.model._stages == {}
+        for mode in ("sequential", "overlapped"):
+            if mode == "overlapped":
+                overlapping(monkeypatch)
+                ran_off_main = worker_passes(monkeypatch)
+            counts.clear()
+            result = fit(graph, quick_config(ablation=ablation))
+            passes = 2 * len(result.log) * graph.num_relations
+            assert len(result.log) == 5
+            want = {"channel_adjacencies": passes}
+            if ablation == "full":
+                want["edge_score_values"] = passes
+            assert counts == want
+            assert result.model._stages == {}
+        assert ran_off_main == [False] + [True] * 4
 
     def test_log_records_have_expected_fields(self, graph):
         result = fit(graph, quick_config(epochs=2, patience=2))
@@ -393,3 +402,138 @@ def test_fit_refuses_a_float_split(graph):
     floats = NodeSplit(graph.split.train.astype(float), graph.split.val, graph.split.test)
     with pytest.raises(GraphFormatError, match="got float64"):
         fit(dataclasses.replace(graph, split=floats), quick_config(epochs=1, patience=1))
+
+
+def overlapping(monkeypatch):
+    """Let fit run the next epoch's training pass beside the evaluation pass at any size and CPU count."""
+    from dualmp import training
+
+    monkeypatch.setattr(training, "OVERLAP_MIN_ROWS", 0)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+
+
+def worker_passes(monkeypatch) -> list[bool]:
+    """Per training pass of fit, whether it ran off the main thread."""
+    from dualmp import training
+
+    ran_off_main, training_pass = [], training._training_pass
+
+    def watched(*args):
+        ran_off_main.append(threading.current_thread() is not threading.main_thread())
+        return training_pass(*args)
+
+    monkeypatch.setattr(training, "_training_pass", watched)
+    return ran_off_main
+
+
+def fit_bits(result):
+    snapshot = result.model.params.snapshot()
+    return result.log, result.best_epoch, {name: value.tobytes() for name, value in snapshot.items()}
+
+
+class TestOverlap:
+    """fit's worker thread changes no bit: the log, the parameters, the best epoch, the errors."""
+
+    @pytest.mark.parametrize(
+        "ablation, epochs, patience, seed",
+        [(ablation, 6, 6, 1) for ablation in ABLATIONS]
+        + [(ablation, 40, 2, 1) for ablation in ABLATIONS]
+        + [("full", 40, 2, 2)],
+        ids=[f"all-epochs-{a}" for a in ABLATIONS] + [f"stopped-early-{a}" for a in ABLATIONS]
+        + ["resumed-after-a-stale-epoch"],
+    )
+    def test_overlapped_fit_equals_sequential_fit(self, graph, monkeypatch, ablation, epochs, patience, seed):
+        config = quick_config(ablation=ablation, epochs=epochs, patience=patience, seed=seed)
+        sequential = fit(graph, config)
+        overlapping(monkeypatch)
+        ran_off_main = worker_passes(monkeypatch)
+        overlapped = fit(graph, config)
+        assert fit_bits(overlapped) == fit_bits(sequential)
+        # epoch e + 1's pass runs on the worker when epoch e cannot end the run
+        expected, best, stale = [False], -np.inf, 0
+        for record in sequential.log[:-1]:
+            expected.append(stale < patience - 1)
+            best, stale = (record["val_auc"], 0) if record["val_auc"] > best else (best, stale + 1)
+        assert ran_off_main == expected and any(expected)
+        if patience < epochs:
+            assert len(sequential.log) < epochs
+        if seed == 2:  # an epoch that could have ended the run improved, so the next pass ran on this thread
+            assert not all(expected[1:])
+
+    def test_concurrent_overlapped_fits_equal_the_sequential_fit(self, graph, monkeypatch):
+        # three fits at once, each with its worker: six threads on the CPUs there are, switching often
+        config = quick_config(epochs=8, patience=8)
+        want = fit_bits(fit(graph, config))
+        overlapping(monkeypatch)
+        got = [None] * 3
+
+        def run(i):
+            got[i] = fit_bits(fit(graph, config))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * len(got)
+
+    @pytest.mark.parametrize("nan_epoch", [1, 3, 5])
+    @pytest.mark.parametrize("mode", ["sequential", "overlapped"])
+    def test_a_nan_loss_raises_at_its_epoch(self, graph, monkeypatch, mode, nan_epoch):
+        from dualmp import autodiff as ad
+        from dualmp import model as model_module
+
+        calls, total_loss = [], model_module.total_loss
+
+        def poisoned(*args):
+            calls.append(None)  # one training pass per epoch, never two at once
+            return ad.tensor(np.nan) if len(calls) == nan_epoch else total_loss(*args)
+
+        monkeypatch.setattr(model_module, "total_loss", poisoned)
+        ran_off_main = []
+        if mode == "overlapped":
+            overlapping(monkeypatch)
+            ran_off_main = worker_passes(monkeypatch)
+        with pytest.raises(NumericalError, match=f"^non-finite loss nan at epoch {nan_epoch}$"):
+            fit(graph, quick_config())
+        assert len(calls) == nan_epoch
+        assert ran_off_main == ([False] + [True] * (nan_epoch - 1) if mode == "overlapped" else [])
+
+    def test_the_worker_keeps_the_callers_numpy_error_state(self, monkeypatch):
+        # test_divergence_raises_numerical_error with the diverging pass on the worker: np.errstate is per context
+        small = generate_synthetic(SyntheticSpec(num_nodes=40, fraud_ratio=0.2, seed=6))
+        overlapping(monkeypatch)
+        ran_off_main = worker_passes(monkeypatch)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match="non-finite loss nan at epoch 2"):
+                fit(small, quick_config(learning_rate=1e155))
+        assert ran_off_main == [False, True]
+
+    @pytest.mark.parametrize(
+        "rows, cpus, threads",
+        [("below", 2, 0), ("any", 1, 0), ("any", 2, 1)],
+        ids=["below-the-threshold", "one-cpu", "overlapped"],
+    )
+    def test_a_thread_starts_only_to_overlap(self, graph, monkeypatch, rows, cpus, threads):
+        from dualmp import training
+
+        started, start = [], threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        if rows == "any":
+            monkeypatch.setattr(training, "OVERLAP_MIN_ROWS", 0)
+        else:
+            assert len(graph.split.train) + len(graph.split.val) < training.OVERLAP_MIN_ROWS
+        fit(graph, quick_config())
+        assert len(started) == threads

@@ -8,8 +8,14 @@ ablation creates only the parameters its channels reach.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as wait_for
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
@@ -32,6 +38,102 @@ CHANNELS = {
     "rel": ("smooth", "contrast"),
 }
 ABLATIONS = tuple(CHANNELS)
+
+
+# Rows from which a pass has the process's helper thread (:func:`helper`)
+# beside it: ``training.fit`` runs the next epoch's training pass beside an
+# evaluation pass over at least this many rows, and such a pass over given
+# rows scores relations 1..R-1 there. Below it the thread costs more than it
+# saves. On the A4 spec at mean degree 10, fit's epoch time rose 25% at 1,200
+# rows and 7% at 2,400, and fell 13% at 3,600 and 23% at 9,600
+# (BENCH_30.json). A two-relation scoring pass spread over the helper took
+# 1.39 times as long as the sequential pass at 1,200 rows, 1.26 at 2,400,
+# 0.96-0.98 at 4,000 and 0.79-0.87 at 8,000 (BENCH_31.json).
+OVERLAP_MIN_ROWS = 4000
+M_ARENA_MAX = -8  # glibc's mallopt parameter for the most malloc arenas
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _one_malloc_arena() -> None:
+    """Have every thread allocate from glibc's main arena; nothing where ``mallopt`` is absent.
+
+    A second thread otherwise gets an arena of its own, which keeps the
+    memory its passes freed: with the helper running fit's training passes
+    on a 20k-node, 400k-edge graph, peak RSS rose 13-21% without this
+    (BENCH_30.json).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library to load by name
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_ARENA_MAX, 1)
+
+
+_helper: ThreadPoolExecutor | None = None
+_helper_lock = threading.Lock()
+
+
+def helper(rows: int) -> ThreadPoolExecutor | None:
+    """The process's one helper thread, its second CPU, for work beside a pass over ``rows`` rows.
+
+    None below ``OVERLAP_MIN_ROWS`` rows or where the process may use one
+    CPU only. Built on first use, after glibc's malloc is held to one arena
+    (:func:`_one_malloc_arena`), and kept for the life of the process; a
+    child made by ``os.fork`` builds its own. Every job given to it runs to
+    the end without waiting on another job, so a caller that waits on one
+    cannot deadlock, even on the helper itself.
+    """
+    global _helper
+    if rows < OVERLAP_MIN_ROWS or _usable_cpus() < 2:
+        return None
+    with _helper_lock:
+        if _helper is None:
+            _one_malloc_arena()
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dualmp-helper")
+        return _helper
+
+
+def _forget_helper() -> None:
+    """In a forked child, drop the parent's helper: its thread was not copied, so its jobs would never run."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _spread_untaped(job, count: int, pool: ThreadPoolExecutor) -> list:
+    """``[job(0), ..., job(count - 1)]``, with no tape: this thread runs job 0 and offers the rest to ``pool``.
+
+    Each offered job opens :func:`autodiff.no_tape` in a copy of the
+    caller's context, which carries numpy's error state. This thread takes
+    back and runs any job that has not started when it comes to it, so the
+    results come in job order whatever the pool is busy with, and on return,
+    an exception included, no job is left running.
+    """
+
+    def untaped(i):
+        with ad.no_tape():
+            return job(i)
+
+    offered = [pool.submit(contextvars.copy_context().run, untaped, i) for i in range(1, count)]
+    try:
+        results = [untaped(0)]
+        for i, future in enumerate(offered, start=1):
+            results.append(untaped(i) if future.cancel() else future.result())
+        return results
+    finally:
+        # a cancelled job counts as done only once the pool dequeues it, so wait only for the running ones
+        wait_for([future for future in offered if not future.cancel()])
 
 
 class ConfigError(ValueError):
@@ -299,6 +401,31 @@ class DualChannelModel:
         fusion = (p[f"{name}/{key}"] for key in ("fuse_w", "fuse_b", "norm_gain", "norm_bias"))
         return propagation.frequency_fuse(*outputs, *fusion)
 
+    def _relation_pass(
+        self, ri: int, rows: np.ndarray, training: bool, rng, edge_batches, partitions
+    ) -> tuple[TensorValue, EdgePartition | None, TensorValue | None]:
+        """Relation ``ri``'s part of a pass: its fused embedding, its partition and its edge loss.
+
+        The edge loss is None unless a training pass has ``edge_batches``.
+        A training pass draws the relation's dropout factor from ``rng``.
+        """
+        p, cfg = self.params, self.config
+        rel = self.graph.relations[ri]
+        num_nodes = self.graph.num_nodes
+        projection = p[f"{rel.name}/proj_w"], p[f"{rel.name}/proj_b"]
+        factor = separator.dropout_factor((num_nodes, cfg.hidden_dim), cfg.dropout, training, rng)
+        kept, active = self._projection(rel.name)
+        h, passes = (kept, active) if factor is None else (kept * factor, active * factor)
+        take = functools.partial(ad.relu_linear_rows, self.features, *projection, h, passes)
+        partition, blocks = self._split_and_blocks(ri, h, rows, training, partitions)
+        edge_loss = None
+        if training and edge_batches is not None:
+            positions, signs = edge_batches[ri]
+            distinct, ends = distinct_nodes((rel.edge_sources[positions], rel.targets[positions]), num_nodes)
+            scores = separator.edge_scores(take(distinct), *ends, p[f"{rel.name}/edge_w"])
+            edge_loss = separator.heterophily_loss(scores, signs)
+        return self._relation_embedding(rel.name, take, rows, blocks), partition, edge_loss
+
     def forward(
         self,
         training: bool = False,
@@ -335,29 +462,33 @@ class DualChannelModel:
         no loss, so every array but the kept stages is freed after its last
         use. The partitions it returns are the kept, read-only ones. The pass
         reads ``node_batch`` through :func:`graphs.node_index`.
+
+        Each relation's work is independent until the classifier. So an
+        evaluation pass over a ``node_batch`` of at least
+        ``OVERLAP_MIN_ROWS`` rows, on a graph of two or more relations,
+        offers relations 1..R-1 to the process's helper thread
+        (:func:`helper`) and runs relation 0 itself; it takes back and runs
+        any relation the helper has not started, as when ``fit``'s training
+        pass holds the helper, and combines the relations in order, so no
+        bit depends on where each ran. A training pass, whose dropout draws
+        keep their order, and a whole-graph pass, which would hold two
+        relations' edge-sized arrays at once, run their relations in order
+        on this thread.
         """
         p, cfg = self.params, self.config
         num_nodes = self.graph.num_nodes
         with nullcontext() if training else ad.no_tape():
             rows = np.arange(num_nodes) if node_batch is None else node_index(node_batch, num_nodes)
-            per_rel_z: list[TensorValue] = []
-            out_partitions: list[EdgePartition | None] = []
-            edge_losses: list[TensorValue] = []
 
-            for ri, rel in enumerate(self.graph.relations):
-                projection = p[f"{rel.name}/proj_w"], p[f"{rel.name}/proj_b"]
-                factor = separator.dropout_factor((num_nodes, cfg.hidden_dim), cfg.dropout, training, rng)
-                kept, active = self._projection(rel.name)
-                h, passes = (kept, active) if factor is None else (kept * factor, active * factor)
-                take = functools.partial(ad.relu_linear_rows, self.features, *projection, h, passes)
-                partition, blocks = self._split_and_blocks(ri, h, rows, training, partitions)
-                if training and edge_batches is not None:
-                    positions, signs = edge_batches[ri]
-                    distinct, ends = distinct_nodes((rel.edge_sources[positions], rel.targets[positions]), num_nodes)
-                    scores = separator.edge_scores(take(distinct), *ends, p[f"{rel.name}/edge_w"])
-                    edge_losses.append(separator.heterophily_loss(scores, signs))
-                per_rel_z.append(self._relation_embedding(rel.name, take, rows, blocks))
-                out_partitions.append(partition)
+            def relation(ri: int):
+                return self._relation_pass(ri, rows, training, rng, edge_batches, partitions)
+
+            count = self.graph.num_relations
+            pool = None if training or node_batch is None or count < 2 else helper(len(rows))
+            passes = [relation(ri) for ri in range(count)] if pool is None else _spread_untaped(relation, count, pool)
+            per_rel_z = [z for z, _, _ in passes]
+            out_partitions = [partition for _, partition, _ in passes]
+            edge_losses = [loss for _, _, loss in passes if loss is not None]
 
             logits = classify(per_rel_z, p["classifier/w"], p["classifier/b"])
 

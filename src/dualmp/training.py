@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import contextvars
-import ctypes
-import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as wait_for
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +11,7 @@ import numpy as np
 from .autodiff import ParamStore, backward
 from .graphs import MultiRelationGraph, distinct_nodes
 from .metrics import MetricsReport, accuracy, evaluate
-from .model import ConfigError, DualChannelModel, TrainConfig
+from .model import ConfigError, DualChannelModel, TrainConfig, helper
 from .separator import edge_label_signs
 
 
@@ -140,37 +137,6 @@ def check_validation_split(graph: MultiRelationGraph) -> None:
         )
 
 
-# Evaluation rows from which fit runs the next epoch's training pass beside
-# the evaluation pass. Below it the second thread costs more than it saves:
-# on the A4 spec at mean degree 10, epoch time rose 25% at 1,200 rows and 7%
-# at 2,400, and fell 13% at 3,600 and 23% at 9,600 (BENCH_30.json).
-OVERLAP_MIN_ROWS = 4000
-M_ARENA_MAX = -8  # glibc's mallopt parameter for the most malloc arenas
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@functools.cache
-def _one_malloc_arena() -> None:
-    """Have every thread allocate from glibc's main arena; nothing where ``mallopt`` is absent.
-
-    A second thread otherwise gets an arena of its own, which keeps the
-    memory its passes freed: with the worker on a 20k-node, 400k-edge graph,
-    peak RSS rose 13-21% without this (BENCH_30.json).
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # not glibc, or no C library to load by name
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(M_ARENA_MAX, 1)
-
-
 def _training_pass(model: DualChannelModel, labeled_edges, rng: np.random.Generator, epoch: int) -> dict:
     """Epoch ``epoch``'s batches, training forward and, if its loss is finite, backward; its loss fields.
 
@@ -205,16 +171,18 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     Epoch t's evaluation pass and epoch t + 1's training pass read the same
     weights, and neither writes what the other reads. So when epoch t
     cannot end the run (t < ``epochs`` and fewer than ``patience - 1`` stale
-    epochs before it), the evaluation covers at least ``OVERLAP_MIN_ROWS``
-    rows and the process may use two CPUs, one worker thread runs epoch
-    t + 1's batches, training forward and backward while this thread
-    evaluates epoch t; each relation's projection at the new weights is
-    built first, and the worker only reads it. The worker's training tape
-    is then alive during the evaluation. No pass is thrown away and the
-    random draws keep their order, so the log, the parameters and a
-    :class:`NumericalError` (raised at the same epoch) do not depend on
-    whether the worker ran. Before it first runs, glibc's malloc is held
-    to one arena for the process (:func:`_one_malloc_arena`).
+    epochs before it) and the process has a helper thread for the
+    evaluation's rows (:func:`model.helper`: at least ``OVERLAP_MIN_ROWS``
+    rows and two CPUs), the helper runs epoch t + 1's batches, training
+    forward and backward while this thread evaluates epoch t; each
+    relation's projection at the new weights is built first, and the
+    helper only reads it. The helper's training tape is then alive during
+    the evaluation, and the evaluation takes back the relations it would
+    have offered the busy helper (:meth:`DualChannelModel.forward`). No
+    pass is thrown away and the random draws keep their order, so the log,
+    the parameters and a :class:`NumericalError` (raised at the same epoch)
+    do not depend on whether the helper ran. Leaving early, by an
+    exception, takes back or waits for the helper's pass.
     """
     rng = np.random.default_rng(config.seed)
     model = DualChannelModel(graph, config, rng)
@@ -226,7 +194,7 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     eval_rows, (train_pos, val_pos) = distinct_nodes((train, val), graph.num_nodes)
     train_labels, val_labels = graph.labels[train], graph.labels[val]
     labeled_edges = training_edge_sets(model)
-    may_overlap = len(eval_rows) >= OVERLAP_MIN_ROWS and _usable_cpus() >= 2
+    pool = helper(len(eval_rows))
 
     optimizer = Adam(model.params, config.learning_rate, config.weight_decay)
     log: list[dict] = []
@@ -234,10 +202,9 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     best_epoch = 0
     best_snapshot = model.params.snapshot()
     stale = 0
-    ahead = None  # the worker's run of the next epoch's training pass
+    ahead = None  # the helper's run of the next epoch's training pass
 
-    # leaving the block, even by an exception, waits for the worker
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dualmp-fit") as worker:
+    try:
         for epoch in range(1, config.epochs + 1):
             if ahead is None:
                 record = _training_pass(model, labeled_edges, rng, epoch)
@@ -248,13 +215,12 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
             optimizer.step()
 
             ahead = None
-            if may_overlap and epoch < config.epochs and stale < config.patience - 1:
-                _one_malloc_arena()
+            if pool is not None and epoch < config.epochs and stale < config.patience - 1:
                 for rel in graph.relations:
                     model._projection(rel.name)
-                # the caller's context carries numpy's error state to the worker
-                ahead = worker.submit(contextvars.copy_context().run, _training_pass, model, labeled_edges,
-                                      rng, epoch + 1)
+                # the caller's context carries numpy's error state to the helper
+                ahead = pool.submit(contextvars.copy_context().run, _training_pass, model, labeled_edges,
+                                    rng, epoch + 1)
 
             fraud_scores = model.forward(training=False, node_batch=eval_rows).probs.data[:, 1]
             val_report = evaluate(fraud_scores[val_pos], val_labels)
@@ -271,6 +237,9 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
                 stale += 1
                 if stale >= config.patience:
                     break
+    finally:
+        if ahead is not None and not ahead.cancel():  # an exception left the helper's pass running
+            wait_for([ahead])
 
     model.params.restore(best_snapshot)
     model._stages.clear()  # built for the last epoch's weights, which no later pass has
@@ -292,7 +261,10 @@ def evaluate_split(model: DualChannelModel, node_idx) -> MetricsReport:
     records no tape and builds no loss. Repeated calls with unchanged
     parameters score and partition the edges once; the second call over the
     same ``node_idx`` keeps its channel blocks, and later ones reuse them
-    (:meth:`DualChannelModel._stage`). An empty ``node_idx`` raises
+    (:meth:`DualChannelModel._stage`). With at least ``OVERLAP_MIN_ROWS``
+    rows and two or more relations, relations 1..R-1 are offered to the
+    process's helper thread (:meth:`DualChannelModel.forward`); the report
+    is the same bits either way. An empty ``node_idx`` raises
     ``ValueError`` before any pass; the pass itself reads ``node_idx``.
     """
     node_idx = np.asarray(node_idx)

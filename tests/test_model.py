@@ -1,6 +1,9 @@
 import contextlib
 import dataclasses
 import functools
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -928,3 +931,148 @@ def test_gradcheck_at_hidden_width_3_off_the_kink(monkeypatch, ablation):
     [((_, built_config, _), model)] = models
     assert built_config.hidden_dim == 3 and sorted(errors) == sorted(name for name, _ in model.params.items())
     assert max(errors.values()) < cli.GRADCHECK_TOLERANCE
+
+
+# -- an evaluation pass's relations, spread over the helper thread ------------
+
+
+def spreading(monkeypatch, cpus: int = 2) -> None:
+    """Give every evaluation pass over given rows the helper thread, at any row count, on ``cpus`` CPUs."""
+    from dualmp import model as model_module
+
+    monkeypatch.setattr(model_module, "OVERLAP_MIN_ROWS", 0)
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: cpus)
+
+
+def count_submissions(monkeypatch) -> list:
+    """Every job given to a thread pool from here on."""
+    submitted, submit = [], ThreadPoolExecutor.submit
+
+    def counted(pool, *args):
+        submitted.append(args)
+        return submit(pool, *args)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+    return submitted
+
+
+def watch_relations(monkeypatch, before=None) -> list[tuple[str, bool]]:
+    """Per relation embedding built, (relation name, whether on the main thread); ``before(name)`` runs first."""
+    built, embed = [], DualChannelModel._relation_embedding
+
+    def watched(self, name, *args):
+        if before is not None:
+            before(name)
+        built.append((name, threading.current_thread() is threading.main_thread()))
+        return embed(self, name, *args)
+
+    monkeypatch.setattr(DualChannelModel, "_relation_embedding", watched)
+    return built
+
+
+def relation_one_waited_for(model):
+    """A ``before`` hook by which relation 0 waits, in every pass, until relation 1 has started off the main thread."""
+    started = threading.Event()
+
+    def before(name):
+        if name == model.graph.relations[0].name:
+            assert started.wait(timeout=30)
+            started.clear()
+        else:
+            started.set()
+
+    return before
+
+
+@pytest.mark.parametrize("entry", ["evaluate_split", "forward"])
+@pytest.mark.parametrize("case", ["helper-free", "helper-busy", "one-cpu"])
+@pytest.mark.parametrize("ablation", list(CHANNELS))
+def test_a_spread_pass_equals_the_sequential_pass(small_graph, monkeypatch, ablation, case, entry):
+    from dualmp import model as model_module
+    from dualmp.training import evaluate_split
+
+    rows = small_graph.split.test
+
+    def scores(model):
+        # two passes: the first builds the kept split, the second reuses it
+        if entry == "evaluate_split":
+            return [evaluate_split(model, rows) for _ in range(2)]
+        outs = [model.forward(training=False, node_batch=rows) for _ in range(2)]
+        return [pass_bits(out) + [z.data.tobytes() for z in out.embeddings] for out in outs]
+
+    assert len(rows) < model_module.OVERLAP_MIN_ROWS
+    want = scores(make_model(small_graph, ablation=ablation))
+    model = make_model(small_graph, ablation=ablation)
+    spread = model.graph.num_relations > 1  # rel merges the relations into one
+    spreading(monkeypatch, cpus=1 if case == "one-cpu" else 2)
+    built = watch_relations(monkeypatch, relation_one_waited_for(model) if spread and case == "helper-free" else None)
+    release = threading.Event()
+    blocker = model_module.helper(len(rows)).submit(release.wait, 30) if case == "helper-busy" else None
+    submitted = count_submissions(monkeypatch)
+    try:
+        got = scores(model)
+    finally:
+        release.set()
+        if blocker is not None:
+            assert blocker.result(timeout=30)
+    assert got == want
+    names = [rel.name for rel in model.graph.relations]
+    if spread and case != "one-cpu":
+        assert len(submitted) == 2  # relation 1, once per pass
+        # relation 1 runs on the helper, or is taken back from a busy one
+        assert sorted(built) == sorted([(names[0], True), (names[1], case == "helper-busy")] * 2)
+    else:
+        assert submitted == [] and sorted(built) == sorted([(name, True) for name in names] * 2)
+
+
+def test_the_embeddings_of_a_helper_job_have_no_parents(small_graph, monkeypatch):
+    model = make_model(small_graph)
+    spreading(monkeypatch)
+    built = watch_relations(monkeypatch, relation_one_waited_for(model))
+    out = model.forward(training=False, node_batch=small_graph.split.test)
+    assert sorted(built) == [(model.graph.relations[0].name, True), (model.graph.relations[1].name, False)]
+    assert [z._parents for z in out.embeddings] == [(), ()]
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_an_error_in_a_relation_propagates_and_leaves_no_job_running(small_graph, monkeypatch, failing):
+    from dualmp import model as model_module
+    from dualmp.training import evaluate_split
+
+    model = make_model(small_graph)
+    first, second = (rel.name for rel in model.graph.relations)
+    started, finished = threading.Event(), []
+
+    def before(name):
+        if name == second:  # on the helper, while relation 0 waits for it
+            started.set()
+            if failing == 1:
+                raise RuntimeError("relation 1 failed")
+            time.sleep(0.2)
+            finished.append(name)
+        else:
+            assert started.wait(timeout=30)
+            if failing == 0:
+                raise RuntimeError("relation 0 failed")
+
+    spreading(monkeypatch)
+    built = watch_relations(monkeypatch, before)
+    with pytest.raises(RuntimeError, match=f"relation {failing} failed"):
+        evaluate_split(model, small_graph.split.test)
+    # relation 1's job ended before the error left the pass, and the helper is free
+    assert built == ([(first, True)] if failing else [(second, False)])
+    assert finished == ([] if failing else [second])
+    helper_thread = model_module.helper(0).submit(threading.current_thread).result(timeout=30)
+    assert helper_thread.name.startswith("dualmp-helper")
+
+
+@pytest.mark.parametrize("ablation", list(CHANNELS))
+def test_training_and_whole_graph_passes_submit_nothing(small_graph, monkeypatch, ablation):
+    model = make_model(small_graph, ablation=ablation)
+    spreading(monkeypatch)
+    built = watch_relations(monkeypatch)
+    submitted = count_submissions(monkeypatch)
+    model.forward(training=False)
+    training_pass(model)
+    assert submitted == [] and all(main for _, main in built)
+    assert len(built) == 2 * model.graph.num_relations

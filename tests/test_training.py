@@ -1,7 +1,10 @@
 import dataclasses
+import os
+import signal
 import sys
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -405,11 +408,15 @@ def test_fit_refuses_a_float_split(graph):
 
 
 def overlapping(monkeypatch):
-    """Let fit run the next epoch's training pass beside the evaluation pass at any size and CPU count."""
-    from dualmp import training
+    """Give every pass the helper thread at any size and CPU count.
 
-    monkeypatch.setattr(training, "OVERLAP_MIN_ROWS", 0)
-    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    fit then runs the next epoch's training pass beside the evaluation pass,
+    and an evaluation pass offers relations 1..R-1 to the helper.
+    """
+    from dualmp import model
+
+    monkeypatch.setattr(model, "OVERLAP_MIN_ROWS", 0)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
 
 
 def worker_passes(monkeypatch) -> list[bool]:
@@ -432,7 +439,7 @@ def fit_bits(result):
 
 
 class TestOverlap:
-    """fit's worker thread changes no bit: the log, the parameters, the best epoch, the errors."""
+    """fit's use of the helper thread changes no bit: the log, the parameters, the best epoch, the errors."""
 
     @pytest.mark.parametrize(
         "ablation, epochs, patience, seed",
@@ -461,7 +468,8 @@ class TestOverlap:
             assert not all(expected[1:])
 
     def test_concurrent_overlapped_fits_equal_the_sequential_fit(self, graph, monkeypatch):
-        # three fits at once, each with its worker: six threads on the CPUs there are, switching often
+        # three fits at once, sharing the process's one helper for their training passes and relation
+        # jobs: four threads on the CPUs there are, switching often
         config = quick_config(epochs=8, patience=8)
         want = fit_bits(fit(graph, config))
         overlapping(monkeypatch)
@@ -516,12 +524,12 @@ class TestOverlap:
         assert ran_off_main == [False, True]
 
     @pytest.mark.parametrize(
-        "rows, cpus, threads",
-        [("below", 2, 0), ("any", 1, 0), ("any", 2, 1)],
+        "rows, cpus, training_passes",
+        [("below", 2, 0), ("any", 1, 0), ("any", 2, 4)],
         ids=["below-the-threshold", "one-cpu", "overlapped"],
     )
-    def test_a_thread_starts_only_to_overlap(self, graph, monkeypatch, rows, cpus, threads):
-        from dualmp import training
+    def test_a_thread_starts_only_to_overlap(self, graph, monkeypatch, rows, cpus, training_passes):
+        from dualmp import model, training
 
         started, start = [], threading.Thread.start
 
@@ -529,11 +537,50 @@ class TestOverlap:
             started.append(thread.name)
             start(thread)
 
+        submitted, submit = [], ThreadPoolExecutor.submit
+
+        def offered(pool, run, job, *args):
+            submitted.append(job)  # run is a context's run method, job what it runs
+            return submit(pool, run, job, *args)
+
         monkeypatch.setattr(threading.Thread, "start", counted)
-        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", offered)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
         if rows == "any":
-            monkeypatch.setattr(training, "OVERLAP_MIN_ROWS", 0)
+            monkeypatch.setattr(model, "OVERLAP_MIN_ROWS", 0)
         else:
-            assert len(graph.split.train) + len(graph.split.val) < training.OVERLAP_MIN_ROWS
-        fit(graph, quick_config())
-        assert len(started) == threads
+            assert len(graph.split.train) + len(graph.split.val) < model.OVERLAP_MIN_ROWS
+        result = fit(graph, quick_config())
+        # epochs 2-5 train on the helper, and each epoch's evaluation pass offers it relation 1
+        assert [job is training._training_pass for job in submitted].count(True) == training_passes
+        assert len(submitted) == (training_passes + len(result.log) if training_passes else 0)
+        helpers = [thread.name for thread in threading.enumerate() if thread.name.startswith("dualmp-helper")]
+        assert len(helpers) == 1 if training_passes else len(helpers) <= 1
+        # the helper starts once per process, on the first fit that needs it
+        assert started in ([], helpers if training_passes else [])
+
+    # a child forked after this process made its helper would wait forever on the helper's copy
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks:DeprecationWarning")
+    def test_fit_finishes_in_a_child_forked_after_a_fit(self, graph, monkeypatch):
+        overlapping(monkeypatch)
+        ran_off_main = worker_passes(monkeypatch)
+        want = fit_bits(fit(graph, quick_config()))
+        assert ran_off_main == [False] + [True] * 4
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: the alarm ends it if its fit hangs
+            try:
+                os.close(read)
+                signal.alarm(30)
+                ran_off_main.clear()
+                same = fit_bits(fit(graph, quick_config())) == want and ran_off_main == [False] + [True] * 4
+                os.write(write, b"1" if same else b"0")
+            finally:
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read, "rb") as pipe:
+            said = pipe.read()  # b"" when the child dies before it writes
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert said == b"1"

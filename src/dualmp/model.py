@@ -40,9 +40,9 @@ CHANNELS = {
 ABLATIONS = tuple(CHANNELS)
 
 
-# Rows from which a pass has the process's helper thread (:func:`helper`)
-# beside it: ``training.fit`` runs the next epoch's training pass beside an
-# evaluation pass over at least this many rows, and such a pass over given
+# Rows from which a pass has the process's helper thread beside it
+# (:func:`spread`): ``training.fit`` runs the next epoch's training pass beside
+# an evaluation pass over at least this many rows, and such a pass over given
 # rows scores relations 1..R-1 there. Below it the thread costs more than it
 # saves. On the A4 spec at mean degree 10, fit's epoch time rose 25% at 1,200
 # rows and 7% at 2,400, and fell 13% at 3,600 and 23% at 9,600
@@ -77,59 +77,56 @@ def _one_malloc_arena() -> None:
     mallopt(M_ARENA_MAX, 1)
 
 
-_helper: ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 
-def helper(rows: int) -> ThreadPoolExecutor | None:
+def _helper(rows: int) -> ThreadPoolExecutor | None:
     """The process's one helper thread, its second CPU, for work beside a pass over ``rows`` rows.
 
     None below ``OVERLAP_MIN_ROWS`` rows or where the process may use one
     CPU only. Built on first use, after glibc's malloc is held to one arena
     (:func:`_one_malloc_arena`), and kept for the life of the process; a
-    child made by ``os.fork`` builds its own. Every job given to it runs to
-    the end without waiting on another job, so a caller that waits on one
-    cannot deadlock, even on the helper itself.
+    child made by ``os.fork`` builds its own.
     """
-    global _helper
+    global _pool
     if rows < OVERLAP_MIN_ROWS or _usable_cpus() < 2:
         return None
-    with _helper_lock:
-        if _helper is None:
+    with _pool_lock:
+        if _pool is None:
             _one_malloc_arena()
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dualmp-helper")
-        return _helper
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dualmp-helper")
+        return _pool
 
 
 def _forget_helper() -> None:
     """In a forked child, drop the parent's helper: its thread was not copied, so its jobs would never run."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _spread_untaped(job, count: int, pool: ThreadPoolExecutor) -> list:
-    """``[job(0), ..., job(count - 1)]``, with no tape: this thread runs job 0 and offers the rest to ``pool``.
+def spread(jobs, rows: int) -> list:
+    """``[job() for job in jobs]``; jobs 1.. are offered to the helper thread (:func:`_helper`) if ``rows`` has one.
 
-    Each offered job opens :func:`autodiff.no_tape` in a copy of the
-    caller's context, which carries numpy's error state. This thread takes
-    back and runs any job that has not started when it comes to it, so the
-    results come in job order whatever the pool is busy with, and on return,
-    an exception included, no job is left running.
+    This thread runs job 0, then takes back each offered job the helper has
+    not started, so the results come in job order whatever the helper is
+    busy with; on return, an exception included, no job is left running.
+    An offered job runs in a copy of the caller's context, which carries
+    numpy's error state, but the tape switch is per thread. No job may wait
+    on another, so a caller that waits on one cannot deadlock.
     """
-
-    def untaped(i):
-        with ad.no_tape():
-            return job(i)
-
-    offered = [pool.submit(contextvars.copy_context().run, untaped, i) for i in range(1, count)]
+    pool = _helper(rows) if len(jobs) > 1 else None
+    if pool is None:
+        return [job() for job in jobs]
+    offered = [pool.submit(contextvars.copy_context().run, job) for job in jobs[1:]]
     try:
-        results = [untaped(0)]
-        for i, future in enumerate(offered, start=1):
-            results.append(untaped(i) if future.cancel() else future.result())
+        results = [jobs[0]()]
+        for job, future in zip(jobs[1:], offered):
+            results.append(job() if future.cancel() else future.result())
         return results
     finally:
         # a cancelled job counts as done only once the pool dequeues it, so wait only for the running ones
@@ -230,8 +227,6 @@ def classification_loss(logits: TensorValue, labels) -> TensorValue:
 
 def total_loss(loss_cls: TensorValue, edge_losses: list[TensorValue], weight: float) -> TensorValue:
     """Classification loss plus ``weight`` times the per-relation edge losses, summed."""
-    if weight < 0:
-        raise ValueError("edge loss weight must be non-negative")
     if not edge_losses:
         return loss_cls
     return ad.add(loss_cls, ad.mul_const(functools.reduce(ad.add, edge_losses), weight))
@@ -407,24 +402,27 @@ class DualChannelModel:
         """Relation ``ri``'s part of a pass: its fused embedding, its partition and its edge loss.
 
         The edge loss is None unless a training pass has ``edge_batches``.
-        A training pass draws the relation's dropout factor from ``rng``.
+        A training pass draws the relation's dropout factor from ``rng``; an
+        evaluation pass opens its own :func:`autodiff.no_tape`, since it may
+        run on the helper thread (:func:`spread`).
         """
         p, cfg = self.params, self.config
         rel = self.graph.relations[ri]
         num_nodes = self.graph.num_nodes
-        projection = p[f"{rel.name}/proj_w"], p[f"{rel.name}/proj_b"]
-        factor = separator.dropout_factor((num_nodes, cfg.hidden_dim), cfg.dropout, training, rng)
-        kept, active = self._projection(rel.name)
-        h, passes = (kept, active) if factor is None else (kept * factor, active * factor)
-        take = functools.partial(ad.relu_linear_rows, self.features, *projection, h, passes)
-        partition, blocks = self._split_and_blocks(ri, h, rows, training, partitions)
-        edge_loss = None
-        if training and edge_batches is not None:
-            positions, signs = edge_batches[ri]
-            distinct, ends = distinct_nodes((rel.edge_sources[positions], rel.targets[positions]), num_nodes)
-            scores = separator.edge_scores(take(distinct), *ends, p[f"{rel.name}/edge_w"])
-            edge_loss = separator.heterophily_loss(scores, signs)
-        return self._relation_embedding(rel.name, take, rows, blocks), partition, edge_loss
+        with nullcontext() if training else ad.no_tape():
+            projection = p[f"{rel.name}/proj_w"], p[f"{rel.name}/proj_b"]
+            factor = separator.dropout_factor((num_nodes, cfg.hidden_dim), cfg.dropout, training, rng)
+            kept, active = self._projection(rel.name)
+            h, passes = (kept, active) if factor is None else (kept * factor, active * factor)
+            take = functools.partial(ad.relu_linear_rows, self.features, *projection, h, passes)
+            partition, blocks = self._split_and_blocks(ri, h, rows, training, partitions)
+            edge_loss = None
+            if training and edge_batches is not None:
+                positions, signs = edge_batches[ri]
+                distinct, ends = distinct_nodes((rel.edge_sources[positions], rel.targets[positions]), num_nodes)
+                scores = separator.edge_scores(take(distinct), *ends, p[f"{rel.name}/edge_w"])
+                edge_loss = separator.heterophily_loss(scores, signs)
+            return self._relation_embedding(rel.name, take, rows, blocks), partition, edge_loss
 
     def forward(
         self,
@@ -463,29 +461,27 @@ class DualChannelModel:
         use. The partitions it returns are the kept, read-only ones. The pass
         reads ``node_batch`` through :func:`graphs.node_index`.
 
-        Each relation's work is independent until the classifier. So an
-        evaluation pass over a ``node_batch`` of at least
-        ``OVERLAP_MIN_ROWS`` rows, on a graph of two or more relations,
-        offers relations 1..R-1 to the process's helper thread
-        (:func:`helper`) and runs relation 0 itself; it takes back and runs
-        any relation the helper has not started, as when ``fit``'s training
-        pass holds the helper, and combines the relations in order, so no
-        bit depends on where each ran. A training pass, whose dropout draws
-        keep their order, and a whole-graph pass, which would hold two
-        relations' edge-sized arrays at once, run their relations in order
-        on this thread.
+        Each relation's work is independent until the classifier, so each
+        is one job. An evaluation pass over a ``node_batch`` gives the jobs
+        to :func:`spread`: from ``OVERLAP_MIN_ROWS`` rows, on a graph of two
+        or more relations, relations 1..R-1 are offered to the process's
+        helper thread and relation 0 runs here; a relation the helper has not
+        started, as when ``fit``'s training pass holds it, is taken back and
+        run here. The relations are combined in order, so no bit depends on
+        where each ran. A training pass, whose dropout draws keep their
+        order, and a whole-graph pass, which would hold two relations'
+        edge-sized arrays at once, run their relations in order on this
+        thread.
         """
         p, cfg = self.params, self.config
         num_nodes = self.graph.num_nodes
         with nullcontext() if training else ad.no_tape():
             rows = np.arange(num_nodes) if node_batch is None else node_index(node_batch, num_nodes)
-
-            def relation(ri: int):
-                return self._relation_pass(ri, rows, training, rng, edge_batches, partitions)
-
-            count = self.graph.num_relations
-            pool = None if training or node_batch is None or count < 2 else helper(len(rows))
-            passes = [relation(ri) for ri in range(count)] if pool is None else _spread_untaped(relation, count, pool)
+            jobs = [
+                functools.partial(self._relation_pass, ri, rows, training, rng, edge_batches, partitions)
+                for ri in range(self.graph.num_relations)
+            ]
+            passes = [job() for job in jobs] if training or node_batch is None else spread(jobs, len(rows))
             per_rel_z = [z for z, _, _ in passes]
             out_partitions = [partition for _, partition, _ in passes]
             edge_losses = [loss for _, _, loss in passes if loss is not None]

@@ -19,10 +19,8 @@ def dropout_factor(shape, rate: float, training: bool, rng: np.random.Generator 
     """The inverted-dropout factor over ``shape``: 0 where an entry drops, 1 / (1 - rate) where it survives.
 
     None, and no draw from ``rng``, outside training or at rate 0. The keep
-    mask is ``rng.random(shape) >= rate``.
+    mask is ``rng.random(shape) >= rate``, for a rate in [0, 1).
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return None
     if rng is None:

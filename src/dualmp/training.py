@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import contextvars
-from concurrent.futures import wait as wait_for
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +10,7 @@ import numpy as np
 from .autodiff import ParamStore, backward
 from .graphs import MultiRelationGraph, distinct_nodes
 from .metrics import MetricsReport, accuracy, evaluate
-from .model import ConfigError, DualChannelModel, TrainConfig, helper
+from .model import ConfigError, DualChannelModel, TrainConfig, spread
 from .separator import edge_label_signs
 
 
@@ -171,18 +170,16 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     Epoch t's evaluation pass and epoch t + 1's training pass read the same
     weights, and neither writes what the other reads. So when epoch t
     cannot end the run (t < ``epochs`` and fewer than ``patience - 1`` stale
-    epochs before it) and the process has a helper thread for the
-    evaluation's rows (:func:`model.helper`: at least ``OVERLAP_MIN_ROWS``
-    rows and two CPUs), the helper runs epoch t + 1's batches, training
-    forward and backward while this thread evaluates epoch t; each
-    relation's projection at the new weights is built first, and the
-    helper only reads it. The helper's training tape is then alive during
-    the evaluation, and the evaluation takes back the relations it would
-    have offered the busy helper (:meth:`DualChannelModel.forward`). No
-    pass is thrown away and the random draws keep their order, so the log,
-    the parameters and a :class:`NumericalError` (raised at the same epoch)
-    do not depend on whether the helper ran. Leaving early, by an
-    exception, takes back or waits for the helper's pass.
+    epochs before it), each relation's projection at the new weights is
+    built first, and :func:`model.spread` runs the evaluation here while
+    the helper thread, if the evaluation's rows have one, runs epoch t + 1's
+    batches, training forward and backward, only reading the projections.
+    The evaluation then takes back the relations it would offer the busy
+    helper, and a training pass the helper has not started when the
+    evaluation ends, as when another ``fit`` holds it, is taken back too.
+    No pass is thrown away and the random draws keep their order, so the
+    log, the parameters and a :class:`NumericalError` (raised at the same
+    epoch) do not depend on where each pass ran.
     """
     rng = np.random.default_rng(config.seed)
     model = DualChannelModel(graph, config, rng)
@@ -194,7 +191,13 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     eval_rows, (train_pos, val_pos) = distinct_nodes((train, val), graph.num_nodes)
     train_labels, val_labels = graph.labels[train], graph.labels[val]
     labeled_edges = training_edge_sets(model)
-    pool = helper(len(eval_rows))
+
+    def evaluation() -> dict:
+        # the log's figures at the current weights; the pass's embeddings are freed on return
+        fraud_scores = model.forward(training=False, node_batch=eval_rows).probs.data[:, 1]
+        val_report = evaluate(fraud_scores[val_pos], val_labels)
+        return {"train_accuracy": accuracy(fraud_scores[train_pos], train_labels), "val_auc": val_report.auc,
+                "val_recall": val_report.recall, "val_f1_macro": val_report.f1_macro, "val_gmean": val_report.gmean}
 
     optimizer = Adam(model.params, config.learning_rate, config.weight_decay)
     log: list[dict] = []
@@ -202,44 +205,31 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     best_epoch = 0
     best_snapshot = model.params.snapshot()
     stale = 0
-    ahead = None  # the helper's run of the next epoch's training pass
+    ahead: list[dict] = []  # the record of this epoch's training pass, when it ran beside the last evaluation
 
-    try:
-        for epoch in range(1, config.epochs + 1):
-            if ahead is None:
-                record = _training_pass(model, labeled_edges, rng, epoch)
-            else:
-                record = ahead.result()
-            if not np.isfinite(record["loss_total"]):
-                raise NumericalError(f"non-finite loss {record['loss_total']} at epoch {epoch}")
-            optimizer.step()
+    for epoch in range(1, config.epochs + 1):
+        record = ahead[0] if ahead else _training_pass(model, labeled_edges, rng, epoch)
+        if not np.isfinite(record["loss_total"]):
+            raise NumericalError(f"non-finite loss {record['loss_total']} at epoch {epoch}")
+        optimizer.step()
 
-            ahead = None
-            if pool is not None and epoch < config.epochs and stale < config.patience - 1:
-                for rel in graph.relations:
-                    model._projection(rel.name)
-                # the caller's context carries numpy's error state to the helper
-                ahead = pool.submit(contextvars.copy_context().run, _training_pass, model, labeled_edges,
-                                    rng, epoch + 1)
+        jobs = [evaluation]
+        if epoch < config.epochs and stale < config.patience - 1:
+            for rel in graph.relations:
+                model._projection(rel.name)
+            jobs.append(functools.partial(_training_pass, model, labeled_edges, rng, epoch + 1))
+        figures, *ahead = spread(jobs, len(eval_rows))
+        log.append({**record, **figures})
 
-            fraud_scores = model.forward(training=False, node_batch=eval_rows).probs.data[:, 1]
-            val_report = evaluate(fraud_scores[val_pos], val_labels)
-            log.append({**record, "train_accuracy": accuracy(fraud_scores[train_pos], train_labels),
-                        "val_auc": val_report.auc, "val_recall": val_report.recall,
-                        "val_f1_macro": val_report.f1_macro, "val_gmean": val_report.gmean})
-
-            if val_report.auc > best_auc:
-                best_auc = val_report.auc
-                best_epoch = epoch
-                best_snapshot = model.params.snapshot()
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
-    finally:
-        if ahead is not None and not ahead.cancel():  # an exception left the helper's pass running
-            wait_for([ahead])
+        if figures["val_auc"] > best_auc:
+            best_auc = figures["val_auc"]
+            best_epoch = epoch
+            best_snapshot = model.params.snapshot()
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
 
     model.params.restore(best_snapshot)
     model._stages.clear()  # built for the last epoch's weights, which no later pass has
@@ -262,10 +252,11 @@ def evaluate_split(model: DualChannelModel, node_idx) -> MetricsReport:
     parameters score and partition the edges once; the second call over the
     same ``node_idx`` keeps its channel blocks, and later ones reuse them
     (:meth:`DualChannelModel._stage`). With at least ``OVERLAP_MIN_ROWS``
-    rows and two or more relations, relations 1..R-1 are offered to the
-    process's helper thread (:meth:`DualChannelModel.forward`); the report
-    is the same bits either way. An empty ``node_idx`` raises
-    ``ValueError`` before any pass; the pass itself reads ``node_idx``.
+    rows and two or more relations, :func:`model.spread` offers relations
+    1..R-1 to the process's helper thread and takes back any it has not
+    started (:meth:`DualChannelModel.forward`); the report is the same bits
+    either way. An empty ``node_idx`` raises ``ValueError`` before any
+    pass; the pass itself reads ``node_idx``.
     """
     node_idx = np.asarray(node_idx)
     if node_idx.size == 0:

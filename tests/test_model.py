@@ -3,7 +3,6 @@ import dataclasses
 import functools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from dualmp.model import (
 )
 from dualmp.propagation import channel_adjacencies
 from dualmp.separator import edge_score_values, project_features
+from helper_thread import count_submissions, spreading
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +231,13 @@ class TestAblations:
 def test_train_config_is_checked_when_built(bad):
     with pytest.raises(ConfigError, match=next(iter(bad))):
         TrainConfig(**bad)
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.0, np.nan])
+def test_a_dropout_rate_outside_the_unit_interval_is_refused(rate):
+    # separator.dropout_factor trusts its rate: TrainConfig, the only source of one, refuses these
+    with pytest.raises(ConfigError, match="dropout must be"):
+        TrainConfig(dropout=rate)
 
 
 def test_train_config_is_immutable():
@@ -936,26 +943,6 @@ def test_gradcheck_at_hidden_width_3_off_the_kink(monkeypatch, ablation):
 # -- an evaluation pass's relations, spread over the helper thread ------------
 
 
-def spreading(monkeypatch, cpus: int = 2) -> None:
-    """Give every evaluation pass over given rows the helper thread, at any row count, on ``cpus`` CPUs."""
-    from dualmp import model as model_module
-
-    monkeypatch.setattr(model_module, "OVERLAP_MIN_ROWS", 0)
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: cpus)
-
-
-def count_submissions(monkeypatch) -> list:
-    """Every job given to a thread pool from here on."""
-    submitted, submit = [], ThreadPoolExecutor.submit
-
-    def counted(pool, *args):
-        submitted.append(args)
-        return submit(pool, *args)
-
-    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
-    return submitted
-
-
 def watch_relations(monkeypatch, before=None) -> list[tuple[str, bool]]:
     """Per relation embedding built, (relation name, whether on the main thread); ``before(name)`` runs first."""
     built, embed = [], DualChannelModel._relation_embedding
@@ -1007,7 +994,7 @@ def test_a_spread_pass_equals_the_sequential_pass(small_graph, monkeypatch, abla
     spreading(monkeypatch, cpus=1 if case == "one-cpu" else 2)
     built = watch_relations(monkeypatch, relation_one_waited_for(model) if spread and case == "helper-free" else None)
     release = threading.Event()
-    blocker = model_module.helper(len(rows)).submit(release.wait, 30) if case == "helper-busy" else None
+    blocker = model_module._helper(len(rows)).submit(release.wait, 30) if case == "helper-busy" else None
     submitted = count_submissions(monkeypatch)
     try:
         got = scores(model)
@@ -1062,7 +1049,7 @@ def test_an_error_in_a_relation_propagates_and_leaves_no_job_running(small_graph
     # relation 1's job ended before the error left the pass, and the helper is free
     assert built == ([(first, True)] if failing else [(second, False)])
     assert finished == ([] if failing else [second])
-    helper_thread = model_module.helper(0).submit(threading.current_thread).result(timeout=30)
+    helper_thread = model_module._helper(0).submit(threading.current_thread).result(timeout=30)
     assert helper_thread.name.startswith("dualmp-helper")
 
 

@@ -4,7 +4,6 @@ import signal
 import sys
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from dualmp.training import (
     fit,
     training_edge_sets,
 )
+from helper_thread import count_submissions, spreading
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +255,7 @@ class TestFit:
             monkeypatch.setattr(owner, name, counted)
         for mode in ("sequential", "overlapped"):
             if mode == "overlapped":
-                overlapping(monkeypatch)
+                spreading(monkeypatch)
                 ran_off_main = worker_passes(monkeypatch)
             counts.clear()
             result = fit(graph, quick_config(ablation=ablation))
@@ -407,29 +407,36 @@ def test_fit_refuses_a_float_split(graph):
         fit(dataclasses.replace(graph, split=floats), quick_config(epochs=1, patience=1))
 
 
-def overlapping(monkeypatch):
-    """Give every pass the helper thread at any size and CPU count.
+def worker_passes(monkeypatch, hold: bool = True) -> list[bool]:
+    """Per training pass of fit, whether it ran off the main thread.
 
-    fit then runs the next epoch's training pass beside the evaluation pass,
-    and an evaluation pass offers relations 1..R-1 to the helper.
+    With ``hold``, an evaluation pass that fit spreads beside the next
+    training pass waits, 30 s at most, until that pass has started, so that
+    the calling thread never takes back a pass the helper is about to start.
     """
-    from dualmp import model
-
-    monkeypatch.setattr(model, "OVERLAP_MIN_ROWS", 0)
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-
-
-def worker_passes(monkeypatch) -> list[bool]:
-    """Per training pass of fit, whether it ran off the main thread."""
     from dualmp import training
 
-    ran_off_main, training_pass = [], training._training_pass
+    ran_off_main, training_pass, spread = [], training._training_pass, training.spread
+    started = threading.Event()
 
     def watched(*args):
         ran_off_main.append(threading.current_thread() is not threading.main_thread())
+        started.set()
         return training_pass(*args)
 
+    def held(jobs, rows):
+        evaluation, *ahead = jobs
+
+        def waiting():
+            assert started.wait(timeout=30), "the helper never started the training pass"
+            return evaluation()
+
+        started.clear()
+        return spread([waiting, *ahead] if ahead else jobs, rows)
+
     monkeypatch.setattr(training, "_training_pass", watched)
+    if hold:
+        monkeypatch.setattr(training, "spread", held)
     return ran_off_main
 
 
@@ -452,7 +459,7 @@ class TestOverlap:
     def test_overlapped_fit_equals_sequential_fit(self, graph, monkeypatch, ablation, epochs, patience, seed):
         config = quick_config(ablation=ablation, epochs=epochs, patience=patience, seed=seed)
         sequential = fit(graph, config)
-        overlapping(monkeypatch)
+        spreading(monkeypatch)
         ran_off_main = worker_passes(monkeypatch)
         overlapped = fit(graph, config)
         assert fit_bits(overlapped) == fit_bits(sequential)
@@ -472,7 +479,7 @@ class TestOverlap:
         # jobs: four threads on the CPUs there are, switching often
         config = quick_config(epochs=8, patience=8)
         want = fit_bits(fit(graph, config))
-        overlapping(monkeypatch)
+        spreading(monkeypatch)
         got = [None] * 3
 
         def run(i):
@@ -506,7 +513,7 @@ class TestOverlap:
         monkeypatch.setattr(model_module, "total_loss", poisoned)
         ran_off_main = []
         if mode == "overlapped":
-            overlapping(monkeypatch)
+            spreading(monkeypatch)
             ran_off_main = worker_passes(monkeypatch)
         with pytest.raises(NumericalError, match=f"^non-finite loss nan at epoch {nan_epoch}$"):
             fit(graph, quick_config())
@@ -516,7 +523,7 @@ class TestOverlap:
     def test_the_worker_keeps_the_callers_numpy_error_state(self, monkeypatch):
         # test_divergence_raises_numerical_error with the diverging pass on the worker: np.errstate is per context
         small = generate_synthetic(SyntheticSpec(num_nodes=40, fraud_ratio=0.2, seed=6))
-        overlapping(monkeypatch)
+        spreading(monkeypatch)
         ran_off_main = worker_passes(monkeypatch)
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalError, match="non-finite loss nan at epoch 2"):
@@ -537,14 +544,8 @@ class TestOverlap:
             started.append(thread.name)
             start(thread)
 
-        submitted, submit = [], ThreadPoolExecutor.submit
-
-        def offered(pool, run, job, *args):
-            submitted.append(job)  # run is a context's run method, job what it runs
-            return submit(pool, run, job, *args)
-
         monkeypatch.setattr(threading.Thread, "start", counted)
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", offered)
+        submitted = count_submissions(monkeypatch)
         monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
         if rows == "any":
             monkeypatch.setattr(model, "OVERLAP_MIN_ROWS", 0)
@@ -552,18 +553,39 @@ class TestOverlap:
             assert len(graph.split.train) + len(graph.split.val) < model.OVERLAP_MIN_ROWS
         result = fit(graph, quick_config())
         # epochs 2-5 train on the helper, and each epoch's evaluation pass offers it relation 1
-        assert [job is training._training_pass for job in submitted].count(True) == training_passes
+        assert [job.func is training._training_pass for job in submitted].count(True) == training_passes
         assert len(submitted) == (training_passes + len(result.log) if training_passes else 0)
         helpers = [thread.name for thread in threading.enumerate() if thread.name.startswith("dualmp-helper")]
         assert len(helpers) == 1 if training_passes else len(helpers) <= 1
         # the helper starts once per process, on the first fit that needs it
         assert started in ([], helpers if training_passes else [])
 
+    def test_a_busy_helper_leaves_every_training_pass_to_the_calling_thread(self, graph, monkeypatch):
+        # another job holds the helper: fit takes back each training pass it offered, and never waits
+        from dualmp import model, training
+
+        config = quick_config()
+        want = fit_bits(fit(graph, config))
+        spreading(monkeypatch)
+        ran_off_main = worker_passes(monkeypatch, hold=False)
+        release = threading.Event()
+        blocker = model._helper(0).submit(release.wait, 30)
+        submitted = count_submissions(monkeypatch)
+        try:
+            got = fit_bits(fit(graph, config))
+            held = not blocker.done()  # fit returned while the blocker still held the helper
+        finally:
+            release.set()
+        assert blocker.result(timeout=30) and held
+        assert got == want
+        assert [job.func is training._training_pass for job in submitted].count(True) == 4
+        assert ran_off_main == [False] * 5
+
     # a child forked after this process made its helper would wait forever on the helper's copy
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks:DeprecationWarning")
     def test_fit_finishes_in_a_child_forked_after_a_fit(self, graph, monkeypatch):
-        overlapping(monkeypatch)
+        spreading(monkeypatch)
         ran_off_main = worker_passes(monkeypatch)
         want = fit_bits(fit(graph, quick_config()))
         assert ran_off_main == [False] + [True] * 4

@@ -15,10 +15,10 @@ scipy CSR; ``layer_norm`` the fusion; ``cross_entropy`` the classification
 loss. ``relu`` is max(x, 0) and passes a NaN on, so a NaN pre-activation
 reaches the loss instead of turning into 0. ``softmax`` takes a plain array
 and records nothing: it gives the class probabilities and
-``cross_entropy``'s gradient. Inside ``no_tape()`` no operation on that
-thread records anything; the model's evaluation pass runs there, since no
-backward reads it, and builds no loss. No broadcasting beyond row-vector
-biases, no tensors of rank above 2, no GPU.
+``cross_entropy``'s gradient. Inside ``no_tape()`` no operation records
+anything in that context or a copy of it; the model's evaluation pass runs
+there, since no backward reads it, and builds no loss. No broadcasting
+beyond row-vector biases, no tensors of rank above 2, no GPU.
 
 Each operation links its output to its inputs and stores a backward rule;
 :func:`backward` replays that implicit tape once, in reverse topological
@@ -30,8 +30,8 @@ and keep ``grad`` at None.
 from __future__ import annotations
 
 import functools
-import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -91,29 +91,25 @@ def _accumulate(t: TensorValue, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-class _TapeSwitch(threading.local):
-    untaped = 0  # per thread, how many no_tape() blocks are open
-
-
-_switch = _TapeSwitch()
+_untaped = ContextVar("untaped", default=False)
 
 
 @contextmanager
 def no_tape():
     """Record nothing inside the block, so each array is freed after its last use.
 
-    The switch is per thread: a block open on one thread leaves every other
-    thread's tape recording.
+    The switch lives in the context, so a job run in a copy of it records
+    nothing either; a thread with a context of its own keeps recording.
     """
-    _switch.untaped += 1
+    token = _untaped.set(True)
     try:
         yield
     finally:
-        _switch.untaped -= 1
+        _untaped.reset(token)
 
 
 def _result(data, parents, rule) -> TensorValue:
-    if _switch.untaped or not any(_needs(p) for p in parents):
+    if _untaped.get() or not any(_needs(p) for p in parents):
         return TensorValue(data)
     return TensorValue(data, requires_grad=False, _parents=tuple(parents), _rule=rule)
 

@@ -106,15 +106,6 @@ def _print_report(report: MetricsReport) -> None:
     )
 
 
-def _checkpoint_meta(model: DualChannelModel) -> dict:
-    return {
-        "train_config": dataclasses.asdict(model.config),
-        "relations": [rel.name for rel in model.graph.relations],
-        "num_nodes": model.graph.num_nodes,
-        "feature_dim": model.graph.feature_dim,
-    }
-
-
 def _evaluated_split(graph, name: str, data_path) -> np.ndarray:
     """The nodes of the split a command reports on; an empty split is a data error."""
     nodes = getattr(graph.split, name)
@@ -150,7 +141,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         for record in result.log:
             fh.write(json.dumps({"type": "epoch", **record}, sort_keys=True) + "\n")
 
-    save_checkpoint(result.model.params, _checkpoint_meta(result.model), out_dir / "checkpoint.bin")
+    save_checkpoint(result.model.params, {"train_config": dataclasses.asdict(config)}, out_dir / "checkpoint.bin")
 
     report = evaluate_split(result.model, test_idx)
     _write_metrics(

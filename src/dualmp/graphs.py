@@ -80,7 +80,8 @@ class MultiRelationGraph:
 
     Checked once, when built: a bad part raises :class:`GraphFormatError`.
     Every array it checked is then read-only: the features, the labels, the
-    three split sets and each relation's offsets and targets.
+    three split sets and each relation's offsets and targets, each copied
+    first if it is a view, whose base would still take writes.
     """
 
     features: np.ndarray
@@ -119,9 +120,15 @@ class MultiRelationGraph:
             if rel.num_nodes != n:
                 raise GraphFormatError(f"relation {rel.name!r} sized for {rel.num_nodes} nodes, graph has {n}")
         self.split.validate(n)
-        for array in (self.features, self.labels, self.split.train, self.split.val, self.split.test,
-                      *(a for rel in self.relations for a in (rel.offsets, rel.targets))):
-            np.asarray(array).flags.writeable = False  # a node set given as a list stays a list
+        for owner, names in ((self, ("features", "labels")), (self.split, ("train", "val", "test")),
+                             *((rel, ("offsets", "targets")) for rel in self.relations)):
+            for name in names:
+                array = getattr(owner, name)
+                if isinstance(array, np.ndarray):  # a node set given as a list stays a list
+                    if not array.flags.owndata:
+                        array = array.copy()
+                        object.__setattr__(owner, name, array)
+                    array.flags.writeable = False
 
 
 class EdgePartition:

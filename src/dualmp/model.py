@@ -60,7 +60,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@functools.cache
 def _one_malloc_arena() -> None:
     """Have every thread allocate from glibc's main arena; nothing where ``mallopt`` is absent.
 
@@ -115,9 +114,9 @@ def spread(jobs, rows: int) -> list:
     This thread runs job 0, then takes back each offered job the helper has
     not started, so the results come in job order whatever the helper is
     busy with; on return, an exception included, no job is left running.
-    An offered job runs in a copy of the caller's context, which carries
-    numpy's error state, but the tape switch is per thread. No job may wait
-    on another, so a caller that waits on one cannot deadlock.
+    An offered job runs in a copy of the caller's context, so it runs as it
+    would here, numpy's error state and tape switch included. No job may
+    wait on another, so a caller that waits on one cannot deadlock.
     """
     pool = _helper(rows) if len(jobs) > 1 else None
     if pool is None:
@@ -403,26 +402,25 @@ class DualChannelModel:
 
         The edge loss is None unless a training pass has ``edge_batches``.
         A training pass draws the relation's dropout factor from ``rng``; an
-        evaluation pass opens its own :func:`autodiff.no_tape`, since it may
-        run on the helper thread (:func:`spread`).
+        evaluation pass runs inside :meth:`forward`'s :func:`autodiff.no_tape`,
+        on the helper thread too (:func:`spread`).
         """
         p, cfg = self.params, self.config
         rel = self.graph.relations[ri]
         num_nodes = self.graph.num_nodes
-        with nullcontext() if training else ad.no_tape():
-            projection = p[f"{rel.name}/proj_w"], p[f"{rel.name}/proj_b"]
-            factor = separator.dropout_factor((num_nodes, cfg.hidden_dim), cfg.dropout, training, rng)
-            kept, active = self._projection(rel.name)
-            h, passes = (kept, active) if factor is None else (kept * factor, active * factor)
-            take = functools.partial(ad.relu_linear_rows, self.features, *projection, h, passes)
-            partition, blocks = self._split_and_blocks(ri, h, rows, training, partitions)
-            edge_loss = None
-            if training and edge_batches is not None:
-                positions, signs = edge_batches[ri]
-                distinct, ends = distinct_nodes((rel.edge_sources[positions], rel.targets[positions]), num_nodes)
-                scores = separator.edge_scores(take(distinct), *ends, p[f"{rel.name}/edge_w"])
-                edge_loss = separator.heterophily_loss(scores, signs)
-            return self._relation_embedding(rel.name, take, rows, blocks), partition, edge_loss
+        projection = p[f"{rel.name}/proj_w"], p[f"{rel.name}/proj_b"]
+        factor = separator.dropout_factor((num_nodes, cfg.hidden_dim), cfg.dropout, training, rng)
+        kept, active = self._projection(rel.name)
+        h, passes = (kept, active) if factor is None else (kept * factor, active * factor)
+        take = functools.partial(ad.relu_linear_rows, self.features, *projection, h, passes)
+        partition, blocks = self._split_and_blocks(ri, h, rows, training, partitions)
+        edge_loss = None
+        if training and edge_batches is not None:
+            positions, signs = edge_batches[ri]
+            distinct, ends = distinct_nodes((rel.edge_sources[positions], rel.targets[positions]), num_nodes)
+            scores = separator.edge_scores(take(distinct), *ends, p[f"{rel.name}/edge_w"])
+            edge_loss = separator.heterophily_loss(scores, signs)
+        return self._relation_embedding(rel.name, take, rows, blocks), partition, edge_loss
 
     def forward(
         self,
@@ -464,14 +462,14 @@ class DualChannelModel:
         Each relation's work is independent until the classifier, so each
         is one job. An evaluation pass over a ``node_batch`` gives the jobs
         to :func:`spread`: from ``OVERLAP_MIN_ROWS`` rows, on a graph of two
-        or more relations, relations 1..R-1 are offered to the process's
-        helper thread and relation 0 runs here; a relation the helper has not
-        started, as when ``fit``'s training pass holds it, is taken back and
-        run here. The relations are combined in order, so no bit depends on
-        where each ran. A training pass, whose dropout draws keep their
-        order, and a whole-graph pass, which would hold two relations'
-        edge-sized arrays at once, run their relations in order on this
-        thread.
+        or more relations, relation 0 runs here and relations 1..R-1 are
+        offered to the process's helper thread, still inside this pass's
+        ``no_tape()``; a relation the helper has not started, as when
+        ``fit``'s training pass holds it, is taken back and run here. The
+        relations are combined in order, so no bit depends on where each
+        ran. A training pass, whose dropout draws keep their order, and a
+        whole-graph pass, which would hold two relations' edge-sized arrays
+        at once, run their relations in order on this thread.
         """
         p, cfg = self.params, self.config
         num_nodes = self.graph.num_nodes

@@ -1,8 +1,10 @@
 import contextlib
+import ctypes
 import dataclasses
 import functools
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -747,6 +749,27 @@ class TestKeptSplit:
                     array[-1] = array[0]
 
 
+@pytest.mark.parametrize("part", ["features", "offsets", "targets"])
+def test_a_write_into_the_base_of_a_view_leaves_the_graph_and_its_kept_split_as_built(part):
+    # a read-only view's base still takes writes, which would reach the kept projection and split unseen
+    graph = sparse_graph()
+    rel, others = graph.relations[0], graph.relations[1:]
+    original = getattr(graph if part == "features" else rel, part).copy()
+    base = np.concatenate([original, original], axis=-1)  # owns its data; the view is its first half
+    view = base[..., :original.shape[-1]]
+    if part == "features":
+        built = dataclasses.replace(graph, features=view)
+    else:
+        built = dataclasses.replace(graph, relations=[dataclasses.replace(rel, **{part: view}), *others])
+    model = make_model(built)
+    before = model.forward(training=False).probs.data.tobytes()
+    base += 1
+    kept = built if part == "features" else built.relations[0]
+    assert np.array_equal(getattr(kept, part), original)
+    assert model.forward(training=False).probs.data.tobytes() == before
+    assert make_model(built).forward(training=False).probs.data.tobytes() == before
+
+
 def test_a_write_into_the_edge_scorer_alone_rebuilds_the_split_and_keeps_the_projection(monkeypatch):
     graph = sparse_graph()
     model = make_model(graph)
@@ -1010,6 +1033,51 @@ def test_a_spread_pass_equals_the_sequential_pass(small_graph, monkeypatch, abla
         assert sorted(built) == sorted([(names[0], True), (names[1], case == "helper-busy")] * 2)
     else:
         assert submitted == [] and sorted(built) == sorted([(name, True) for name in names] * 2)
+
+
+@pytest.mark.parametrize("untaped", [True, False])
+def test_a_job_on_the_helper_records_a_tape_as_it_would_on_the_calling_thread(monkeypatch, untaped):
+    from dualmp import model as model_module
+
+    spreading(monkeypatch)
+    weight = tensor(np.ones((2, 2)), requires_grad=True)
+    started = threading.Event()
+
+    def held():
+        assert started.wait(timeout=30), "the helper never started job 1"
+        return ad.matmul(weight, weight), threading.current_thread()
+
+    def offered():
+        started.set()
+        return ad.matmul(weight, weight), threading.current_thread()
+
+    with ad.no_tape() if untaped else contextlib.nullcontext():
+        (here, here_thread), (there, there_thread) = model_module.spread([held, offered], rows=0)
+    assert here_thread is threading.main_thread() and there_thread.name.startswith("dualmp-helper")
+    parents = () if untaped else (weight, weight)
+    assert here._parents == parents and there._parents == parents
+
+
+@pytest.mark.parametrize("has_mallopt", [True, False])
+def test_a_fresh_helper_holds_malloc_to_one_arena_before_it_starts(monkeypatch, has_mallopt):
+    from dualmp import model as model_module
+
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value, model_module._pool))
+        return 1
+
+    library = types.SimpleNamespace(mallopt=mallopt) if has_mallopt else types.SimpleNamespace()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: library)
+    monkeypatch.setattr(model_module, "_pool", None)  # the process's helper comes back at teardown
+    spreading(monkeypatch)
+    pool = model_module._helper(0)
+    try:
+        assert pool is not None and model_module._helper(0) is pool
+        assert calls == ([(-8, 1, None)] if has_mallopt else [])  # M_ARENA_MAX, once, before the pool
+    finally:
+        pool.shutdown()
 
 
 def test_the_embeddings_of_a_helper_job_have_no_parents(small_graph, monkeypatch):

@@ -81,7 +81,10 @@ class MultiRelationGraph:
     Checked once, when built: a bad part raises :class:`GraphFormatError`.
     Every array it checked is then read-only: the features, the labels, the
     three split sets and each relation's offsets and targets, each copied
-    first if it is a view, whose base would still take writes.
+    first if it is a view, whose base would still take writes. Another
+    view of an input, made before the graph was built, is not frozen, and
+    writes through it reach the graph: numpy does not list an array's
+    views, so only copying every input could close that.
     """
 
     features: np.ndarray
@@ -224,14 +227,19 @@ def build_csr(edges, num_nodes: int, name: str = "relation") -> RelationAdjacenc
     Self-loops are dropped and duplicates removed, keeping the first
     occurrence, so the pairs followed by their reverses build the undirected
     relation; within a source node, targets keep their input order. Raises
-    :class:`GraphFormatError` for endpoint indices outside
+    :class:`GraphFormatError` for a non-empty edge list that is not of
+    integers (a float endpoint is not truncated, nor a bool pair read as
+    the nodes 1 and 0) and for endpoint indices outside
     ``0..num_nodes - 1``, naming the first such edge in input order. Works
     on the source and target columns: ``np.unique`` gives each pair's first
     occurrence, kept in input order, then sorted stably by source.
     """
-    pairs = np.asarray(edges, dtype=np.int64)
+    pairs = np.asarray(edges)
     if pairs.size == 0:
         pairs = np.empty((0, 2), dtype=np.int64)
+    elif pairs.dtype.kind not in "iu":
+        raise GraphFormatError(f"edge list must hold integer node numbers, got {pairs.dtype}")
+    pairs = pairs.astype(np.int64, copy=False)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise GraphFormatError(f"edge list must be pairs, got shape {pairs.shape}")
     src, dst = pairs[:, 0], pairs[:, 1]

@@ -246,13 +246,17 @@ class DualChannelModel:
     checked and read-only (:class:`MultiRelationGraph`), and the model makes
     its own float64 ``features`` read-only too, so each relation's
     whole-graph work depends only on the parameters and the rows, and a
-    write into an input raises rather than leave a kept split stale. The
-    configuration is immutable. The model keeps that work in one store
-    per relation (:meth:`_stage`), in three stages with nested keys: the
-    projection, keyed on the bytes of ``proj_w`` and ``proj_b``; the
-    evaluation partition, keyed on those and the bytes of ``edge_w``; and
-    the channel blocks, keyed on all of that and the bytes of an evaluation
-    pass's rows.
+    write into an input raises rather than leave a kept entry stale. The
+    configuration is immutable. One rule governs what a pass keeps: only
+    a scoring pass, an evaluation pass over a given ``node_batch`` without
+    frozen ``partitions``, reads or writes the one kept entry per relation,
+    its projection, partition and channel blocks, keyed on the bytes of
+    the pass's rows and of the relation's ``proj_w``, ``proj_b`` and
+    ``edge_w`` (:meth:`_relation_pass`). Every other pass keeps nothing and
+    reads nothing kept. Every kept array is read-only, made so by the code
+    that builds it (:func:`separator.project_features`,
+    :class:`EdgePartition`, :func:`propagation.channel_adjacencies`): a
+    pass that wrote into one would corrupt the next.
     """
 
     def __init__(self, graph: MultiRelationGraph, config: TrainConfig, rng: np.random.Generator):
@@ -266,8 +270,8 @@ class DualChannelModel:
         self._unsplit = None if self.has_separator else [
             EdgePartition(np.zeros(rel.edge_count, dtype=bool), relation=rel) for rel in graph.relations
         ]
-        # per relation, the kept stages in order, each (key, value): the projection, the partition, the blocks
-        self._stages: dict[str, list[tuple[object, object]]] = {}
+        # per relation, a scoring pass's (key, (projection, relu's pass-through, partition, blocks))
+        self._kept: dict[str, tuple[tuple[bytes, ...], tuple]] = {}
         self._init_params(rng)
 
     # -- parameter construction -------------------------------------------
@@ -303,76 +307,26 @@ class DualChannelModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _stage(self, name: str, depth: int, key, build, repeat: bool = False):
-        """Stage ``depth`` of relation ``name``'s store: the value kept under ``key``, or ``build()``'s.
-
-        Stage 0 is the projection, 1 the evaluation partition and 2 the
-        channel blocks. Each stage's key holds only what it adds, since a
-        stage is kept only on top of the stages before it: when a key
-        differs, that stage and every later one are dropped before the
-        rebuild, so two versions are never held at once. Keys are bytes, so
-        every in-place writer (the optimiser, a restore, a gradient probe)
-        is seen without a hook, and so is a flip between 0.0 and -0.0 that
-        value equality misses. With ``repeat`` a value is kept only when its
-        key repeats the one before, the second time it is seen; the first
-        time only the key is, so that a whole-graph pass, run once
-        (``dualmp eval --export-embeddings``, a benchmark's check forward),
-        keeps no blocks over every edge. Every kept array is read-only, made
-        so by the code that builds it (:func:`separator.project_features`,
-        :class:`EdgePartition`, :func:`propagation._cut`): a pass that wrote
-        into one would corrupt the next.
-        """
-        stages = self._stages.setdefault(name, [])
-        seen = len(stages) > depth and stages[depth][0] == key
-        if seen and stages[depth][1] is not None:
-            return stages[depth][1]
-        del stages[depth:]
-        value = build()
-        stages.append((key, value if seen or not repeat else None))
-        return value
-
-    def _projection(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`separator.project_features` over all N nodes, rebuilt only when its weights change."""
-        proj_w, proj_b = (self.params[f"{name}/{key}"].data for key in ("proj_w", "proj_b"))
-        key = proj_w.tobytes(), proj_b.tobytes()
-        return self._stage(name, 0, key, lambda: separator.project_features(self.features, proj_w, proj_b))
-
     def _split_and_blocks(
-        self, ri: int, h: np.ndarray, rows: np.ndarray, training: bool, partitions
+        self, ri: int, h: np.ndarray, rows: np.ndarray, partitions
     ) -> tuple[EdgePartition | None, dict[str, BatchAdjacency]]:
         """Relation ``ri``'s edge partition (None without a separator) and its channels' blocks for ``rows``.
 
         The split is a hard one on the sign of the detached pre-activation
         of the edge scores over ``h``; the separator learns only through the
-        hinge loss. Frozen ``partitions`` are used as given. A pass with
-        them, and every training pass, neither reads nor changes the kept
-        partition and blocks: a training pass builds its own, so its split
-        keeps its dropout jitter, and a pass on another thread may run beside
-        it. An evaluation pass keeps its partition, and its blocks when its
-        rows repeat the previous evaluation pass's rows (:meth:`_stage`).
+        hinge loss. Frozen ``partitions`` are used as given. Without a
+        split the blocks are cut from the unsplit relation.
         """
         rel = self.graph.relations[ri]
-        channels = CHANNELS[self.config.ablation]
-        edge_w = self.params[f"{rel.name}/edge_w"].data if self.has_separator else None
-
-        def split():
-            if edge_w is None:
-                return self._unsplit[ri]
-            return partition_subgraphs(rel, separator.edge_score_values(h, rel.edge_sources, rel.targets, edge_w))
-
-        def cut(partition):
-            return propagation.channel_adjacencies(rel, partition, rows, channels)
-
         if partitions is not None:
             partition = partitions[ri]
-            return partition, cut(self._unsplit[ri] if partition is None else partition)
-        if training:
-            partition = split()
-            blocks = cut(partition)
+        elif self.has_separator:
+            edge_w = self.params[f"{rel.name}/edge_w"].data
+            partition = partition_subgraphs(rel, separator.edge_score_values(h, rel.edge_sources, rel.targets, edge_w))
         else:
-            partition = self._stage(rel.name, 1, b"" if edge_w is None else edge_w.tobytes(), split)
-            blocks = self._stage(rel.name, 2, (rows.shape, rows.tobytes()), lambda: cut(partition), repeat=True)
-        return (None if edge_w is None else partition), blocks
+            partition = None
+        cut = self._unsplit[ri] if partition is None else partition
+        return partition, propagation.channel_adjacencies(rel, cut, rows, CHANNELS[self.config.ablation])
 
     def _relation_embedding(self, name: str, take, rows: np.ndarray, blocks: dict[str, BatchAdjacency]) -> TensorValue:
         """Run the ablation's channels over one relation's ``rows`` and fuse two outputs.
@@ -396,24 +350,45 @@ class DualChannelModel:
         return propagation.frequency_fuse(*outputs, *fusion)
 
     def _relation_pass(
-        self, ri: int, rows: np.ndarray, training: bool, rng, edge_batches, partitions
+        self, ri: int, rows: np.ndarray, training: bool, rng, edge_batches, partitions, keep: bool
     ) -> tuple[TensorValue, EdgePartition | None, TensorValue | None]:
         """Relation ``ri``'s part of a pass: its fused embedding, its partition and its edge loss.
 
         The edge loss is None unless a training pass has ``edge_batches``.
         A training pass draws the relation's dropout factor from ``rng``; an
         evaluation pass runs inside :meth:`forward`'s :func:`autodiff.no_tape`,
-        on the helper thread too (:func:`spread`).
+        on the helper thread too (:func:`spread`). With ``keep`` the
+        relation's projection, partition and blocks come from its kept
+        entry when its key, the bytes of the rows, ``proj_w``, ``proj_b``
+        and ``edge_w``, is unchanged; otherwise the old entry is dropped
+        before the new one is built, so two are never held at once. Bytes
+        see every in-place writer (the optimiser, a restore, a gradient
+        probe) without a hook, and a flip between 0.0 and -0.0 that value
+        equality misses.
         """
         p, cfg = self.params, self.config
         rel = self.graph.relations[ri]
         num_nodes = self.graph.num_nodes
         projection = p[f"{rel.name}/proj_w"], p[f"{rel.name}/proj_b"]
         factor = separator.dropout_factor((num_nodes, cfg.hidden_dim), cfg.dropout, training, rng)
-        kept, active = self._projection(rel.name)
-        h, passes = (kept, active) if factor is None else (kept * factor, active * factor)
+
+        def build():
+            h, passes = separator.project_features(self.features, *(w.data for w in projection))
+            if factor is not None:
+                h, passes = h * factor, passes * factor
+            return h, passes, *self._split_and_blocks(ri, h, rows, partitions)
+
+        if keep:
+            weights = ("proj_w", "proj_b", "edge_w")[: 3 if self.has_separator else 2]
+            key = rows.tobytes(), *(p[f"{rel.name}/{name}"].data.tobytes() for name in weights)
+            entry = self._kept.get(rel.name)
+            if entry is None or entry[0] != key:
+                self._kept.pop(rel.name, None)
+                entry = self._kept[rel.name] = key, build()
+            h, passes, partition, blocks = entry[1]
+        else:
+            h, passes, partition, blocks = build()
         take = functools.partial(ad.relu_linear_rows, self.features, *projection, h, passes)
-        partition, blocks = self._split_and_blocks(ri, h, rows, training, partitions)
         edge_loss = None
         if training and edge_batches is not None:
             positions, signs = edge_batches[ri]
@@ -434,30 +409,31 @@ class DualChannelModel:
 
         The projection, edge scoring and partition cover the whole graph,
         untaped; aggregation, fusion and the classifier run only for the
-        rows. The features are fixed at construction, so the untaped
-        projection is kept from pass to pass while ``proj_w`` and ``proj_b``
-        are unchanged (:meth:`_projection`); a training pass multiplies it,
-        and the mask of where relu passes the gradient, by its dropout
-        factor. A training pass splits each relation's edges on the sign of
-        its own jittered edge scores. Of the kept stages it reads only the
-        projection, and it writes none when the projection at its weights is
-        kept already, as :func:`training.fit` makes sure before it runs one
-        beside an evaluation pass. An evaluation pass reuses the partition
-        kept for the current ``edge_w`` and, when its rows repeat the previous
-        evaluation pass's rows, the kept blocks (:meth:`_split_and_blocks`).
+        rows. A training pass multiplies the projection, and the mask of
+        where relu passes the gradient, by its dropout factor, and splits
+        each relation's edges on the sign of its own jittered edge scores.
         Frozen ``partitions`` (gradient checking passes them) are used as
-        given. No pass builds a partition's views, and only the blocks of the
-        ablation's channels are cut. Each consumer takes its own rows of the
-        projection with :func:`autodiff.relu_linear_rows`: the pass's rows,
-        each block's senders and, in a training pass, the edge batch's
+        given. Only a scoring pass, an evaluation pass over a ``node_batch``
+        without frozen ``partitions``, reads or writes the kept entry of
+        each relation, and reuses it while its rows and the bytes of
+        ``proj_w``, ``proj_b`` and ``edge_w`` are unchanged
+        (:meth:`_relation_pass`). A training pass, a whole-graph pass and a
+        frozen-partition pass build their own and keep nothing, so a
+        training pass may run on another thread beside a scoring pass, and
+        a whole-graph pass, run once (``dualmp eval --export-embeddings``, a
+        benchmark's check forward), holds no blocks over every edge once it
+        returns. No pass builds a partition's views, and only the blocks of
+        the ablation's channels are cut. Each consumer takes its own rows of
+        the projection with :func:`autodiff.relu_linear_rows`: the pass's
+        rows, each block's senders and, in a training pass, the edge batch's
         distinct endpoints, once each, which the hinge reads by position. A
         training pass builds the classification loss over its rows, plus one
         edge loss per relation when ``edge_batches`` holds per-relation
         (edge positions, sign labels). An evaluation pass
         (``training=False``) runs under :func:`autodiff.no_tape` and builds
-        no loss, so every array but the kept stages is freed after its last
-        use. The partitions it returns are the kept, read-only ones. The pass
-        reads ``node_batch`` through :func:`graphs.node_index`.
+        no loss, so every array but the kept entries is freed after its last
+        use. The partitions it returns are read-only. The pass reads
+        ``node_batch`` through :func:`graphs.node_index`.
 
         Each relation's work is independent until the classifier, so each
         is one job. An evaluation pass over a ``node_batch`` gives the jobs
@@ -475,8 +451,9 @@ class DualChannelModel:
         num_nodes = self.graph.num_nodes
         with nullcontext() if training else ad.no_tape():
             rows = np.arange(num_nodes) if node_batch is None else node_index(node_batch, num_nodes)
+            keep = not training and node_batch is not None and partitions is None
             jobs = [
-                functools.partial(self._relation_pass, ri, rows, training, rng, edge_batches, partitions)
+                functools.partial(self._relation_pass, ri, rows, training, rng, edge_batches, partitions, keep)
                 for ri in range(self.graph.num_relations)
             ]
             passes = [job() for job in jobs] if training or node_batch is None else spread(jobs, len(rows))

@@ -168,18 +168,20 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
     once the model is built (``check_validation_split``).
 
     Epoch t's evaluation pass and epoch t + 1's training pass read the same
-    weights, and neither writes what the other reads. So when epoch t
-    cannot end the run (t < ``epochs`` and fewer than ``patience - 1`` stale
-    epochs before it), each relation's projection at the new weights is
-    built first, and :func:`model.spread` runs the evaluation here while
-    the helper thread, if the evaluation's rows have one, runs epoch t + 1's
-    batches, training forward and backward, only reading the projections.
-    The evaluation then takes back the relations it would offer the busy
-    helper, and a training pass the helper has not started when the
-    evaluation ends, as when another ``fit`` holds it, is taken back too.
-    No pass is thrown away and the random draws keep their order, so the
-    log, the parameters and a :class:`NumericalError` (raised at the same
-    epoch) do not depend on where each pass ran.
+    weights, and neither writes what the other reads: the evaluation pass
+    alone writes the model's kept entries, and the training pass builds its
+    own projection, split and blocks. So when epoch t cannot end the run
+    (t < ``epochs`` and fewer than ``patience - 1`` stale epochs before it),
+    :func:`model.spread` runs the evaluation here while the helper thread,
+    if the evaluation's rows have one, runs epoch t + 1's batches, training
+    forward and backward. The evaluation then takes back the relations it
+    would offer the busy helper, and a training pass the helper has not
+    started when the evaluation ends, as when another ``fit`` holds it, is
+    taken back too. No pass is thrown away and the random draws keep their
+    order, so the log, the parameters and a :class:`NumericalError` (raised
+    at the same epoch) do not depend on where each pass ran. The kept
+    entries, built at the last epoch's weights, are dropped once the best
+    epoch's parameters are restored.
     """
     rng = np.random.default_rng(config.seed)
     model = DualChannelModel(graph, config, rng)
@@ -215,8 +217,6 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
 
         jobs = [evaluation]
         if epoch < config.epochs and stale < config.patience - 1:
-            for rel in graph.relations:
-                model._projection(rel.name)
             jobs.append(functools.partial(_training_pass, model, labeled_edges, rng, epoch + 1))
         figures, *ahead = spread(jobs, len(eval_rows))
         log.append({**record, **figures})
@@ -232,7 +232,7 @@ def fit(graph: MultiRelationGraph, config: TrainConfig) -> FitResult:
                 break
 
     model.params.restore(best_snapshot)
-    model._stages.clear()  # built for the last epoch's weights, which no later pass has
+    model._kept.clear()  # built for the last epoch's weights, which no later pass has
     return FitResult(model=model, log=log, best_epoch=best_epoch, best_val_auc=float(best_auc))
 
 
@@ -248,10 +248,10 @@ def evaluate_split(model: DualChannelModel, node_idx) -> MetricsReport:
     of 11 of 69 row sets of the A4 fixture, and the probabilities of 6,
     differed by rounding from the whole-graph rows. At widths 16 and 32 the
     (16, 2) and (32, 2) classifier products differ in most random cuts. It
-    records no tape and builds no loss. Repeated calls with unchanged
-    parameters score and partition the edges once; the second call over the
-    same ``node_idx`` keeps its channel blocks, and later ones reuse them
-    (:meth:`DualChannelModel._stage`). With at least ``OVERLAP_MIN_ROWS``
+    records no tape and builds no loss. It is a scoring pass, so repeated
+    calls over the same ``node_idx`` with unchanged parameters project,
+    score, partition and cut once, and reuse each relation's kept entry
+    (:meth:`DualChannelModel.forward`). With at least ``OVERLAP_MIN_ROWS``
     rows and two or more relations, :func:`model.spread` offers relations
     1..R-1 to the process's helper thread and takes back any it has not
     started (:meth:`DualChannelModel.forward`); the report is the same bits

@@ -42,6 +42,21 @@ class TestBuildCsr:
         with pytest.raises(GraphFormatError):
             build_csr([(-1, 0)], 3)
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[[0.9, 1.7]], np.array([[0.0, 1.0]]), [[True, False]], np.array([["0", "1"]]), [[0, None]]],
+        ids=["fractional", "whole-floats", "bools", "strings", "objects"],
+    )
+    def test_non_integer_edges_rejected(self, edges):
+        # truncated, [[0.9, 1.7]] would be the edge (0, 1), and a bool pair the nodes 1 and 0
+        with pytest.raises(GraphFormatError, match="integer node numbers"):
+            build_csr(edges, 3)
+
+    def test_unsigned_and_narrow_integer_edges_accepted(self):
+        for dtype in (np.uint8, np.int32, np.uint64):
+            adj = build_csr(np.array([[0, 1], [1, 2]], dtype=dtype), 3)
+            assert adj.targets.dtype == np.int64 and adj.edge_pairs().tolist() == [[0, 1], [1, 2]]
+
     def test_edge_pairs_round_trip(self):
         pairs = [(2, 0), (0, 2), (0, 1), (2, 1)]
         adj = build_csr(pairs, 3)

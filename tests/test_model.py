@@ -13,7 +13,7 @@ from scipy import sparse
 import dualmp.autodiff as ad
 from dualmp.autodiff import backward, tensor
 from dualmp.data import SyntheticSpec, generate_synthetic
-from dualmp.graphs import GraphFormatError, MultiRelationGraph, partition_subgraphs
+from dualmp.graphs import EdgePartition, GraphFormatError, MultiRelationGraph, partition_subgraphs
 from dualmp.model import (
     CHANNELS,
     ConfigError,
@@ -525,9 +525,9 @@ def nan_weight(model, other):
 
 
 class TestKeptProjection:
-    """Each relation's untaped whole-graph projection is built once per value of proj_w and proj_b."""
+    """A scoring pass keeps each relation's untaped whole-graph projection; every other pass projects anew."""
 
-    def test_a_training_pass_reuses_the_evaluation_pass_projection(self, monkeypatch):
+    def test_every_pass_that_keeps_nothing_projects_once_per_relation(self, monkeypatch):
         from dualmp.training import Adam
 
         model = make_model(sparse_graph(), dropout=0.1)
@@ -535,12 +535,12 @@ class TestKeptProjection:
         calls = count_whole_graph_projections(monkeypatch, model.graph.num_nodes)
         model.forward(training=False)
         out = training_pass(model)
-        assert len(calls) == relations
+        assert len(calls) == 2 * relations
         backward(out.loss_total)
         Adam(model.params, 0.01).step()
         model.forward(training=False)
         training_pass(model)
-        assert len(calls) == 2 * relations
+        assert len(calls) == 4 * relations
 
     def test_repeated_scoring_projects_once(self, monkeypatch):
         from dualmp.training import evaluate_split
@@ -554,12 +554,13 @@ class TestKeptProjection:
     def test_sign_flip_of_a_zero_weight_rebuilds(self, monkeypatch):
         # np.array_equal(0.0, -0.0) holds; the bytes differ
         model = make_model(sparse_graph())
+        rows = model.graph.split.test
         calls = count_whole_graph_projections(monkeypatch, model.graph.num_nodes)
-        model.forward(training=False)
+        scoring_pass(model, rows)
         proj_b = model.params[f"{model.graph.relations[0].name}/proj_b"]
         assert proj_b.data[0, 0] == 0.0 and not np.signbit(proj_b.data[0, 0])
         proj_b.data[0, 0] = -0.0
-        model.forward(training=False)
+        scoring_pass(model, rows)
         assert len(calls) == model.graph.num_relations + 1
 
     @pytest.mark.parametrize(
@@ -570,8 +571,8 @@ class TestKeptProjection:
     def test_pass_after_an_in_place_write_equals_a_fresh_model(self, write, first):
         graph = sparse_graph()
         model = make_model(graph, dropout=0.1)
-        model.forward(training=False)
-        training_pass(model, seed=1)  # the kept projection is now the one before the write
+        scoring_pass(model, graph.split.test)  # an entry is now kept at the weights before the write
+        training_pass(model, seed=1)
         write(model, DualChannelModel(graph, model.config, np.random.default_rng(5)))
         fresh = DualChannelModel(graph, model.config, np.random.default_rng(1))
         fresh.params.restore(model.params.snapshot())
@@ -585,9 +586,9 @@ class TestKeptProjection:
     def test_the_kept_projection_and_the_features_are_read_only(self):
         graph = sparse_graph()
         model = make_model(graph)
-        model.forward(training=False)
-        for rel in model.graph.relations:
-            h, active = model._projection(rel.name)
+        scoring_pass(model, graph.split.test)
+        assert len(model._kept) == model.graph.num_relations
+        for _, (h, active, *_) in model._kept.values():
             for array in (h, active):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 1.0
@@ -624,8 +625,8 @@ def scoring_pass(model, rows):
 
 
 def split_arrays(partition, blocks):
-    """Every array of an edge partition and of the channel blocks cut from it."""
-    arrays = [partition.hetero_mask, partition.homo_offsets, partition.hetero_offsets]
+    """Every array of an edge partition, if there is one, and of the channel blocks cut from it."""
+    arrays = [] if partition is None else [partition.hetero_mask, partition.homo_offsets, partition.hetero_offsets]
     for block in blocks.values():
         arrays += [block.senders, block.matrix.data, block.matrix.indices, block.matrix.indptr]
     return arrays
@@ -637,17 +638,22 @@ def assert_read_only(arrays):
             array.flat[0] = array.flat[0]
 
 
+def same_entries(model, kept) -> bool:
+    """Whether ``model`` keeps exactly the entries ``kept``, a copy of its store, as the same objects."""
+    return model._kept.keys() == kept.keys() and all(model._kept[name] is kept[name] for name in kept)
+
+
 @pytest.mark.parametrize("ablation", ["full", "sep"])
 class TestKeptSplit:
-    """An evaluation pass keeps its partition per value of the weights, and its blocks when its rows repeat."""
+    """A scoring pass keeps its partition and blocks while its rows and the weights repeat."""
 
-    def test_repeated_scoring_scores_and_partitions_once_and_cuts_twice(self, monkeypatch, ablation):
+    def test_repeated_scoring_scores_partitions_and_cuts_once(self, monkeypatch, ablation):
         from dualmp.training import evaluate_split
 
         model = make_model(sparse_graph(), ablation=ablation)
         counts = count_split_work(monkeypatch)
         reports = [evaluate_split(model, model.graph.split.test) for _ in range(3)]
-        assert counts == split_work(model, scored=1, cut=2)
+        assert counts == split_work(model, scored=1, cut=1)
         assert reports[0] == reports[1] == reports[2]
 
     def test_a_reused_pass_equals_a_fresh_model(self, ablation):
@@ -681,6 +687,7 @@ class TestKeptSplit:
         assert pass_bits(got) == pass_bits(scoring_pass(fresh, rows))
 
     def test_reordered_or_duplicated_rows_recut_the_blocks(self, monkeypatch, ablation):
+        # and score and split anew: the rows are part of the entry's key
         graph = sparse_graph()
         model = make_model(graph, ablation=ablation)
         rows = graph.split.test
@@ -690,40 +697,37 @@ class TestKeptSplit:
             scoring_pass(model, rows)
         for other in (rows[::-1], np.append(rows, rows[0])):
             assert scoring_pass(model, other).probs.data.tobytes() == whole[other].tobytes()
-        assert counts == split_work(model, scored=0, cut=4)
+        assert counts == split_work(model, scored=3, cut=3)
 
     def test_a_training_pass_neither_reads_nor_leaves_a_kept_split(self, monkeypatch, ablation):
         model = make_model(sparse_graph(), ablation=ablation, dropout=0.1)
         rows = model.graph.split.test
-        for _ in range(2):
-            scoring_pass(model, rows)
-        def kept_values():
-            return [value for stages in model._stages.values() for _, value in stages]
-
-        kept = kept_values()
-        assert len(kept) == 3 * model.graph.num_relations and None not in kept
+        scoring_pass(model, rows)
+        kept = dict(model._kept)
+        assert len(kept) == model.graph.num_relations
         counts = count_split_work(monkeypatch)
         training_pass(model)
         assert counts == split_work(model, scored=1, cut=1)  # its own split and blocks
         # the same objects stay: an evaluation pass on another thread may be reading them
-        assert all(after is before for after, before in zip(kept_values(), kept, strict=True))
+        assert same_entries(model, kept)
         scoring_pass(model, rows)
         assert counts == split_work(model, scored=1, cut=1)  # the next scoring pass scores nothing
 
     def test_a_whole_graph_pass_keeps_no_blocks(self, ablation):
+        # nor anything else, and it leaves a scoring pass's entry as it was
         model = make_model(sparse_graph(), ablation=ablation)
-        scoring_pass(model, model.graph.split.test)
-        scoring_pass(model, model.graph.split.test)
         scoring_pass(model, None)
-        for _, partition, (_, blocks) in model._stages.values():
-            assert partition[1] is not None and blocks is None
+        assert model._kept == {}
+        scoring_pass(model, model.graph.split.test)
+        kept = dict(model._kept)
+        scoring_pass(model, None)
+        assert len(kept) == model.graph.num_relations and same_entries(model, kept)
 
     def test_every_kept_array_is_read_only(self, ablation):
         model = make_model(sparse_graph(), ablation=ablation)
-        rows = model.graph.split.test
-        out = [scoring_pass(model, rows) for _ in range(2)][-1]
-        for stages in model._stages.values():
-            [(_, (h, active)), (_, partition), (_, blocks)] = stages
+        out = scoring_pass(model, model.graph.split.test)
+        assert len(model._kept) == model.graph.num_relations
+        for _, (h, active, partition, blocks) in model._kept.values():
             assert_read_only([h, active, *split_arrays(partition, blocks)])
         for partition in out.partitions:
             assert partition is None or not partition.hetero_mask.flags.writeable
@@ -749,6 +753,50 @@ class TestKeptSplit:
                     array[-1] = array[0]
 
 
+@pytest.mark.parametrize("on_helper", ["whole-graph", "frozen", "training"])
+@pytest.mark.parametrize("ablation", ["full", "sep"])
+def test_only_a_scoring_pass_reads_or_writes_the_kept_entry(monkeypatch, ablation, on_helper):
+    # between two scoring passes over the same rows, the other passes run, one of them on the helper
+    from dualmp import model as model_module
+    from dualmp import separator
+
+    model = make_model(sparse_graph(), ablation=ablation, dropout=0.1)
+    rows = model.graph.split.test
+    # the other sides of the split, so that a frozen pass which read the entry would show it
+    frozen = [None if p is None else EdgePartition(~p.hetero_mask, relation=p.relation)
+              for p in model.forward(training=False).partitions]
+    first = scoring_pass(model, rows)
+    kept = dict(model._kept)
+    others = {
+        "whole-graph": lambda: model.forward(training=False),
+        "frozen": lambda: model.forward(training=False, node_batch=rows, partitions=frozen),
+        "training": lambda: training_pass(model),
+    }
+    outs, started = {}, threading.Event()
+
+    def here():
+        assert started.wait(timeout=30), "the helper never started its pass"
+        for name, run in others.items():
+            if name != on_helper:
+                outs[name] = run()
+        return threading.current_thread()
+
+    def offered():
+        started.set()
+        outs[on_helper] = others[on_helper]()
+        return threading.current_thread()
+
+    spreading(monkeypatch)
+    _, helper = model_module.spread([here, offered], rows=0)
+    assert helper.name.startswith("dualmp-helper")
+    assert all(got is want for got, want in zip(outs["frozen"].partitions, frozen, strict=True))
+    assert len(kept) == model.graph.num_relations and same_entries(model, kept)
+    projections = record_calls(monkeypatch, separator, "project_features")
+    counts = count_split_work(monkeypatch)
+    assert pass_bits(scoring_pass(model, rows)) == pass_bits(first)
+    assert projections == [] and counts == split_work(model, scored=0, cut=0)
+
+
 @pytest.mark.parametrize("part", ["features", "offsets", "targets"])
 def test_a_write_into_the_base_of_a_view_leaves_the_graph_and_its_kept_split_as_built(part):
     # a read-only view's base still takes writes, which would reach the kept projection and split unseen
@@ -761,23 +809,22 @@ def test_a_write_into_the_base_of_a_view_leaves_the_graph_and_its_kept_split_as_
         built = dataclasses.replace(graph, features=view)
     else:
         built = dataclasses.replace(graph, relations=[dataclasses.replace(rel, **{part: view}), *others])
-    model = make_model(built)
-    before = model.forward(training=False).probs.data.tobytes()
+    model, rows = make_model(built), graph.split.test
+    before = scoring_pass(model, rows).probs.data.tobytes()
     base += 1
     kept = built if part == "features" else built.relations[0]
     assert np.array_equal(getattr(kept, part), original)
-    assert model.forward(training=False).probs.data.tobytes() == before
-    assert make_model(built).forward(training=False).probs.data.tobytes() == before
+    assert scoring_pass(model, rows).probs.data.tobytes() == before
+    assert scoring_pass(make_model(built), rows).probs.data.tobytes() == before
 
 
-def test_a_write_into_the_edge_scorer_alone_rebuilds_the_split_and_keeps_the_projection(monkeypatch):
+def test_a_write_into_the_edge_scorer_alone_rebuilds_its_relation_entry(monkeypatch):
     graph = sparse_graph()
     model = make_model(graph)
     rows = graph.split.test
     edge_w = model.params[f"{graph.relations[0].name}/edge_w"]
     edge_w.data[0, 0] = 0.0
-    for _ in range(2):
-        scoring_pass(model, rows)
+    scoring_pass(model, rows)
     projections = count_whole_graph_projections(monkeypatch, graph.num_nodes)
     counts = count_split_work(monkeypatch)
     edge_w.data[0, 0] = -0.0  # np.array_equal(0.0, -0.0) holds; the bytes differ
@@ -786,7 +833,7 @@ def test_a_write_into_the_edge_scorer_alone_rebuilds_the_split_and_keeps_the_pro
     edge_w.data.flat[3] += 1e-3
     got = scoring_pass(model, rows)
     assert counts == split_work(model, scored=2, cut=2, relations=1)
-    assert projections == []
+    assert len(projections) == 2  # the entry is one: the relation projects anew
     fresh = DualChannelModel(graph, model.config, np.random.default_rng(1))
     fresh.params.restore(model.params.snapshot())
     assert pass_bits(got) == pass_bits(scoring_pass(fresh, rows))

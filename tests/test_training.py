@@ -233,11 +233,11 @@ class TestFit:
         assert len(built) == 2
 
     def test_fit_keeps_no_projection_of_the_last_epoch(self):
-        # best epoch 16 of 20: the restore replaces the weights the kept projections were built for
+        # best epoch 16 of 20: the restore replaces the weights the kept entries were built for
         graph = generate_synthetic(SyntheticSpec(num_nodes=200, num_relations=2, seed=5))
         result = fit(graph, TrainConfig(epochs=20, patience=20, seed=5))
         assert result.best_epoch < len(result.log)
-        assert result.model._stages == {}
+        assert result.model._kept == {}
 
     @pytest.mark.parametrize("ablation", ["full", "sep"])
     def test_fit_never_reuses_a_split(self, graph, ablation, monkeypatch):
@@ -265,7 +265,7 @@ class TestFit:
             if ablation == "full":
                 want["edge_score_values"] = passes
             assert counts == want
-            assert result.model._stages == {}
+            assert result.model._kept == {}
         assert ran_off_main == [False] + [True] * 4
 
     def test_log_records_have_expected_fields(self, graph):
